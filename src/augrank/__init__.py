@@ -73,7 +73,6 @@ from .rerank import (
     build_input,
     rerank_topk,
     score_batch,
-    split_input,
 )
 from .trainset import TrainingSet, balance_upsample, make_pairs, render_training_sequences
 

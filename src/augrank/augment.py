@@ -165,16 +165,21 @@ def topical_term_weights(
 def topical_term_expansion(
     snippets: Sequence[Snippet], lm: CorpusLanguageModel, cfg: ExpansionConfig
 ) -> Expansion:
-    """Space-joined top `max_terms` terms in descending-weight order."""
+    """Space-joined top `max_terms` terms in descending-weight order.
+
+    Snippets without a single token (punctuation only) give the empty
+    fallback expansion.
+    """
     if cfg.mode is not ExpansionMode.TOPICAL_TERMS:
         raise ValidationError(f"config mode is {cfg.mode.value}, expected topical_terms")
+    query_id = snippets[0].query_id if snippets else ""
+    provenance = tuple(_snippet_ref(s) for s in snippets if tokenize(s.text))
+    if not provenance:
+        return Expansion(query_id, cfg.mode, "", (), fallback=True)
     weights = topical_term_weights(snippets, lm)
     if cfg.stopwords:
         weights = [w for w in weights if w.term not in cfg.stopwords]
-    terms = [w.term for w in weights[: cfg.max_terms]]
-    text = " ".join(terms)
-    query_id = snippets[0].query_id if snippets else ""
-    provenance = tuple(_snippet_ref(s) for s in snippets if tokenize(s.text))
+    text = " ".join(w.term for w in weights[: cfg.max_terms])
     return Expansion(query_id, cfg.mode, text, provenance, fallback=not text)
 
 

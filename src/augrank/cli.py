@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TextIO
+from typing import TextIO, TypeVar
 
 from .augment import (
     Expansion,
@@ -34,6 +35,7 @@ from .augment import (
 )
 from .corpus_io import (
     Passage,
+    Qrels,
     Query,
     RankedList,
     Snippet,
@@ -55,6 +57,7 @@ from .evaluation import (
     evaluate_run,
 )
 from .index import (
+    CorpusLanguageModel,
     FusionConfig,
     InvertedIndex,
     bm25_search,
@@ -67,7 +70,9 @@ from .index import (
 from .rerank import ScorerEndpoint, ScorerKind, build_augmented_input, build_input, rerank_topk
 from .trainset import balance_upsample, make_pairs, render_training_sequences
 
-DEFAULT_METRICS = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
+T = TypeVar("T")
+
+DEFAULT_METRICS = tuple(MetricConfig().metric_names())
 
 _MODE_ALIASES = {
     "none": "none",
@@ -110,34 +115,45 @@ class MetricSelection:
 
 
 def parse_metric_tokens(tokens: Sequence[str]) -> MetricSelection:
-    """Turn tokens like s@5, mrr@10, ndcg@10, map into a MetricConfig."""
+    """Turn tokens like s@5, mrr@10, ndcg@10, map into a MetricConfig.
+
+    Tokens are canonicalized, so "S@01" is "s@1". A token given twice, or a
+    second mrr or ndcg cutoff, is rejected: a report holds one value per
+    token, and MetricConfig one cutoff for each of those two metrics.
+    """
     success: set[int] = set()
-    mrr_cutoff = ndcg_cutoff = None
-    cleaned = []
+    single: dict[str, int] = {}
+    cleaned: list[str] = []
     for raw in tokens:
         token = raw.strip().lower()
         if not token:
             continue
-        try:
-            if token == "map":
-                pass
-            elif token.startswith("s@"):
-                success.add(int(token[2:]))
-            elif token.startswith("mrr@"):
-                mrr_cutoff = int(token[4:])
-            elif token.startswith("ndcg@"):
-                ndcg_cutoff = int(token[5:])
-            else:
-                raise ValueError
-        except ValueError:
-            raise ValidationError(f"unknown metric token {raw!r}") from None
+        name, _, cutoff = token.partition("@")
+        if token != "map":
+            try:
+                if name not in ("s", "mrr", "ndcg"):
+                    raise ValueError
+                k = int(cutoff)
+            except ValueError:
+                raise ValidationError(f"unknown metric token {raw!r}") from None
+            token = f"{name}@{k}"
+        if token in cleaned:
+            raise ValidationError(f"duplicate metric token {raw!r}")
+        if name == "s":
+            success.add(k)
+        elif name in ("mrr", "ndcg"):
+            if name in single:
+                raise ValidationError(
+                    f"metric token {raw!r}: {name} is already reported at @{single[name]}"
+                )
+            single[name] = k
         cleaned.append(token)
     if not cleaned:
         raise ValidationError("no metrics requested")
     config = MetricConfig(
         success_cutoffs=frozenset(success),
-        mrr_cutoff=mrr_cutoff or 10,
-        ndcg_cutoff=ndcg_cutoff or 10,
+        mrr_cutoff=single.get("mrr", MetricConfig.mrr_cutoff),
+        ndcg_cutoff=single.get("ndcg", MetricConfig.ndcg_cutoff),
     )
     return MetricSelection(tuple(cleaned), config)
 
@@ -197,29 +213,31 @@ def write_comparison(rows: Sequence[tuple[str, TTestResult]], out: TextIO) -> No
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything `pipeline run` needs, loaded from a flat JSON object."""
+    """Everything `pipeline run` needs, loaded from a flat JSON object whose
+    keys are these field names. A default that a library type also uses is
+    read from that type."""
 
-    corpus_path: str
-    queries_path: str
-    qrels_path: str
+    corpus: str
+    queries: str
+    qrels: str
     output_dir: str
-    snippet_cache_path: str | None = None
-    initial_run_path: str | None = None
-    dense_run_path: str | None = None
-    baseline_run_path: str | None = None
+    snippet_cache: str | None = None
+    initial_run: str | None = None
+    dense_run: str | None = None
+    baseline_run: str | None = None
     fusion_alpha: float = 1.3
     mode: str = "none"
-    max_snippets: int = 5
-    source: SnippetSource = SnippetSource.WEB_SERP
-    skip_direct_answers: bool = True
-    max_words: int = 64
-    max_terms: int = 64
-    scorer_kind: ScorerKind = ScorerKind.LEXICAL_BASELINE
+    max_snippets: int = RetrieverConfig.max_snippets
+    source: SnippetSource = RetrieverConfig.source
+    skip_direct_answers: bool = RetrieverConfig.skip_direct_answers
+    max_words: int = ExpansionConfig.max_words
+    max_terms: int = ExpansionConfig.max_terms
+    scorer: ScorerKind = ScorerKind.LEXICAL_BASELINE
     scorer_address: str | None = None
-    batch_size: int = 32
-    timeout: float = 10.0
+    batch_size: int = ScorerEndpoint.batch_size
+    timeout: float = ScorerEndpoint.timeout
     rerank_depth: int = 100
-    metrics: tuple[str, ...] = DEFAULT_METRICS
+    metrics: MetricSelection = parse_metric_tokens(DEFAULT_METRICS)
     run_tag: str = "augrank"
 
     def __post_init__(self):
@@ -229,30 +247,9 @@ class ExperimentConfig:
             raise ValidationError(f"rerank_depth must be >= 1, got {self.rerank_depth}")
 
 
-_CONFIG_KEYS = {
-    "corpus": "corpus_path",
-    "queries": "queries_path",
-    "qrels": "qrels_path",
-    "output_dir": "output_dir",
-    "snippet_cache": "snippet_cache_path",
-    "initial_run": "initial_run_path",
-    "dense_run": "dense_run_path",
-    "baseline_run": "baseline_run_path",
-    "fusion_alpha": "fusion_alpha",
-    "mode": "mode",
-    "max_snippets": "max_snippets",
-    "source": "source",
-    "skip_direct_answers": "skip_direct_answers",
-    "max_words": "max_words",
-    "max_terms": "max_terms",
-    "scorer": "scorer_kind",
-    "scorer_address": "scorer_address",
-    "batch_size": "batch_size",
-    "timeout": "timeout",
-    "rerank_depth": "rerank_depth",
-    "metrics": "metrics",
-    "run_tag": "run_tag",
-}
+_INPUT_PATHS = (
+    "corpus", "queries", "qrels", "snippet_cache", "initial_run", "dense_run", "baseline_run"
+)
 
 
 def load_experiment_config(path: str, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
@@ -264,73 +261,51 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             raise ParseError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"config {path}: expected a JSON object")
-    values: dict[str, object] = {}
-    for key, raw in data.items():
-        if key not in _CONFIG_KEYS:
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for key in data:
+        if key not in fields:
             raise ValidationError(f"config {path}: unknown key {key!r}")
-        values[_CONFIG_KEYS[key]] = raw
-    for key, raw in (overrides or {}).items():
-        if raw is not None:
-            values[key] = raw
+    values = dict(data)
+    values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
 
-    if "mode" in values:
-        mode = str(values["mode"]).lower()
-        if mode not in _MODE_ALIASES:
-            raise ValidationError(f"unknown expansion mode {values['mode']!r}")
-        values["mode"] = _MODE_ALIASES[mode]
-    if "source" in values:
-        source = str(values["source"]).lower()
-        if source not in _SOURCE_ALIASES:
-            raise ValidationError(f"unknown snippet source {values['source']!r}")
-        values["source"] = _SOURCE_ALIASES[source]
-    if "scorer_kind" in values:
-        scorer = str(values["scorer_kind"]).lower()
-        if scorer not in _SCORER_ALIASES:
-            raise ValidationError(f"unknown scorer {values['scorer_kind']!r}")
-        values["scorer_kind"] = _SCORER_ALIASES[scorer]
-    if "metrics" in values:
-        raw_metrics = values["metrics"]
-        if isinstance(raw_metrics, str):
-            raw_metrics = raw_metrics.split(",")
-        values["metrics"] = tuple(str(t) for t in raw_metrics)
-    for key, cast in (
-        ("fusion_alpha", float),
-        ("timeout", float),
-        ("max_snippets", int),
-        ("max_words", int),
-        ("max_terms", int),
-        ("batch_size", int),
-        ("rerank_depth", int),
+    for key, aliases, what in (
+        ("mode", _MODE_ALIASES, "expansion mode"),
+        ("source", _SOURCE_ALIASES, "snippet source"),
+        ("scorer", _SCORER_ALIASES, "scorer"),
     ):
         if key in values:
+            name = str(values[key]).lower()
+            if name not in aliases:
+                raise ValidationError(f"unknown {what} {values[key]!r}")
+            values[key] = aliases[name]
+    if "metrics" in values:
+        tokens = values["metrics"]
+        if isinstance(tokens, str):
+            tokens = tokens.split(",")
+        if not isinstance(tokens, list):
+            raise ValidationError(
+                f"config {path}: metrics must be a list or a comma-separated string"
+            )
+        values["metrics"] = parse_metric_tokens([str(t) for t in tokens])
+    for key, raw in values.items():
+        cast = type(fields[key].default)  # numeric keys take their default's type
+        if cast in (int, float):
             try:
-                values[key] = cast(values[key])
+                values[key] = cast(raw)
             except (TypeError, ValueError):
                 raise ValidationError(
-                    f"config {path}: {key} must be a number, got {values[key]!r}"
+                    f"config {path}: {key} must be a number, got {raw!r}"
                 ) from None
     if "skip_direct_answers" in values and not isinstance(values["skip_direct_answers"], bool):
         raise ValidationError(f"config {path}: skip_direct_answers must be true or false")
 
-    required = {"corpus_path", "queries_path", "qrels_path", "output_dir"}
-    missing = sorted(required - values.keys())
+    missing = [
+        name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values
+    ]
     if missing:
         raise ValidationError(f"config {path}: missing required keys: {', '.join(missing)}")
-    try:
-        cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ValidationError(f"config {path}: {exc}") from None
-    parse_metric_tokens(cfg.metrics)  # fail fast on bad metric tokens
-
-    for name in (
-        "corpus_path",
-        "queries_path",
-        "qrels_path",
-        "snippet_cache_path",
-        "initial_run_path",
-        "dense_run_path",
-        "baseline_run_path",
-    ):
+    cfg = ExperimentConfig(**values)
+    for name in _INPUT_PATHS:
         value = getattr(cfg, name)
         if value is not None and not os.path.exists(value):
             raise ValidationError(f"config {path}: {name} {value!r} does not exist")
@@ -347,6 +322,137 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+# ---------------------------------------------------------------------------
+# Stages shared by `pipeline run` and the subcommands
+
+
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+
+
+def _load(loader: Callable[[TextIO], T], path: str) -> T:
+    with open(path, encoding="utf-8") as handle:
+        return loader(handle)
+
+
+def _by_id(items):
+    return {item.id: item for item in items}
+
+
+def _read_run(path: str) -> dict[str, RankedList]:
+    return {ranked.query_id: ranked for ranked in _load(parse_run, path)}
+
+
+def _search(
+    index: InvertedIndex, queries: Iterable[Query], k: int, tag: str
+) -> dict[str, RankedList]:
+    """BM25 top-k per query; a query with no hits gets no list."""
+    lists = {}
+    for query in queries:
+        ranked = bm25_search(index, query, k, tag=tag)
+        if ranked.entries:
+            lists[query.id] = ranked
+    return lists
+
+
+def _fuse(
+    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], alpha: float, tag: str
+) -> dict[str, RankedList]:
+    """dense + alpha * sparse for every query in either run, by query id."""
+    fusion = FusionConfig(alpha)
+    return {
+        qid: fuse_runs(
+            dense.get(qid, RankedList(qid, (), "dense")),
+            sparse.get(qid, RankedList(qid, (), "sparse")),
+            fusion,
+            tag=tag,
+        )
+        for qid in sorted(set(dense) | set(sparse))
+    }
+
+
+def _expand(
+    queries: Sequence[Query],
+    cache: Mapping[str, Sequence[Snippet]],
+    retriever_cfg: RetrieverConfig,
+    expansion_cfg: ExpansionConfig,
+    lm: CorpusLanguageModel | None,
+    out_path: str | None,
+) -> dict[str, Expansion]:
+    """Expand every query, in query order, and write the expansions to
+    `out_path` (stdout when None)."""
+    expansions = [
+        augment_query(query, cache, retriever_cfg, expansion_cfg, lm) for query in queries
+    ]
+    with _open_out(out_path) as out:
+        write_expansions(expansions, out)
+    return {expansion.query_id: expansion for expansion in expansions}
+
+
+def _rerank(
+    queries: Iterable[Query],
+    initial: Mapping[str, RankedList],
+    corpus: Mapping[str, Passage],
+    expansions: Mapping[str, Expansion],
+    endpoint: ScorerEndpoint,
+    k: int,
+    tag: str,
+    out_path: str | None,
+    inputs_out: TextIO | None = None,
+) -> list[RankedList]:
+    """Rerank the top k of each query's initial list, in query order, and
+    write the run to `out_path` (stdout when None). With `inputs_out`, every
+    scorer input is also written there as one rendered JSON record."""
+    reranked = []
+    for query in queries:
+        ranked = initial.get(query.id)
+        if ranked is None or not ranked.entries:
+            continue
+        depth = min(k, len(ranked.entries))
+        expansion = expansions.get(query.id)
+        if inputs_out is not None:
+            for pid, _ in ranked.entries[:depth]:
+                if pid not in corpus:
+                    continue  # rerank_topk raises the definitive error
+                if expansion is not None:
+                    item = build_augmented_input(query, expansion, corpus[pid])
+                else:
+                    item = build_input(query, corpus[pid])
+                record = {
+                    "query_id": item.query_id,
+                    "passage_id": item.passage_id,
+                    "sequence": item.sequence,
+                }
+                inputs_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth, tag))
+    with _open_out(out_path) as out:
+        write_run(reranked, out)
+    return reranked
+
+
+def _evaluate(
+    lists: Sequence[RankedList],
+    qrels: Qrels,
+    selection: MetricSelection,
+    out_path: str | None,
+    per_query_path: str | None,
+) -> MetricReport:
+    """Evaluate a run, write the aggregate report to `out_path` (stdout
+    when None) and, given `per_query_path`, the per-query report there."""
+    report = evaluate_run(lists, qrels, selection.config)
+    with _open_out(out_path) as out:
+        write_metric_report(report, selection.tokens, out)
+    if per_query_path:
+        with _open_out(per_query_path) as out:
+            write_per_query_report(report, selection.tokens, out)
+    return report
+
+
 def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
     """index -> initial ranking -> (fusion) -> expansion -> rerank -> eval
     -> (compare). Returns the treatment metric report; artifacts land in
@@ -357,116 +463,61 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
         return os.path.join(cfg.output_dir, name)
 
     with _stage("load"):
-        with open(cfg.corpus_path, encoding="utf-8") as handle:
-            passages = load_corpus(handle)
-        corpus = {p.id: p for p in passages}
-        with open(cfg.queries_path, encoding="utf-8") as handle:
-            queries = load_queries(handle)
-        with open(cfg.qrels_path, encoding="utf-8") as handle:
-            qrels = parse_qrels(handle)
-        cache: dict[str, list[Snippet]] = {}
-        if cfg.snippet_cache_path:
-            with open(cfg.snippet_cache_path, encoding="utf-8") as handle:
-                cache = load_snippet_cache(handle)
+        passages = _load(load_corpus, cfg.corpus)
+        corpus = _by_id(passages)
+        queries = _load(load_queries, cfg.queries)
+        qrels = _load(parse_qrels, cfg.qrels)
+        cache = _load(load_snippet_cache, cfg.snippet_cache) if cfg.snippet_cache else {}
 
     topical = cfg.mode == ExpansionMode.TOPICAL_TERMS.value
     with _stage("index"):
         index = lm = None
-        if cfg.initial_run_path is None or topical:
+        if cfg.initial_run is None or topical:
             index = build_index(passages)
         if topical:
             lm = estimate_corpus_lm(index)
 
     with _stage("initial"):
-        if cfg.initial_run_path:
-            with open(cfg.initial_run_path, encoding="utf-8") as handle:
-                initial = {r.query_id: r for r in parse_run(handle)}
+        if cfg.initial_run:
+            initial = _read_run(cfg.initial_run)
         else:
-            initial = {}
-            for query in queries:
-                ranked = bm25_search(index, query, cfg.rerank_depth)
-                if ranked.entries:
-                    initial[query.id] = ranked
+            initial = _search(index, queries, cfg.rerank_depth, cfg.run_tag)
 
     with _stage("fuse"):
-        if cfg.dense_run_path:
-            with open(cfg.dense_run_path, encoding="utf-8") as handle:
-                dense = {r.query_id: r for r in parse_run(handle)}
-            fusion = FusionConfig(cfg.fusion_alpha)
-            fused = {}
-            for qid in sorted(set(dense) | set(initial)):
-                fused[qid] = fuse_runs(
-                    dense.get(qid, RankedList(qid, (), "dense")),
-                    initial.get(qid, RankedList(qid, (), "sparse")),
-                    fusion,
-                )
-            initial = fused
+        if cfg.dense_run:
+            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion_alpha, cfg.run_tag)
 
     with _stage("expand"):
         expansions: dict[str, Expansion] = {}
         if cfg.mode != "none":
-            retriever_cfg = RetrieverConfig(cfg.max_snippets, cfg.source, cfg.skip_direct_answers)
-            expansion_cfg = ExpansionConfig(ExpansionMode(cfg.mode), cfg.max_words, cfg.max_terms)
-            for query in queries:
-                expansions[query.id] = augment_query(
-                    query, cache, retriever_cfg, expansion_cfg, lm
-                )
-            with open(out_path("expansions.jsonl"), "w", encoding="utf-8") as handle:
-                write_expansions((expansions[q.id] for q in queries), handle)
+            expansions = _expand(
+                queries,
+                cache,
+                RetrieverConfig(cfg.max_snippets, cfg.source, cfg.skip_direct_answers),
+                ExpansionConfig(ExpansionMode(cfg.mode), cfg.max_words, cfg.max_terms),
+                lm,
+                out_path("expansions.jsonl"),
+            )
 
     with _stage("rerank"):
-        endpoint = ScorerEndpoint(cfg.scorer_kind, cfg.scorer_address, cfg.batch_size, cfg.timeout)
-        reranked = []
-        with open(out_path("inputs.jsonl"), "w", encoding="utf-8") as inputs_file:
-            for query in queries:
-                ranked = initial.get(query.id)
-                if ranked is None or not ranked.entries:
-                    continue
-                depth = min(cfg.rerank_depth, len(ranked.entries))
-                expansion = expansions.get(query.id)
-                for pid, _ in ranked.entries[:depth]:
-                    if pid not in corpus:
-                        continue  # rerank_topk raises the definitive error
-                    if expansion is not None:
-                        item = build_augmented_input(query, expansion, corpus[pid])
-                    else:
-                        item = build_input(query, corpus[pid])
-                    inputs_file.write(
-                        json.dumps(
-                            {
-                                "query_id": item.query_id,
-                                "passage_id": item.passage_id,
-                                "sequence": item.sequence,
-                            },
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
-                reranked.append(
-                    rerank_topk(ranked, corpus, query, expansion, endpoint, depth, cfg.run_tag)
-                )
-        with open(out_path("reranked.run"), "w", encoding="utf-8") as handle:
-            write_run(reranked, handle)
+        endpoint = ScorerEndpoint(cfg.scorer, cfg.scorer_address, cfg.batch_size, cfg.timeout)
+        with open(out_path("inputs.jsonl"), "w", encoding="utf-8") as inputs_out:
+            reranked = _rerank(
+                queries, initial, corpus, expansions, endpoint, cfg.rerank_depth,
+                cfg.run_tag, out_path("reranked.run"), inputs_out,
+            )
 
     with _stage("eval"):
-        selection = parse_metric_tokens(cfg.metrics)
-        report = evaluate_run(reranked, qrels, selection.config)
-        with open(out_path("metrics.tsv"), "w", encoding="utf-8") as handle:
-            write_metric_report(report, selection.tokens, handle)
-        with open(out_path("per_query.tsv"), "w", encoding="utf-8") as handle:
-            write_per_query_report(report, selection.tokens, handle)
+        report = _evaluate(
+            reranked, qrels, cfg.metrics, out_path("metrics.tsv"), out_path("per_query.tsv")
+        )
 
     with _stage("compare"):
-        if cfg.baseline_run_path:
-            with open(cfg.baseline_run_path, encoding="utf-8") as handle:
-                baseline_lists = parse_run(handle)
-            baseline_report = evaluate_run(baseline_lists, qrels, selection.config)
-            rows = [
-                (token, compare_runs(baseline_report, report, token))
-                for token in selection.tokens
-            ]
-            with open(out_path("compare.tsv"), "w", encoding="utf-8") as handle:
-                write_comparison(rows, handle)
+        if cfg.baseline_run:
+            baseline = evaluate_run(_load(parse_run, cfg.baseline_run), qrels, cfg.metrics.config)
+            rows = [(token, compare_runs(baseline, report, token)) for token in cfg.metrics.tokens]
+            with _open_out(out_path("compare.tsv")) as out:
+                write_comparison(rows, out)
 
     return report
 
@@ -480,137 +531,71 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
-
-
-def _load_corpus_map(path: str) -> tuple[list[Passage], dict[str, Passage]]:
-    with open(path, encoding="utf-8") as handle:
-        passages = load_corpus(handle)
-    return passages, {p.id: p for p in passages}
-
-
-def _load_query_map(path: str) -> tuple[list[Query], dict[str, Query]]:
-    with open(path, encoding="utf-8") as handle:
-        queries = load_queries(handle)
-    return queries, {q.id: q for q in queries}
-
-
 def _cmd_index_build(args) -> None:
-    passages, _ = _load_corpus_map(args.corpus)
-    index = build_index(passages)
+    index = build_index(_load(load_corpus, args.corpus))
     with open(args.out, "w", encoding="utf-8") as handle:
         save_index(index, handle)
     print(f"indexed {index.doc_count} passages, {index.total_tokens} tokens -> {args.out}")
 
 
-def _load_index_artifact(path: str) -> InvertedIndex:
-    with open(path, encoding="utf-8") as handle:
-        return load_index(handle)
-
-
 def _cmd_index_search(args) -> None:
-    index = _load_index_artifact(args.index)
-    queries, _ = _load_query_map(args.queries)
-    lists = []
-    for query in queries:
-        ranked = bm25_search(index, query, args.k, tag=args.tag)
-        if ranked.entries:
-            lists.append(ranked)
+    index = _load(load_index, args.index)
+    lists = _search(index, _load(load_queries, args.queries), args.k, args.tag)
     with _open_out(args.out) as out:
-        write_run(lists, out)
+        write_run(list(lists.values()), out)
 
 
 def _cmd_fuse(args) -> None:
-    with open(args.dense, encoding="utf-8") as handle:
-        dense = {r.query_id: r for r in parse_run(handle)}
-    with open(args.sparse, encoding="utf-8") as handle:
-        sparse = {r.query_id: r for r in parse_run(handle)}
-    fusion = FusionConfig(args.alpha)
-    fused = [
-        fuse_runs(
-            dense.get(qid, RankedList(qid, (), "dense")),
-            sparse.get(qid, RankedList(qid, (), "sparse")),
-            fusion,
-            tag=args.tag,
-        )
-        for qid in sorted(set(dense) | set(sparse))
-    ]
+    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), args.alpha, args.tag)
     with _open_out(args.out) as out:
-        write_run(fused, out)
+        write_run(list(fused.values()), out)
 
 
 def _cmd_expand(args) -> None:
-    queries, _ = _load_query_map(args.queries)
-    with open(args.snippets, encoding="utf-8") as handle:
-        cache = load_snippet_cache(handle)
+    queries = _load(load_queries, args.queries)
+    cache = _load(load_snippet_cache, args.snippets)
     mode = ExpansionMode(_MODE_ALIASES[args.mode])
     lm = None
     if mode is ExpansionMode.TOPICAL_TERMS:
         if args.corpus:
-            passages, _ = _load_corpus_map(args.corpus)
-            lm = estimate_corpus_lm(build_index(passages))
+            lm = estimate_corpus_lm(build_index(_load(load_corpus, args.corpus)))
         elif args.index:
-            lm = estimate_corpus_lm(_load_index_artifact(args.index))
+            lm = estimate_corpus_lm(_load(load_index, args.index))
         else:
             raise ValidationError("--mode terms requires --corpus or --index")
     retriever_cfg = RetrieverConfig(
         args.max_snippets, _SOURCE_ALIASES[args.source], not args.keep_direct_answers
     )
     expansion_cfg = ExpansionConfig(mode, args.max_words, args.max_terms)
-    expansions = [
-        augment_query(query, cache, retriever_cfg, expansion_cfg, lm) for query in queries
-    ]
-    with _open_out(args.out) as out:
-        write_expansions(expansions, out)
+    _expand(queries, cache, retriever_cfg, expansion_cfg, lm, args.out)
 
 
 def _cmd_rerank(args) -> None:
-    with open(args.run, encoding="utf-8") as handle:
-        run_lists = parse_run(handle)
-    _, corpus = _load_corpus_map(args.corpus)
-    _, queries = _load_query_map(args.queries)
+    run = _read_run(args.run)
+    corpus = _by_id(_load(load_corpus, args.corpus))
+    queries = _by_id(_load(load_queries, args.queries))
     expansions: dict[str, Expansion] = {}
     if args.expansions and args.expansions != "none":
-        with open(args.expansions, encoding="utf-8") as handle:
-            expansions = load_expansions(handle)
+        expansions = _load(load_expansions, args.expansions)
     endpoint = ScorerEndpoint(
         _SCORER_ALIASES[args.scorer], args.address, args.batch_size, args.timeout
     )
-    reranked = []
-    for ranked in run_lists:
-        if not ranked.entries:
-            continue
-        query = queries.get(ranked.query_id)
-        if query is None:
-            raise ValidationError(f"run query {ranked.query_id!r} missing from the query file")
-        depth = min(args.k, len(ranked.entries))
-        reranked.append(
-            rerank_topk(
-                ranked, corpus, query, expansions.get(ranked.query_id), endpoint, depth, args.tag
-            )
-        )
-    with _open_out(args.out) as out:
-        write_run(reranked, out)
+    for qid in run:
+        if qid not in queries:
+            raise ValidationError(f"run query {qid!r} missing from the query file")
+    _rerank(
+        [queries[qid] for qid in run], run, corpus, expansions, endpoint, args.k, args.tag, args.out
+    )
 
 
 def _cmd_trainset_build(args) -> None:
-    with open(args.triples, encoding="utf-8") as handle:
-        triples = load_triples(handle)
-    _, corpus = _load_corpus_map(args.corpus)
-    _, queries = _load_query_map(args.queries)
+    triples = _load(load_triples, args.triples)
+    corpus = _by_id(_load(load_corpus, args.corpus))
+    queries = _by_id(_load(load_queries, args.queries))
     training_set = make_pairs(triples, corpus, queries)
     if args.balance:
         training_set = balance_upsample(training_set)
-    expansions = None
-    if args.expansions:
-        with open(args.expansions, encoding="utf-8") as handle:
-            expansions = load_expansions(handle)
+    expansions = _load(load_expansions, args.expansions) if args.expansions else None
     sequences = render_training_sequences(training_set, queries, corpus, expansions)
     with _open_out(args.out) as out:
         for sequence in sequences:
@@ -618,24 +603,14 @@ def _cmd_trainset_build(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    with open(args.run, encoding="utf-8") as handle:
-        lists = parse_run(handle)
-    with open(args.qrels, encoding="utf-8") as handle:
-        qrels = parse_qrels(handle)
     selection = parse_metric_tokens(args.metrics.split(","))
-    report = evaluate_run(lists, qrels, selection.config)
-    with _open_out(args.out) as out:
-        write_metric_report(report, selection.tokens, out)
-    if args.per_query:
-        with open(args.per_query, "w", encoding="utf-8") as handle:
-            write_per_query_report(report, selection.tokens, handle)
+    lists = _load(parse_run, args.run)
+    _evaluate(lists, _load(parse_qrels, args.qrels), selection, args.out, args.per_query)
 
 
 def _cmd_compare(args) -> None:
-    with open(args.baseline, encoding="utf-8") as handle:
-        baseline = load_per_query_report(handle)
-    with open(args.treatment, encoding="utf-8") as handle:
-        treatment = load_per_query_report(handle)
+    baseline = _load(load_per_query_report, args.baseline)
+    treatment = _load(load_per_query_report, args.treatment)
     result = compare_runs(baseline, treatment, args.metric)
     with _open_out(args.out) as out:
         write_comparison([(args.metric, result)], out)
@@ -644,16 +619,15 @@ def _cmd_compare(args) -> None:
 def _cmd_pipeline_run(args) -> None:
     overrides = {
         "mode": args.mode,
-        "scorer_kind": args.scorer,
+        "scorer": args.scorer,
         "scorer_address": args.scorer_address,
         "rerank_depth": args.k,
         "output_dir": args.output_dir,
-        "baseline_run_path": args.baseline_run,
+        "baseline_run": args.baseline_run,
     }
     cfg = load_experiment_config(args.config, overrides)
     report = run_pipeline(cfg)
-    selection = parse_metric_tokens(cfg.metrics)
-    write_metric_report(report, selection.tokens, sys.stdout)
+    write_metric_report(report, cfg.metrics.tokens, sys.stdout)
     print(f"artifacts written to {cfg.output_dir}")
 
 
@@ -672,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser = index_commands.add_parser("search", help="BM25 top-k search")
     search_parser.add_argument("--index", required=True)
     search_parser.add_argument("--queries", required=True)
-    search_parser.add_argument("--k", type=int, default=100)
+    search_parser.add_argument("--k", type=int, default=ExperimentConfig.rerank_depth)
     search_parser.add_argument("--tag", default="bm25")
     search_parser.add_argument("--out")
     search_parser.set_defaults(handler=_cmd_index_search)
@@ -680,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_parser = commands.add_parser("fuse", help="linear sparse/dense run fusion")
     fuse_parser.add_argument("--dense", required=True)
     fuse_parser.add_argument("--sparse", required=True)
-    fuse_parser.add_argument("--alpha", type=float, default=1.3)
+    fuse_parser.add_argument("--alpha", type=float, default=ExperimentConfig.fusion_alpha)
     fuse_parser.add_argument("--tag", default="hybrid")
     fuse_parser.add_argument("--out")
     fuse_parser.set_defaults(handler=_cmd_fuse)
@@ -689,10 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
     expand_parser.add_argument("--queries", required=True)
     expand_parser.add_argument("--snippets", required=True, help="snippet cache file")
     expand_parser.add_argument("--mode", required=True, choices=["nl", "terms"])
-    expand_parser.add_argument("--source", default="serp", choices=["serp", "wiki"])
-    expand_parser.add_argument("--max-words", type=int, default=64)
-    expand_parser.add_argument("--max-terms", type=int, default=64)
-    expand_parser.add_argument("--max-snippets", type=int, default=5)
+    # Enum-valued defaults are given by value; the alias tables accept both spellings.
+    expand_parser.add_argument(
+        "--source", default=RetrieverConfig.source.value, choices=["serp", "wiki"]
+    )
+    expand_parser.add_argument("--max-words", type=int, default=ExpansionConfig.max_words)
+    expand_parser.add_argument("--max-terms", type=int, default=ExpansionConfig.max_terms)
+    expand_parser.add_argument(
+        "--max-snippets", type=int, default=RetrieverConfig.max_snippets
+    )
     expand_parser.add_argument("--keep-direct-answers", action="store_true")
     expand_parser.add_argument("--corpus", help="corpus for the language model (terms mode)")
     expand_parser.add_argument("--index", help="index artifact alternative to --corpus")
@@ -704,11 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
     rerank_parser.add_argument("--corpus", required=True)
     rerank_parser.add_argument("--queries", required=True)
     rerank_parser.add_argument("--expansions", default="none", help="expansion file or 'none'")
-    rerank_parser.add_argument("--scorer", default="baseline", choices=["baseline", "remote"])
+    rerank_parser.add_argument(
+        "--scorer", default=ExperimentConfig.scorer.value, choices=["baseline", "remote"]
+    )
     rerank_parser.add_argument("--address", help="remote scorer base URL")
-    rerank_parser.add_argument("--batch-size", type=int, default=32)
-    rerank_parser.add_argument("--timeout", type=float, default=10.0)
-    rerank_parser.add_argument("--k", type=int, default=100)
+    rerank_parser.add_argument("--batch-size", type=int, default=ScorerEndpoint.batch_size)
+    rerank_parser.add_argument("--timeout", type=float, default=ScorerEndpoint.timeout)
+    rerank_parser.add_argument("--k", type=int, default=ExperimentConfig.rerank_depth)
     rerank_parser.add_argument("--tag", default="rerank")
     rerank_parser.add_argument("--out")
     rerank_parser.set_defaults(handler=_cmd_rerank)

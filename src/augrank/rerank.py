@@ -1,20 +1,27 @@
-"""Re-ranker input sequences and pluggable candidate scoring.
+"""Re-ranker inputs and pluggable candidate scoring.
 
-Sequences follow two fixed templates (single space after each label colon,
-single space between segments):
+A `RerankInput` holds its segments as fields: the query, the description
+(the expansion text, or None for the plain form) and the document. Its
+`sequence` property renders them into one of two fixed templates (single
+space after each label colon, single space between segments):
 
-    plain:     "Query: <q> Document: <d> Relevant:"
+    plain:     "Query: <q> Document: <d> Relevant:"          (description None)
     augmented: "Query: <q> Description: <expansion> Document: <d> Relevant:"
 
-Training sequences append " true" / " false" after "Relevant:". Scorers
-return one value per input in [0, 1], higher means more relevant:
+Training sequences append " true" / " false" after "Relevant:". Strings are
+rendered only where a string leaves the program: the remote scorer's
+payload, the pipeline's inputs.jsonl and training sequences. Nothing parses
+a rendered sequence back, so text that contains a label literal such as
+"Document:" is scored as the text it is. Scorers return one value per input
+in [0, 1], higher means more relevant:
 
-- lexical_baseline: BM25 of the document segment against the tokenized
-  query + description terms, squashed to [0, 1] via s/(s+1). Collection
-  statistics are computed over the batch's own documents, so the scorer is
+- lexical_baseline: BM25 of the document against the tokenized query +
+  description terms, squashed to [0, 1] via s/(s+1). Collection statistics
+  are computed over the batch's own documents, so the scorer is
   self-contained (in the pipeline a batch is one query's candidate list).
-- remote: HTTP POST {"inputs": [...]} to <address>/score, expecting
-  {"scores": [...]} of equal length; scores are validated to [0, 1].
+- remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
+  sequences, expecting {"scores": [...]} of equal length; scores are
+  validated to [0, 1].
 """
 
 from __future__ import annotations
@@ -70,58 +77,44 @@ class ScorerEndpoint:
 
 @dataclass(frozen=True)
 class RerankInput:
-    sequence: str
+    """One candidate for the scorer, kept as its template segments."""
+
     query_id: str
     passage_id: str
-    augmented: bool
+    query: str
+    description: str | None
+    document: str
+
+    @property
+    def augmented(self) -> bool:
+        return self.description is not None
+
+    @property
+    def sequence(self) -> str:
+        """The inference-form template; the label slot after "Relevant:" is
+        left for the scorer."""
+        if self.description is None:
+            return f"{QUERY_LABEL} {self.query} {DOCUMENT_LABEL} {self.document} {RELEVANT_LABEL}"
+        return (
+            f"{QUERY_LABEL} {self.query} {DESCRIPTION_LABEL} {self.description} "
+            f"{DOCUMENT_LABEL} {self.document} {RELEVANT_LABEL}"
+        )
 
 
 def build_input(query: Query, passage: Passage) -> RerankInput:
-    """Inference-form plain sequence; the label slot after "Relevant:" is
-    left for the scorer."""
-    sequence = f"{QUERY_LABEL} {query.text} {DOCUMENT_LABEL} {passage.text} {RELEVANT_LABEL}"
-    return RerankInput(sequence, query.id, passage.id, augmented=False)
+    """Plain input: no Description segment."""
+    return RerankInput(query.id, passage.id, query.text, None, passage.text)
 
 
 def build_augmented_input(query: Query, expansion: Expansion, passage: Passage) -> RerankInput:
-    """Augmented sequence with the expansion text as a Description segment.
+    """Augmented input with the expansion text as the Description segment.
 
-    An empty fallback expansion delegates to the plain template so the
+    An empty fallback expansion delegates to the plain form so the
     no-augmentation path is byte-identical.
     """
     if not expansion.text and expansion.fallback:
         return build_input(query, passage)
-    sequence = (
-        f"{QUERY_LABEL} {query.text} {DESCRIPTION_LABEL} {expansion.text} "
-        f"{DOCUMENT_LABEL} {passage.text} {RELEVANT_LABEL}"
-    )
-    return RerankInput(sequence, query.id, passage.id, augmented=True)
-
-
-def split_input(sequence: str) -> tuple[str, str | None, str]:
-    """Recover (query, description-or-None, document) from a sequence.
-
-    Splits left to right on the first occurrence of each segment label, so
-    components that themselves contain a label literal are not recoverable.
-    """
-    prefix = QUERY_LABEL + " "
-    suffix = " " + RELEVANT_LABEL
-    if not sequence.startswith(prefix) or not sequence.endswith(suffix):
-        raise ValidationError(f"not a re-ranker sequence: {sequence!r}")
-    body = sequence[len(prefix) : len(sequence) - len(suffix)]
-    description = None
-    desc_marker = f" {DESCRIPTION_LABEL} "
-    doc_marker = f" {DOCUMENT_LABEL} "
-    if desc_marker in body:
-        query_text, rest = body.split(desc_marker, 1)
-        if doc_marker not in rest:
-            raise ValidationError(f"missing document segment: {sequence!r}")
-        description, document = rest.split(doc_marker, 1)
-    else:
-        if doc_marker not in body:
-            raise ValidationError(f"missing document segment: {sequence!r}")
-        query_text, document = body.split(doc_marker, 1)
-    return query_text, description, document
+    return RerankInput(query.id, passage.id, query.text, expansion.text, passage.text)
 
 
 def training_sequence(inference_input: RerankInput, label: RelevanceLabel) -> str:
@@ -131,17 +124,16 @@ def training_sequence(inference_input: RerankInput, label: RelevanceLabel) -> st
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
     documents: dict[str, Passage] = {}
-    parsed = []
     for item in inputs:
-        query_text, description, document = split_input(item.sequence)
-        parsed.append((item.passage_id, query_text, description))
         if item.passage_id not in documents:
-            documents[item.passage_id] = Passage(item.passage_id, None, document)
+            documents[item.passage_id] = Passage(item.passage_id, None, item.document)
     batch_index = build_index(list(documents.values()))
     scores = []
-    for passage_id, query_text, description in parsed:
-        terms = tokenize(query_text if description is None else f"{query_text} {description}")
-        raw = bm25_score(batch_index, terms, passage_id)
+    for item in inputs:
+        terms = tokenize(item.query)
+        if item.description is not None:
+            terms += tokenize(item.description)
+        raw = bm25_score(batch_index, terms, item.passage_id)
         scores.append(raw / (raw + 1.0))
     return scores
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from augrank.augment import (
+    Expansion,
     ExpansionConfig,
     ExpansionMode,
     RetrieverConfig,
@@ -277,6 +278,13 @@ class TestAugmentQuery:
         )
         assert expansion.mode is ExpansionMode.TOPICAL_TERMS
         assert expansion.text
+
+
+    def test_topical_punctuation_only_snippets_fall_back(self):
+        lm = lm_from("corpus background text")
+        cache = {"q1": [snip(1, "!!! ---"), snip(2, "...")]}
+        expansion = augment_query(Query("q1", "topic"), cache, RetrieverConfig(), TERMS_CFG, lm)
+        assert expansion == Expansion("q1", ExpansionMode.TOPICAL_TERMS, "", (), fallback=True)
 
 
 class TestExpansionFile:

@@ -84,6 +84,22 @@ class TestMetricTokens:
             parse_metric_tokens(["s@0"])
 
 
+    def test_tokens_canonicalized(self):
+        selection = parse_metric_tokens(["S@01", "MRR@5", "Map"])
+        assert selection.tokens == ("s@1", "mrr@5", "map")
+        assert selection.config.success_cutoffs == frozenset({1})
+        assert selection.config.mrr_cutoff == 5
+
+    @pytest.mark.parametrize(
+        "tokens, named",
+        [(["s@1", "S@1"], "S@1"), (["s@1", "s@01"], "s@01"), (["map", "map"], "map"),
+         (["mrr@5", "mrr@10"], "mrr@10"), (["ndcg@10", "ndcg@20"], "ndcg@20")],
+    )
+    def test_repeated_token_or_second_cutoff_rejected(self, tokens, named):
+        with pytest.raises(ValidationError, match=repr(named)):
+            parse_metric_tokens(tokens)
+
+
 class TestIndexCommands:
     def test_build_then_search(self, workspace, capsys):
         index_path = workspace / "corpus.idx"
@@ -174,6 +190,23 @@ class TestEvalAndCompareCommands:
         output = capsys.readouterr().out
         assert "s@1\t0.5000" in output
         assert "queries\t2" in output
+
+    def test_eval_canonical_token(self, workspace, capsys):
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1rel 1 2.0 t\nq2 Q0 d2a 1 1.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                     "--metrics", "S@01"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "s@1\t0.5000"
+
+    @pytest.mark.parametrize("metrics, named", [("mrr@5,mrr@10", "mrr@10"), ("s@1,S@1", "S@1")])
+    def test_eval_rejects_conflicting_tokens(self, workspace, capsys, metrics, named):
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1rel 1 2.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                     "--metrics", metrics]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(named) in captured.err
 
     def test_compare_between_per_query_reports(self, workspace, capsys):
         base_run = workspace / "base.run"
@@ -289,10 +322,34 @@ class TestPipeline:
         assert main(["pipeline", "run", "--config", str(config)]) == 0
         assert (workspace / "out_remote" / "reranked.run").exists()
 
+    def test_passage_with_label_literal_runs_in_mode_none(self, workspace):
+        corpus = workspace / "corpus.jsonl"
+        corpus.write_text(corpus.read_text() + json.dumps(
+            {"id": "dlabel", "text": "shared topic1 Description: context1"}
+        ) + "\n")
+        config = make_config(workspace, "out_label")
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        inputs = (workspace / "out_label" / "inputs.jsonl").read_text()
+        assert "Document: shared topic1 Description: context1 Relevant:" in inputs
+
+    def test_punctuation_only_snippets_fall_back_in_terms_mode(self, workspace):
+        cache = workspace / "punct_snippets.jsonl"
+        write_jsonl(cache, [{"query_id": "q1", "rank": 1, "kind": "organic",
+                             "text": "!!! ---", "source": "web_serp"}])
+        config = make_config(workspace, "out_punct", mode="terms", snippet_cache=str(cache))
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        records = [json.loads(l) for l in
+                   (workspace / "out_punct" / "expansions.jsonl").read_text().splitlines()]
+        assert [r["text"] for r in records] == ["", "", ""]
+
     def test_unknown_config_key_rejected(self, workspace):
         path = workspace / "bad.json"
         path.write_text(json.dumps({"corpse": "x"}))
         assert main(["pipeline", "run", "--config", str(path)]) == 2
+
+    def test_non_list_metrics_rejected(self, workspace):
+        config = make_config(workspace, "out_bad_metrics", metrics=5)
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
 
     def test_missing_path_rejected(self, workspace):
         config = make_config(workspace, "out_missing", corpus=str(workspace / "nope.jsonl"))

@@ -18,7 +18,6 @@ from augrank.rerank import (
     build_input,
     rerank_topk,
     score_batch,
-    split_input,
     training_sequence,
 )
 from oracles import bm25_oracle
@@ -72,33 +71,61 @@ class TestBuildAugmentedInput:
         assert f"Description: {text} Document:" in item.sequence
 
 
-class TestSplitInput:
-    def test_recovers_plain_components(self):
+class TestStructuredInput:
+    def test_plain_fields(self):
         item = build_input(Query("q1", "what is bm25"), Passage("d1", None, "an ir function"))
-        assert split_input(item.sequence) == ("what is bm25", None, "an ir function")
+        assert (item.query, item.description, item.document) == (
+            "what is bm25", None, "an ir function"
+        )
+        assert (item.query_id, item.passage_id) == ("q1", "d1")
 
-    def test_recovers_augmented_components(self):
+    def test_augmented_fields(self):
         item = build_augmented_input(
             Query("q1", "what is bm25"),
             expansion("a ranking method"),
             Passage("d1", None, "an ir function"),
         )
-        assert split_input(item.sequence) == ("what is bm25", "a ranking method", "an ir function")
+        assert (item.query, item.description, item.document) == (
+            "what is bm25", "a ranking method", "an ir function"
+        )
 
-    def test_rejects_non_template_strings(self):
-        with pytest.raises(ValidationError):
-            split_input("nothing like a template")
+    def test_label_literals_rendered_verbatim(self):
+        item = build_augmented_input(
+            Query("q1", "what does Document: mean"),
+            expansion("see Query: below"),
+            Passage("d1", None, "a Description: here Relevant: no"),
+        )
+        assert item.query == "what does Document: mean"
+        assert item.sequence == (
+            "Query: what does Document: mean Description: see Query: below "
+            "Document: a Description: here Relevant: no Relevant:"
+        )
 
-    safe_text = st.text(alphabet="abcdefgh 123", min_size=1, max_size=20).map(
-        lambda s: " ".join(s.split()) or "x"
-    )
+    labelled_text = st.lists(
+        st.sampled_from(["alpha", "beta", "gamma", "Query:", "Description:", "Document:",
+                         "Relevant:", "x1", "!"]),
+        min_size=1,
+        max_size=8,
+    ).map(" ".join)
 
-    @given(safe_text, safe_text, safe_text)
-    def test_round_trip_bit_exact(self, q_text, e_text, d_text):
+    @given(labelled_text, labelled_text, labelled_text)
+    def test_fields_bit_exact_and_scored_as_given(self, q_text, e_text, d_text):
         q, p = Query("q1", q_text), Passage("d1", None, d_text)
-        assert split_input(build_input(q, p).sequence) == (q_text, None, d_text)
-        got = split_input(build_augmented_input(q, expansion(e_text), p).sequence)
-        assert got == (q_text, e_text, d_text)
+        plain = build_input(q, p)
+        augmented = build_augmented_input(q, expansion(e_text), p)
+        assert (plain.query, plain.description, plain.document) == (q_text, None, d_text)
+        assert (augmented.query, augmented.description, augmented.document) == (
+            q_text, e_text, d_text
+        )
+        doc_tokens = {"d1": tokenize(d_text), "d2": tokenize("other words")}
+        other = Passage("d2", None, "other words")
+        for item, terms in (
+            (plain, tokenize(q_text)),
+            (augmented, tokenize(q_text) + tokenize(e_text)),
+        ):
+            pair = [item, build_input(q, other)]
+            raw = bm25_oracle(doc_tokens, terms, "d1")
+            assert math.isclose(score_batch(pair, BASELINE)[0], raw / (raw + 1), abs_tol=1e-12)
 
 
 class TestTrainingSequence:
@@ -145,6 +172,25 @@ class TestLexicalBaseline:
         for (pid, _), got in zip(docs.items(), scores):
             raw = bm25_oracle(doc_tokens, q_terms, pid)
             assert math.isclose(got, raw / (raw + 1), abs_tol=1e-12)
+
+    def test_query_with_document_label_matches_document_terms(self):
+        query = Query("q1", "what does Document: mean")
+        docs = {"d1": "mean Document: alpha beta", "d2": "gamma delta"}
+        items = [build_input(query, Passage(pid, None, text)) for pid, text in docs.items()]
+        scores = score_batch(items, BASELINE)
+        doc_tokens = {pid: tokenize(text) for pid, text in docs.items()}
+        q_terms = tokenize(query.text)
+        assert scores[0] > 0.0
+        for (pid, _), got in zip(docs.items(), scores):
+            raw = bm25_oracle(doc_tokens, q_terms, pid)
+            assert math.isclose(got, raw / (raw + 1), abs_tol=1e-12)
+
+    def test_passage_with_description_label_is_scored(self):
+        item = build_input(
+            Query("q1", "alpha"), Passage("d1", None, "alpha Description: beta")
+        )
+        (score,) = score_batch([item], BASELINE)
+        assert 0.0 < score < 1.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
