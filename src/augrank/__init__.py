@@ -65,7 +65,6 @@ from .index import (
     tokenize,
 )
 from .rerank import (
-    RelevanceLabel,
     RerankInput,
     ScorerEndpoint,
     ScorerKind,

@@ -13,9 +13,8 @@ Two strategies build the augmenting string for a query:
 P(t|A) is unsmoothed (only terms occurring in the snippets are candidates);
 P(t|C) comes smoothed from the index module, so the ratio is always
 defined. Terms with P(t|A) < P(t|C) get negative weights and rank last
-rather than being clamped. No stopword removal is applied before weighting:
-near-corpus-frequency terms suppress themselves. An optional stopword set
-can still drop terms at selection time.
+rather than being clamped. No stopword removal is applied: near-corpus-
+frequency terms suppress themselves.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ class ExpansionConfig:
     mode: ExpansionMode
     max_words: int = 64
     max_terms: int = 64
-    stopwords: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.max_words < 1:
@@ -177,8 +175,6 @@ def topical_term_expansion(
     if not provenance:
         return Expansion(query_id, cfg.mode, "", (), fallback=True)
     weights = topical_term_weights(snippets, lm)
-    if cfg.stopwords:
-        weights = [w for w in weights if w.term not in cfg.stopwords]
     text = " ".join(w.term for w in weights[: cfg.max_terms])
     return Expansion(query_id, cfg.mode, text, provenance, fallback=not text)
 

@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -252,8 +253,39 @@ _INPUT_PATHS = (
 )
 
 
+# What each ExperimentConfig field accepts, by its annotation, and how to say
+# it. Numeric keys also take numeric strings but never booleans. The
+# alias-valued keys (mode, source, scorer) are resolved after this check.
+_CONFIG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "str": (str, "a string"),
+    "str | None": (str, "a string"),
+    "SnippetSource": (str, "a string"),
+    "ScorerKind": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": (float, "a finite number"),
+    "MetricSelection": ((list, str), "a list or a comma-separated string"),
+}
+
+
+def _config_value(annotation: str, raw: object) -> object:
+    """`raw` as a value of a field with this annotation, or ValueError."""
+    kind, what = _CONFIG_TYPES[annotation]
+    if kind in (int, float):
+        value = math.nan
+        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+            with contextlib.suppress(OverflowError, ValueError):
+                value = float(raw)
+        if math.isfinite(value) and (kind is float or value.is_integer()):
+            return kind(raw) if isinstance(raw, int) else kind(value)
+    elif isinstance(raw, kind):
+        return raw
+    raise ValueError(f"must be {what}")
+
+
 def load_experiment_config(path: str, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
-    """Load a flat JSON config, apply CLI overrides, and validate paths."""
+    """Load a flat JSON config, apply CLI overrides, and check every value
+    against its field and every input path."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -268,13 +300,20 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
     values = dict(data)
     values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
 
+    for key, raw in values.items():
+        if raw is None and fields[key].default is None:
+            continue  # an optional key left unset
+        try:
+            values[key] = _config_value(fields[key].type, raw)
+        except ValueError as exc:
+            raise ValidationError(f"config {path}: {key} {exc}, got {raw!r}") from None
     for key, aliases, what in (
         ("mode", _MODE_ALIASES, "expansion mode"),
         ("source", _SOURCE_ALIASES, "snippet source"),
         ("scorer", _SCORER_ALIASES, "scorer"),
     ):
         if key in values:
-            name = str(values[key]).lower()
+            name = values[key].lower()
             if name not in aliases:
                 raise ValidationError(f"unknown {what} {values[key]!r}")
             values[key] = aliases[name]
@@ -282,22 +321,7 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
         tokens = values["metrics"]
         if isinstance(tokens, str):
             tokens = tokens.split(",")
-        if not isinstance(tokens, list):
-            raise ValidationError(
-                f"config {path}: metrics must be a list or a comma-separated string"
-            )
         values["metrics"] = parse_metric_tokens([str(t) for t in tokens])
-    for key, raw in values.items():
-        cast = type(fields[key].default)  # numeric keys take their default's type
-        if cast in (int, float):
-            try:
-                values[key] = cast(raw)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"config {path}: {key} must be a number, got {raw!r}"
-                ) from None
-    if "skip_direct_answers" in values and not isinstance(values["skip_direct_answers"], bool):
-        raise ValidationError(f"config {path}: skip_direct_answers must be true or false")
 
     missing = [
         name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values

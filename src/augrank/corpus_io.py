@@ -118,14 +118,8 @@ class Qrels:
     def count_relevant(self, query_id: str, threshold: int) -> int:
         return sum(1 for g in self.judgments.get(query_id, {}).values() if g >= threshold)
 
-    def query_ids(self) -> set[str]:
-        return set(self.judgments)
-
     def max_grade(self) -> int:
         return max((g for per in self.judgments.values() for g in per.values()), default=0)
-
-    def __len__(self) -> int:
-        return sum(len(per) for per in self.judgments.values())
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 paired t-test used to mark significance between runs.
 
 Conventions: nDCG uses linear gain grade/log2(rank+1) with the ideal DCG
-computed from the query's judged grades sorted descending; AP binarizes at
-a configurable grade threshold (for graded qrels the default is grade >= 2,
-for binary qrels grade >= 1). Per-query metrics return None for queries
-absent from the qrels; aggregation excludes and reports those instead of
-silently counting them as zeros. Aggregation sums in sorted query-id order
-so floating-point results are reproducible.
+computed from the query's judged grades sorted descending; Success and MRR
+count grade >= 1 as relevant; AP binarizes at grade >= 2 for graded qrels
+and at grade >= 1 for binary qrels. Per-query metrics return None for
+queries absent from the qrels; aggregation excludes and reports those
+instead of silently counting them as zeros. Aggregation sums in sorted
+query-id order so floating-point results are reproducible.
 
 The t-test p-value comes from the Student t distribution via the
 regularized incomplete beta function I_x(df/2, 1/2) at x = df/(df + t^2),
@@ -33,17 +33,11 @@ class SignificanceMarker(str, Enum):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Cutoffs and relevance thresholds for the metric suite.
-
-    `map_relevance_threshold=None` resolves per qrels: grade >= 2 when any
-    judgment is graded (max grade >= 2), else grade >= 1.
-    """
+    """Cutoffs for the metric suite."""
 
     success_cutoffs: frozenset[int] = frozenset({1, 5, 10, 20})
     mrr_cutoff: int = 10
     ndcg_cutoff: int = 10
-    binary_relevance_threshold: int = 1
-    map_relevance_threshold: int | None = None
 
     def __post_init__(self):
         for k in self.success_cutoffs:
@@ -51,10 +45,6 @@ class MetricConfig:
                 raise ValidationError(f"success cutoff must be >= 1, got {k}")
         if self.mrr_cutoff < 1 or self.ndcg_cutoff < 1:
             raise ValidationError("metric cutoffs must be >= 1")
-        if self.binary_relevance_threshold < 1:
-            raise ValidationError("binary relevance threshold must be >= 1")
-        if self.map_relevance_threshold is not None and self.map_relevance_threshold < 1:
-            raise ValidationError("MAP relevance threshold must be >= 1")
 
     def metric_names(self) -> list[str]:
         return [f"s@{k}" for k in sorted(self.success_cutoffs)] + [
@@ -64,8 +54,8 @@ class MetricConfig:
         ]
 
     def resolve_map_threshold(self, qrels: Qrels) -> int:
-        if self.map_relevance_threshold is not None:
-            return self.map_relevance_threshold
+        """AP's relevance grade: 2 when any judgment is graded (max grade
+        >= 2), else 1."""
         return 2 if qrels.max_grade() >= 2 else 1
 
 
@@ -177,7 +167,7 @@ def evaluate_run(
         seen.add(ranked.query_id)
 
     map_threshold = cfg.resolve_map_threshold(qrels)
-    threshold = cfg.binary_relevance_threshold
+    threshold = 1  # Success and MRR count any positive grade as relevant
     per_query: dict[str, dict[str, float]] = {}
     unjudged: list[str] = []
     for ranked in lists:

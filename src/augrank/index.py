@@ -15,7 +15,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 from .corpus_io import Passage, Query, RankedList
@@ -24,7 +24,7 @@ from .errors import ConflictError, ParseError, UnknownIdError, ValidationError
 BM25_K1 = 0.9
 BM25_B = 0.4
 
-INDEX_MAGIC = "augrank-index/1"
+INDEX_MAGIC = "augrank-index/2"
 
 # Runs of Unicode letters/digits; underscore and punctuation are boundaries.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -42,12 +42,25 @@ def tokenize(text: str) -> TokenStream:
 
 @dataclass
 class InvertedIndex:
+    """Term -> [(passage id, tf)] postings and each passage's token count.
+    Every other statistic is derived: the totals once at construction (BM25
+    reads them per posting), `collection_frequency` on demand."""
+
     postings: dict[str, list[tuple[str, int]]]
     doc_lengths: dict[str, int]
-    doc_count: int
-    avg_doc_length: float
-    total_tokens: int
-    collection_frequency: dict[str, int]
+    doc_count: int = field(init=False)
+    total_tokens: int = field(init=False)
+    avg_doc_length: float = field(init=False)
+
+    def __post_init__(self):
+        self.doc_count = len(self.doc_lengths)
+        self.total_tokens = sum(self.doc_lengths.values())
+        self.avg_doc_length = self.total_tokens / self.doc_count if self.doc_count else 0.0
+
+    @property
+    def collection_frequency(self) -> dict[str, int]:
+        """Occurrences of each term across the corpus."""
+        return {term: sum(tf for _, tf in plist) for term, plist in self.postings.items()}
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,6 @@ class CorpusLanguageModel:
     collection_frequency: Mapping[str, int]
     total_tokens: int
     vocab_size: int
-    smoothing: str = "add-one"
 
     def probability(self, term: str) -> float:
         cf = self.collection_frequency.get(term, 0)
@@ -83,26 +95,14 @@ def build_index(passages: Sequence[Passage]) -> InvertedIndex:
     """Build an inverted index over passage texts (titles are not indexed)."""
     postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
     doc_lengths: dict[str, int] = {}
-    collection_frequency: Counter[str] = Counter()
     for passage in passages:
         if passage.id in doc_lengths:
             raise ConflictError(f"duplicate passage id {passage.id!r}")
         tokens = tokenize(passage.text)
         doc_lengths[passage.id] = len(tokens)
-        counts = Counter(tokens)
-        for term, tf in counts.items():
+        for term, tf in Counter(tokens).items():
             postings[term].append((passage.id, tf))
-            collection_frequency[term] += tf
-    total = sum(doc_lengths.values())
-    count = len(doc_lengths)
-    return InvertedIndex(
-        postings=dict(postings),
-        doc_lengths=doc_lengths,
-        doc_count=count,
-        avg_doc_length=total / count if count else 0.0,
-        total_tokens=total,
-        collection_frequency=dict(collection_frequency),
-    )
+    return InvertedIndex(dict(postings), doc_lengths)
 
 
 def _idf(index: InvertedIndex, term: str) -> float:
@@ -110,18 +110,12 @@ def _idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
-def _tf_weight(index: InvertedIndex, tf: int, doc_length: int, k1: float, b: float) -> float:
-    norm = 1.0 - b + b * doc_length / index.avg_doc_length
-    return tf * (k1 + 1.0) / (tf + k1 * norm)
+def _tf_weight(index: InvertedIndex, tf: int, doc_length: int) -> float:
+    norm = 1.0 - BM25_B + BM25_B * doc_length / index.avg_doc_length
+    return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
 
 
-def bm25_score(
-    index: InvertedIndex,
-    query_terms: Sequence[str],
-    passage_id: str,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-) -> float:
+def bm25_score(index: InvertedIndex, query_terms: Sequence[str], passage_id: str) -> float:
     """BM25 score of one passage for a query token stream.
 
     Sums over the stream as given, so repeated query terms contribute
@@ -139,7 +133,7 @@ def bm25_score(
                 break
         if tf == 0:
             continue
-        score += _idf(index, term) * _tf_weight(index, tf, doc_length, k1, b)
+        score += _idf(index, term) * _tf_weight(index, tf, doc_length)
     return score
 
 
@@ -158,7 +152,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
             continue
         idf = _idf(index, term)
         for pid, tf in postings:
-            scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid], BM25_K1, BM25_B)
+            scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     return RankedList(query.id, tuple(ranked), tag)
 
@@ -170,7 +164,7 @@ def estimate_corpus_lm(index: InvertedIndex) -> CorpusLanguageModel:
     return CorpusLanguageModel(
         collection_frequency=index.collection_frequency,
         total_tokens=index.total_tokens,
-        vocab_size=len(index.collection_frequency),
+        vocab_size=len(index.postings),
     )
 
 
@@ -206,10 +200,6 @@ def save_index(index: InvertedIndex, out: TextIO) -> None:
         {
             "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
             "doc_lengths": index.doc_lengths,
-            "doc_count": index.doc_count,
-            "avg_doc_length": index.avg_doc_length,
-            "total_tokens": index.total_tokens,
-            "collection_frequency": index.collection_frequency,
         },
         out,
         separators=(",", ":"),
@@ -218,21 +208,36 @@ def save_index(index: InvertedIndex, out: TextIO) -> None:
 
 
 def load_index(stream: TextIO) -> InvertedIndex:
+    """Read an artifact written by `save_index`. A term without postings or
+    with a passage twice, a posting for a passage without a length, a tf
+    below 1, or a passage whose tfs do not sum to its length is a
+    ParseError."""
     header = stream.readline().rstrip("\n")
     if header != INDEX_MAGIC:
-        raise ParseError(f"not an augrank index artifact (expected {INDEX_MAGIC!r} header)")
+        raise ParseError(
+            f"not an augrank index artifact (expected {INDEX_MAGIC!r} header, got {header!r}); "
+            "rebuild it with `augrank index build`"
+        )
     try:
         payload = json.load(stream)
-    except json.JSONDecodeError as exc:
+        doc_lengths = payload["doc_lengths"]
+        token_counts = dict.fromkeys(doc_lengths.keys(), 0)
+        postings = {t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"corrupt index payload: {exc}") from None
-    try:
-        return InvertedIndex(
-            postings={t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()},
-            doc_lengths=payload["doc_lengths"],
-            doc_count=payload["doc_count"],
-            avg_doc_length=payload["avg_doc_length"],
-            total_tokens=payload["total_tokens"],
-            collection_frequency=payload["collection_frequency"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"corrupt index payload: {exc}") from None
+    for term, plist in postings.items():
+        for pid, tf in plist:
+            if not isinstance(pid, str) or pid not in token_counts:
+                raise ParseError(f"corrupt index payload: {term!r} has unknown passage {pid!r}")
+            if type(tf) is not int or tf < 1:
+                raise ParseError(f"corrupt index payload: {term!r} has tf {tf!r} in {pid!r}")
+            token_counts[pid] += tf
+        if not plist or len({pid for pid, _ in plist}) < len(plist):
+            raise ParseError(f"corrupt index payload: {term!r} has no postings or a passage twice")
+    for pid, count in token_counts.items():
+        if doc_lengths[pid] != count:
+            raise ParseError(
+                f"corrupt index payload: passage {pid!r} has length {doc_lengths[pid]!r} "
+                f"but its postings hold {count} tokens"
+            )
+    return InvertedIndex(postings, doc_lengths)

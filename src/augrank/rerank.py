@@ -26,6 +26,7 @@ in [0, 1], higher means more relevant:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +34,7 @@ from enum import Enum
 import requests
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, RankedList
+from .corpus_io import Passage, Query, RankedList, TrainingLabel
 from .errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from .index import bm25_score, build_index, tokenize
 
@@ -45,13 +46,6 @@ RELEVANT_LABEL = "Relevant:"
 # Score assigned to entries kept below the re-ranked head: each sits this
 # far under the previous one so the output stays sorted.
 _TAIL_STEP = 1e-6
-
-
-class RelevanceLabel(str, Enum):
-    """The two terminal label renderings of a training sequence."""
-
-    TRUE = "true"
-    FALSE = "false"
 
 
 class ScorerKind(str, Enum):
@@ -71,8 +65,8 @@ class ScorerEndpoint:
             raise ValidationError("remote scorer requires an address")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {self.timeout}")
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
+            raise ValidationError(f"timeout must be finite and positive, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,10 @@ def build_augmented_input(query: Query, expansion: Expansion, passage: Passage) 
     return RerankInput(query.id, passage.id, query.text, expansion.text, passage.text)
 
 
-def training_sequence(inference_input: RerankInput, label: RelevanceLabel) -> str:
-    """Training form: the inference sequence plus " <label>"."""
-    return f"{inference_input.sequence} {label.value}"
+def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str:
+    """Training form: the inference sequence plus " true" or " false"."""
+    target = "true" if label is TrainingLabel.RELEVANT else "false"
+    return f"{inference_input.sequence} {target}"
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .augment import Expansion
 from .corpus_io import Passage, Query, TrainingExample, TrainingLabel
 from .errors import UnknownIdError, ValidationError
-from .rerank import RelevanceLabel, build_augmented_input, build_input, training_sequence
+from .rerank import build_augmented_input, build_input, training_sequence
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,5 @@ def render_training_sequences(
             rerank_input = build_augmented_input(query, expansion, passage)
         else:
             rerank_input = build_input(query, passage)
-        label = (
-            RelevanceLabel.TRUE
-            if example.label is TrainingLabel.RELEVANT
-            else RelevanceLabel.FALSE
-        )
-        sequences.append(training_sequence(rerank_input, label))
+        sequences.append(training_sequence(rerank_input, example.label))
     return sequences

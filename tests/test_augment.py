@@ -239,12 +239,6 @@ class TestTopicalTermExpansion:
             == topical_term_expansion(doubled, lm, cfg).text
         )
 
-    def test_stopword_set_drops_terms_at_selection(self):
-        lm = lm_from("x y z")
-        cfg = ExpansionConfig(ExpansionMode.TOPICAL_TERMS, stopwords=frozenset({"the"}))
-        expansion = topical_term_expansion([snip(1, "the rare pangolin")], lm, cfg)
-        assert "the" not in expansion.text.split()
-
 
 class TestAugmentQuery:
     def make_cache(self):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from augrank.cli import (
+    _CONFIG_TYPES,
+    ExperimentConfig,
     load_experiment_config,
     load_per_query_report,
     main,
@@ -112,6 +116,26 @@ class TestIndexCommands:
         lists = parse_run(run_path.read_text())
         assert {r.query_id for r in lists} == {"q1", "q2", "q3"}
         assert all(r.tag == "bm25" for r in lists)
+
+    @pytest.mark.parametrize(
+        "artifact, named",
+        [
+            ('augrank-index/1\n{"postings": {}, "doc_lengths": {}, "doc_count": 7}',
+             "augrank-index/1"),
+            ('augrank-index/2\n{"postings": {"a": [["d9", 1]]}, "doc_lengths": {"d1": 1}}',
+             "'d9'"),
+            ('augrank-index/2\n{"postings": {"a": [["d1", 2]]}, "doc_lengths": {"d1": 3}}',
+             "length 3"),
+        ],
+    )
+    def test_search_rejects_old_or_inconsistent_artifact(self, workspace, capsys, artifact, named):
+        index_path = workspace / "bad.idx"
+        index_path.write_text(artifact)
+        assert main(["index", "search", "--index", str(index_path),
+                     "--queries", str(workspace / "queries.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err and "Traceback" not in captured.err
 
 
 class TestFuseCommand:
@@ -350,6 +374,28 @@ class TestPipeline:
     def test_non_list_metrics_rejected(self, workspace):
         config = make_config(workspace, "out_bad_metrics", metrics=5)
         assert main(["pipeline", "run", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("output_dir", 7), ("run_tag", 5), ("rerank_depth", math.inf), ("corpus", 0),
+         ("mode", None), ("rerank_depth", True), ("rerank_depth", 1.7), ("timeout", math.nan),
+         ("fusion_alpha", "much"), ("skip_direct_answers", "yes")],
+    )
+    def test_mistyped_config_value_rejected(self, workspace, capsys, key, value):
+        config = make_config(workspace, "out_typed", **{key: value})
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        assert f": {key} must be" in capsys.readouterr().err
+        assert not (workspace / "out_typed").exists()
+
+    def test_numeric_strings_and_integral_floats_accepted(self, workspace):
+        config = make_config(workspace, "out_numeric", rerank_depth="5", max_words=3.0,
+                             timeout="2.5", dense_run=None)
+        cfg = load_experiment_config(str(config))
+        assert (cfg.rerank_depth, cfg.max_words, cfg.timeout, cfg.dense_run) == (5, 3, 2.5, None)
+        assert type(cfg.rerank_depth) is int and type(cfg.max_words) is int
+
+    def test_every_config_field_has_a_type_check(self):
+        assert {f.type for f in dataclasses.fields(ExperimentConfig)} <= set(_CONFIG_TYPES)
 
     def test_missing_path_rejected(self, workspace):
         config = make_config(workspace, "out_missing", corpus=str(workspace / "nope.jsonl"))

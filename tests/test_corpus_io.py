@@ -30,7 +30,7 @@ class TestParseQrels:
         assert qrels.judgments == {"q1": {"d7": 2}}
 
     def test_empty_input(self):
-        assert len(parse_qrels("")) == 0
+        assert parse_qrels("").judgments == {}
 
     def test_duplicate_judgment_is_conflict(self):
         with pytest.raises(ConflictError):

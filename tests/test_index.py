@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from augrank.corpus_io import Passage, Query, RankedList
 from augrank.errors import ConflictError, ParseError, UnknownIdError, ValidationError
 from augrank.index import (
+    INDEX_MAGIC,
     FusionConfig,
     bm25_score,
     bm25_search,
@@ -267,6 +269,18 @@ class TestFuseRuns:
             FusionConfig(float("inf"))
 
 
+# An artifact as the previous format wrote it: statistics stored beside the
+# postings. Its doc_count is wrong, which that format could not notice.
+V1_PAYLOAD = {
+    "postings": {"a": [["d1", 1]]},
+    "doc_lengths": {"d1": 1},
+    "doc_count": 7,
+    "avg_doc_length": 1.0,
+    "total_tokens": 1,
+    "collection_frequency": {"a": 1},
+}
+
+
 class TestIndexPersistence:
     def test_round_trip(self):
         index = build_index(tiny_corpus())
@@ -285,3 +299,38 @@ class TestIndexPersistence:
     def test_magic_header_checked(self):
         with pytest.raises(ParseError, match="header"):
             load_index(io.StringIO("something else\n{}"))
+
+    @given(
+        st.dictionaries(st.text(min_size=1, max_size=4), st.text(max_size=30), max_size=8),
+        st.text(alphabet="abc xyz", min_size=1, max_size=12),
+    )
+    def test_round_trip_keeps_statistics_and_search(self, texts, query_text):
+        index = build_index([Passage(pid, None, text) for pid, text in texts.items()])
+        buffer = io.StringIO()
+        save_index(index, buffer)
+        buffer.seek(0)
+        loaded = load_index(buffer)
+        assert loaded == index  # postings, lengths and the statistics derived from them
+        assert loaded.collection_frequency == index.collection_frequency
+        query = Query("q", query_text)
+        assert bm25_search(loaded, query, 5).entries == bm25_search(index, query, 5).entries
+
+    @pytest.mark.parametrize(
+        "header, payload, match",
+        [
+            ("augrank-index/1", V1_PAYLOAD, "header"),
+            (INDEX_MAGIC, {"postings": {"a": [["d9", 1]]}, "doc_lengths": {"d1": 1}}, "unknown"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", 2]]}, "doc_lengths": {"d1": 3}}, "length"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", 0]]}, "doc_lengths": {"d1": 0}}, "tf 0"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", "1"]]}, "doc_lengths": {"d1": 1}}, "tf"),
+            (INDEX_MAGIC, {"postings": {"a": []}, "doc_lengths": {}}, "no postings"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", 1], ["d1", 1]]}, "doc_lengths": {"d1": 2}},
+             "twice"),
+            (INDEX_MAGIC, {"postings": {}, "doc_lengths": [["d1", 1]]}, "corrupt"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1"]]}, "doc_lengths": {"d1": 1}}, "corrupt"),
+            (INDEX_MAGIC, {"doc_lengths": {}}, "corrupt"),
+        ],
+    )
+    def test_inconsistent_artifact_rejected(self, header, payload, match):
+        with pytest.raises(ParseError, match=match):
+            load_index(io.StringIO(header + "\n" + json.dumps(payload)))

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import augrank.rerank as rerank_module
 from augrank.augment import Expansion, ExpansionMode
-from augrank.corpus_io import Passage, Query, RankedList
+from augrank.corpus_io import Passage, Query, RankedList, TrainingLabel
 from augrank.errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from augrank.index import tokenize
 from augrank.rerank import (
-    RelevanceLabel,
     ScorerEndpoint,
     ScorerKind,
     build_augmented_input,
@@ -131,8 +130,8 @@ class TestStructuredInput:
 class TestTrainingSequence:
     def test_label_appended_after_relevant(self):
         item = build_input(Query("q1", "q"), Passage("d1", None, "d"))
-        assert training_sequence(item, RelevanceLabel.TRUE).endswith("Relevant: true")
-        assert training_sequence(item, RelevanceLabel.FALSE).endswith("Relevant: false")
+        assert training_sequence(item, TrainingLabel.RELEVANT).endswith("Relevant: true")
+        assert training_sequence(item, TrainingLabel.NOT_RELEVANT).endswith("Relevant: false")
 
 
 class TestLexicalBaseline:
@@ -260,6 +259,11 @@ class TestRemoteScorer:
     def test_remote_endpoint_requires_address(self):
         with pytest.raises(ValidationError):
             ScorerEndpoint(ScorerKind.REMOTE)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValidationError, match="timeout"):
+            ScorerEndpoint(ScorerKind.REMOTE, "http://127.0.0.1:1", timeout=timeout)
 
 
 def corpus(n=4):
