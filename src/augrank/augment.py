@@ -225,13 +225,12 @@ def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:
     expansions: dict[str, Expansion] = {}
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("query_id", "mode", "text"))
-        qid = str(record["query_id"])
+        qid, text = record["query_id"], record["text"]
         try:
             mode = ExpansionMode(record["mode"])
         except ValueError:
             raise ParseError(f"unknown expansion mode {record['mode']!r}", line_no) from None
         if qid in expansions:
             raise ParseError(f"duplicate expansion for query {qid!r}", line_no)
-        text = str(record["text"])
         expansions[qid] = Expansion(qid, mode, text, (), fallback=not text)
     return expansions

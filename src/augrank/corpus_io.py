@@ -10,6 +10,10 @@ File formats:
                "text": str, "source": "web_serp"|"wiki"}
     triples:  {"query_id": str, "passage_id": str,
                "label": "relevant"|"not_relevant"}
+  Every field must hold its JSON type, nothing is cast: ids, text, kind,
+  source, label and (in expansion files) mode are strings, title is a
+  string or null, and rank is an integer (not a boolean). A wrong type is
+  a ParseError naming the line and the field.
 - Run files are TREC 6-column text: `qid Q0 docid rank score tag`.
 - Qrels are TREC 4-column text: `qid 0 docid grade`.
 
@@ -238,16 +242,40 @@ def write_run(lists: Sequence[RankedList], out: TextIO) -> None:
             out.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.4f} {ranked.tag}\n")
 
 
-def _parse_record(line: str, line_no: int, required: Sequence[str]) -> dict:
+# The JSON types each JSONL field may hold. A field that may be null may
+# also be missing; `type` is exact, so a boolean is not an integer.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "id": (str,),
+    "query_id": (str,),
+    "passage_id": (str,),
+    "text": (str,),
+    "kind": (str,),
+    "source": (str,),
+    "label": (str,),
+    "mode": (str,),
+    "title": (str, type(None)),
+    "rank": (int,),
+}
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", type(None): "null"}
+
+
+def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
+    """One JSONL record whose named fields are checked against
+    `_FIELD_TYPES`; read a nullable field with `get`."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON record: {exc}", line_no) from None
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", line_no)
-    for key in required:
-        if key not in record:
-            raise ParseError(f"missing field {key!r}", line_no)
+    for key in fields:
+        if type(record.get(key)) not in _FIELD_TYPES[key]:
+            if key not in record:
+                raise ParseError(f"missing field {key!r}", line_no)
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _FIELD_TYPES[key])
+            raise ParseError(
+                f"field {key!r} must be {expected}, got {json.dumps(record[key])}", line_no
+            )
     return record
 
 
@@ -257,9 +285,8 @@ def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
     passages: list[Passage] = []
     seen: set[str] = set()
     for line_no, line in _iter_lines(stream):
-        record = _parse_record(line, line_no, ("id", "text"))
-        pid = str(record["id"])
-        text = str(record["text"])
+        record = _parse_record(line, line_no, ("id", "title", "text"))
+        pid, text = record["id"], record["text"]
         if not pid:
             raise ParseError("empty passage id", line_no)
         if not text:
@@ -267,8 +294,7 @@ def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
         if pid in seen:
             raise ConflictError(f"line {line_no}: duplicate passage id {pid!r}")
         seen.add(pid)
-        title = record.get("title")
-        passages.append(Passage(pid, None if title is None else str(title), text))
+        passages.append(Passage(pid, record.get("title"), text))
     return passages
 
 
@@ -278,8 +304,7 @@ def load_queries(stream: Iterable[str] | str) -> list[Query]:
     seen: set[str] = set()
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("id", "text"))
-        qid = str(record["id"])
-        text = str(record["text"])
+        qid, text = record["id"], record["text"]
         if not qid:
             raise ParseError("empty query id", line_no)
         if not text.strip():
@@ -302,11 +327,7 @@ def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:
     seen: set[tuple[str, str, int]] = set()
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("query_id", "rank", "kind", "text", "source"))
-        qid = str(record["query_id"])
-        try:
-            rank = int(record["rank"])
-        except (TypeError, ValueError):
-            raise ParseError(f"non-integer rank {record['rank']!r}", line_no) from None
+        qid, rank, text = record["query_id"], record["rank"], record["text"]
         if rank < 1:
             raise ParseError(f"rank must be >= 1, got {rank}", line_no)
         try:
@@ -317,7 +338,6 @@ def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:
             source = SnippetSource(record["source"])
         except ValueError:
             raise ParseError(f"unknown snippet source {record['source']!r}", line_no) from None
-        text = str(record["text"])
         if not text:
             raise ParseError(f"empty snippet text for query {qid!r}", line_no)
         key = (qid, source.value, rank)
@@ -342,5 +362,5 @@ def load_triples(stream: Iterable[str] | str) -> list[TrainingExample]:
             label = TrainingLabel(record["label"])
         except ValueError:
             raise ParseError(f"unknown label {record['label']!r}", line_no) from None
-        triples.append(TrainingExample(str(record["query_id"]), str(record["passage_id"]), label))
+        triples.append(TrainingExample(record["query_id"], record["passage_id"], label))
     return triples

@@ -195,16 +195,12 @@ def fuse_runs(
 
 def save_index(index: InvertedIndex, out: TextIO) -> None:
     """Persist an index as a magic header line followed by one JSON payload."""
-    out.write(INDEX_MAGIC + "\n")
-    json.dump(
-        {
-            "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
-            "doc_lengths": index.doc_lengths,
-        },
-        out,
-        separators=(",", ":"),
-    )
-    out.write("\n")
+    payload = {
+        "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
+        "doc_lengths": index.doc_lengths,
+    }
+    # json.dumps runs the C encoder; json.dump would run the pure-Python one.
+    out.write(INDEX_MAGIC + "\n" + json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_index(stream: TextIO) -> InvertedIndex:

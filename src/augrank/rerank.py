@@ -20,18 +20,24 @@ in [0, 1], higher means more relevant:
   are computed over the batch's own documents, so the scorer is
   self-contained (in the pipeline a batch is one query's candidate list).
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
-  sequences, expecting {"scores": [...]} of equal length; scores are
-  validated to [0, 1].
+  sequences, expecting {"scores": [...]} of equal length; scores must be
+  JSON numbers (not booleans) in [0, 1]. Requests go through the standard
+  library's urllib.request, one fresh connection per batch. A failed
+  request, or any status but 200, is a TransportError naming the batch's
+  input indices; a reply outside the contract is a ProtocolError.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-
-import requests
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
+from urllib.request import Request, urlopen
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel
@@ -61,8 +67,10 @@ class ScorerEndpoint:
     timeout: float = 10.0
 
     def __post_init__(self):
-        if self.kind is ScorerKind.REMOTE and not self.address:
-            raise ValidationError("remote scorer requires an address")
+        # urlopen would also follow file:, ftp: and data: URLs.
+        scheme = urlsplit(self.address or "").scheme
+        if self.kind is ScorerKind.REMOTE and scheme not in ("http", "https"):
+            raise ValidationError(f"remote scorer requires an http(s) address, got {self.address!r}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
@@ -139,20 +147,23 @@ def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> l
     for start in range(0, len(inputs), endpoint.batch_size):
         batch = inputs[start : start + endpoint.batch_size]
         indices = range(start, start + len(batch))
+        request = Request(
+            url,
+            data=json.dumps({"inputs": [item.sequence for item in batch]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
         try:
-            response = requests.post(
-                url,
-                json={"inputs": [item.sequence for item in batch]},
-                timeout=endpoint.timeout,
-            )
-        except requests.RequestException as exc:
+            with urlopen(request, timeout=endpoint.timeout) as response:
+                status, body = response.status, response.read()
+        except HTTPError as exc:
+            exc.close()
+            raise TransportError(f"scorer returned HTTP {exc.code}", indices) from None
+        except (OSError, HTTPException) as exc:
             raise TransportError(f"scorer request failed: {exc}", indices) from exc
-        if response.status_code != 200:
-            raise TransportError(
-                f"scorer returned HTTP {response.status_code}", indices
-            )
+        if status != 200:
+            raise TransportError(f"scorer returned HTTP {status}", indices)
         try:
-            payload = response.json()
+            payload = json.loads(body)
         except ValueError:
             raise ProtocolError("scorer response is not valid JSON") from None
         got = payload.get("scores") if isinstance(payload, dict) else None
@@ -162,7 +173,7 @@ def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> l
                 f"{len(got) if isinstance(got, list) else payload!r}"
             )
         for value in got:
-            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
                 raise ProtocolError(f"score {value!r} outside [0, 1]")
             scores.append(float(value))
     return scores

@@ -14,7 +14,8 @@ class _ScorerHandler(BaseHTTPRequestHandler):
     """Minimal /score endpoint implementing the remote scorer protocol.
 
     The owning server's `mode` attribute switches misbehavior on:
-    ok | http_error | bad_length | out_of_range | junk | slow.
+    ok | http_error | created | hangup | bad_length | out_of_range | junk | slow.
+    The last request's headers and body are kept on the server.
     """
 
     def do_POST(self):
@@ -22,6 +23,7 @@ class _ScorerHandler(BaseHTTPRequestHandler):
         server.request_count += 1
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
+        server.last_headers, server.last_body = self.headers, body
         if self.path != "/score":
             self.send_error(404)
             return
@@ -30,6 +32,9 @@ class _ScorerHandler(BaseHTTPRequestHandler):
             fail_from is not None and server.request_count >= fail_from
         ):
             self.send_error(500)
+            return
+        if server.mode == "hangup":
+            self.close_connection = True
             return
         if server.mode == "slow":
             time.sleep(1.0)
@@ -44,7 +49,7 @@ class _ScorerHandler(BaseHTTPRequestHandler):
             data = b"this is not json"
         else:
             data = json.dumps(payload).encode()
-        self.send_response(200)
+        self.send_response(201 if server.mode == "created" else 200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -60,6 +65,7 @@ def scorer_server():
     server.mode = "ok"
     server.request_count = 0
     server.fail_from_request = None
+    server.last_headers = server.last_body = None
     # deterministic default: score by sequence length, bounded to [0, 1]
     server.score_fn = lambda s: (len(s) % 97) / 96
     server.address = f"http://127.0.0.1:{server.server_address[1]}"

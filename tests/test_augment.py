@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from augrank.augment import (
     write_expansions,
 )
 from augrank.corpus_io import Passage, Query, Snippet, SnippetKind, SnippetSource
-from augrank.errors import ValidationError
+from augrank.errors import ParseError, ValidationError
 from augrank.index import build_index, estimate_corpus_lm, tokenize
 from oracles import kl_weights_oracle
 
@@ -299,3 +300,9 @@ class TestExpansionFile:
         assert not loaded["q1"].fallback
         assert loaded["q2"].text == ""
         assert loaded["q2"].fallback
+
+    @pytest.mark.parametrize("field, value", [("text", None), ("query_id", None), ("mode", 1)])
+    def test_field_of_wrong_json_type_rejected(self, field, value):
+        record = dict({"query_id": "q1", "mode": "natural_language", "text": "a"}, **{field: value})
+        with pytest.raises(ParseError, match=rf"^line 1: field '{field}' must be a string"):
+            load_expansions(json.dumps(record))

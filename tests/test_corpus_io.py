@@ -191,6 +191,10 @@ class TestLoadCorpus:
         (p,) = load_corpus('{"id": "d1", "title": "T", "text": "body"}\n')
         assert p.title == "T"
 
+    def test_null_title_reads_as_no_title(self):
+        (p,) = load_corpus('{"id": "d1", "title": null, "text": "body"}\n')
+        assert p.title is None
+
     def test_duplicate_id_is_conflict(self):
         lines = '{"id": "d1", "text": "a"}\n{"id": "d1", "text": "b"}\n'
         with pytest.raises(ConflictError):
@@ -275,6 +279,36 @@ class TestLoadSnippetCache:
         for source in SnippetSource:
             ranks = [s.rank for s in cache["q1"] if s.source is source]
             assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+
+
+_GOOD_SNIPPET = {"query_id": "q1", "rank": 1, "kind": "organic", "text": "t", "source": "wiki"}
+_GOOD_TRIPLE = {"query_id": "q1", "passage_id": "d1", "label": "relevant"}
+
+
+@pytest.mark.parametrize(
+    "loader, good, field, value",
+    [
+        (load_corpus, {"id": "d0", "text": "a"}, "text", None),
+        (load_corpus, {"id": "d0", "text": "a"}, "id", 7),
+        (load_corpus, {"id": "d0", "text": "a"}, "title", 3),
+        (load_queries, {"id": "q0", "text": "a"}, "id", None),
+        (load_queries, {"id": "q0", "text": "a"}, "text", ["a"]),
+        (load_snippet_cache, _GOOD_SNIPPET, "rank", True),
+        (load_snippet_cache, _GOOD_SNIPPET, "rank", 2.7),
+        (load_snippet_cache, _GOOD_SNIPPET, "rank", "2"),
+        (load_snippet_cache, _GOOD_SNIPPET, "query_id", 1),
+        (load_snippet_cache, _GOOD_SNIPPET, "kind", None),
+        (load_snippet_cache, _GOOD_SNIPPET, "source", None),
+        (load_snippet_cache, _GOOD_SNIPPET, "text", None),
+        (load_triples, _GOOD_TRIPLE, "query_id", None),
+        (load_triples, _GOOD_TRIPLE, "passage_id", 3),
+        (load_triples, _GOOD_TRIPLE, "label", True),
+    ],
+)
+def test_field_of_wrong_json_type_names_line_and_field(loader, good, field, value):
+    bad = json.dumps(dict(good, **{field: value}))
+    with pytest.raises(ParseError, match=rf"^line 2: field '{field}' must be "):
+        loader(["", bad])
 
 
 class TestLoadTriples:

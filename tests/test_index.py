@@ -296,6 +296,16 @@ class TestIndexPersistence:
         query = Query("q", "apple cherry")
         assert bm25_search(loaded, query, 3).entries == bm25_search(index, query, 3).entries
 
+    def test_artifact_text_is_pinned(self):
+        index = build_index([Passage("d1", None, "Alpha beta alpha"), Passage("d2", None, "beta gamma")])
+        buffer = io.StringIO()
+        save_index(index, buffer)
+        assert buffer.getvalue() == (
+            "augrank-index/2\n"
+            '{"postings":{"alpha":[["d1",2]],"beta":[["d1",1],["d2",1]],"gamma":[["d2",1]]},'
+            '"doc_lengths":{"d1":3,"d2":2}}\n'
+        )
+
     def test_magic_header_checked(self):
         with pytest.raises(ParseError, match="header"):
             load_index(io.StringIO("something else\n{}"))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -256,9 +257,41 @@ class TestRemoteScorer:
         with pytest.raises(ProtocolError, match="JSON"):
             score_batch(self.items(2), self.endpoint(scorer_server))
 
+    def test_boolean_score_is_protocol_error(self, scorer_server):
+        scorer_server.score_fn = lambda s: True
+        with pytest.raises(ProtocolError, match="True"):
+            score_batch(self.items(2), self.endpoint(scorer_server))
+
+    def test_created_status_is_transport_error(self, scorer_server):
+        scorer_server.mode = "created"
+        with pytest.raises(TransportError, match="HTTP 201") as exc_info:
+            score_batch(self.items(2), self.endpoint(scorer_server))
+        assert tuple(exc_info.value.failed_indices) == (0, 1)
+
+    def test_hangup_without_reply_is_transport_error(self, scorer_server):
+        scorer_server.mode = "hangup"
+        with pytest.raises(TransportError, match="request failed") as exc_info:
+            score_batch(self.items(2), self.endpoint(scorer_server))
+        assert tuple(exc_info.value.failed_indices) == (0, 1)
+
+    def test_request_is_json_post_of_sequences(self, scorer_server):
+        items = self.items(3)
+        score_batch(items, self.endpoint(scorer_server))
+        assert scorer_server.last_headers["Content-Type"] == "application/json"
+        assert scorer_server.last_body == json.dumps(
+            {"inputs": [item.sequence for item in items]}
+        ).encode()
+
     def test_remote_endpoint_requires_address(self):
         with pytest.raises(ValidationError):
             ScorerEndpoint(ScorerKind.REMOTE)
+
+    @pytest.mark.parametrize(
+        "address", ["127.0.0.1:8000", "scorer.example/v1", "file:///tmp", "ftp://127.0.0.1:1"]
+    )
+    def test_address_must_be_an_http_url(self, address):
+        with pytest.raises(ValidationError, match="http"):
+            ScorerEndpoint(ScorerKind.REMOTE, address)
 
     @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
     def test_timeout_must_be_finite_and_positive(self, timeout):
