@@ -72,18 +72,18 @@ class TermWeight:
 
 @dataclass(frozen=True)
 class Expansion:
-    """The augmenting string for one query, plus which snippets produced it.
-
-    `fallback` marks an empty expansion (nothing retrieved or nothing
-    usable); downstream sequence building then reverts to the plain,
-    non-augmented form.
-    """
+    """The augmenting string for one query."""
 
     query_id: str
     mode: ExpansionMode
     text: str
-    provenance: tuple[str, ...] = ()
-    fallback: bool = False
+
+    @property
+    def fallback(self) -> bool:
+        """An empty expansion (nothing retrieved or nothing usable);
+        downstream sequence building then reverts to the plain,
+        non-augmented form."""
+        return not self.text
 
 
 def filter_snippets(snippets: Sequence[Snippet], cfg: RetrieverConfig) -> list[Snippet]:
@@ -107,10 +107,6 @@ def retrieve(
     return filter_snippets(snippets, cfg)[: cfg.max_snippets]
 
 
-def _snippet_ref(snippet: Snippet) -> str:
-    return f"{snippet.source.value}:{snippet.rank}"
-
-
 def natural_language_expansion(snippets: Sequence[Snippet], cfg: ExpansionConfig) -> Expansion:
     """Concatenate snippet texts with single spaces and truncate to the
     first `max_words` whitespace words, keeping casing and punctuation.
@@ -127,16 +123,7 @@ def natural_language_expansion(snippets: Sequence[Snippet], cfg: ExpansionConfig
         text = joined
     else:
         text = " ".join(words[: cfg.max_words])
-    provenance = []
-    budget = cfg.max_words
-    for snippet in snippets:
-        if budget <= 0:
-            break
-        n_words = len(snippet.text.split())
-        if n_words > 0:
-            provenance.append(_snippet_ref(snippet))
-            budget -= n_words
-    return Expansion(query_id, cfg.mode, text, tuple(provenance), fallback=not text)
+    return Expansion(query_id, cfg.mode, text)
 
 
 def topical_term_weights(
@@ -171,12 +158,10 @@ def topical_term_expansion(
     if cfg.mode is not ExpansionMode.TOPICAL_TERMS:
         raise ValidationError(f"config mode is {cfg.mode.value}, expected topical_terms")
     query_id = snippets[0].query_id if snippets else ""
-    provenance = tuple(_snippet_ref(s) for s in snippets if tokenize(s.text))
-    if not provenance:
-        return Expansion(query_id, cfg.mode, "", (), fallback=True)
+    if not any(tokenize(s.text) for s in snippets):
+        return Expansion(query_id, cfg.mode, "")
     weights = topical_term_weights(snippets, lm)
-    text = " ".join(w.term for w in weights[: cfg.max_terms])
-    return Expansion(query_id, cfg.mode, text, provenance, fallback=not text)
+    return Expansion(query_id, cfg.mode, " ".join(w.term for w in weights[: cfg.max_terms]))
 
 
 def augment_query(
@@ -187,10 +172,10 @@ def augment_query(
     lm: CorpusLanguageModel | None = None,
 ) -> Expansion:
     """Retrieve then expand. Empty retrieval (or an expansion that comes
-    out empty) returns a fallback-flagged empty expansion."""
+    out empty) returns the empty fallback expansion."""
     snippets = retrieve(query, cache, retriever_cfg)
     if not snippets:
-        return Expansion(query.id, expansion_cfg.mode, "", (), fallback=True)
+        return Expansion(query.id, expansion_cfg.mode, "")
     if expansion_cfg.mode is ExpansionMode.NATURAL_LANGUAGE:
         expansion = natural_language_expansion(snippets, expansion_cfg)
     else:
@@ -217,11 +202,8 @@ def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:
 
 
 def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:
-    """Load an expansion file keyed by query id.
-
-    Records with empty text are marked as fallbacks; provenance is not
-    round-tripped through the file format.
-    """
+    """Load an expansion file keyed by query id; a record with empty text
+    is a fallback."""
     expansions: dict[str, Expansion] = {}
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("query_id", "mode", "text"))
@@ -232,5 +214,5 @@ def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:
             raise ParseError(f"unknown expansion mode {record['mode']!r}", line_no) from None
         if qid in expansions:
             raise ParseError(f"duplicate expansion for query {qid!r}", line_no)
-        expansions[qid] = Expansion(qid, mode, text, (), fallback=not text)
+        expansions[qid] = Expansion(qid, mode, text)
     return expansions

@@ -10,6 +10,10 @@ expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
 and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
 byte-for-byte with the baseline scorer.
+
+`eval --metrics` and the `metrics` config key take the metric tokens that
+`evaluation.MetricConfig` canonicalizes and checks, and default to its
+tokens. A parse or duplicate-key error in an input file names the file.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .corpus_io import (
     parse_run,
     write_run,
 )
-from .errors import ParseError, ToolkitError, TransportError, ValidationError
+from .errors import ConflictError, ParseError, ToolkitError, TransportError, ValidationError
 from .evaluation import (
     MetricConfig,
     MetricReport,
@@ -72,8 +76,6 @@ from .rerank import ScorerEndpoint, ScorerKind, build_augmented_input, build_inp
 from .trainset import balance_upsample, make_pairs, render_training_sequences
 
 T = TypeVar("T")
-
-DEFAULT_METRICS = tuple(MetricConfig().metric_names())
 
 _MODE_ALIASES = {
     "none": "none",
@@ -105,58 +107,6 @@ class StageError(ToolkitError):
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class MetricSelection:
-    """Which metric tokens to report, plus the config that computes them."""
-
-    tokens: tuple[str, ...]
-    config: MetricConfig
-
-
-def parse_metric_tokens(tokens: Sequence[str]) -> MetricSelection:
-    """Turn tokens like s@5, mrr@10, ndcg@10, map into a MetricConfig.
-
-    Tokens are canonicalized, so "S@01" is "s@1". A token given twice, or a
-    second mrr or ndcg cutoff, is rejected: a report holds one value per
-    token, and MetricConfig one cutoff for each of those two metrics.
-    """
-    success: set[int] = set()
-    single: dict[str, int] = {}
-    cleaned: list[str] = []
-    for raw in tokens:
-        token = raw.strip().lower()
-        if not token:
-            continue
-        name, _, cutoff = token.partition("@")
-        if token != "map":
-            try:
-                if name not in ("s", "mrr", "ndcg"):
-                    raise ValueError
-                k = int(cutoff)
-            except ValueError:
-                raise ValidationError(f"unknown metric token {raw!r}") from None
-            token = f"{name}@{k}"
-        if token in cleaned:
-            raise ValidationError(f"duplicate metric token {raw!r}")
-        if name == "s":
-            success.add(k)
-        elif name in ("mrr", "ndcg"):
-            if name in single:
-                raise ValidationError(
-                    f"metric token {raw!r}: {name} is already reported at @{single[name]}"
-                )
-            single[name] = k
-        cleaned.append(token)
-    if not cleaned:
-        raise ValidationError("no metrics requested")
-    config = MetricConfig(
-        success_cutoffs=frozenset(success),
-        mrr_cutoff=single.get("mrr", MetricConfig.mrr_cutoff),
-        ndcg_cutoff=single.get("ndcg", MetricConfig.ndcg_cutoff),
-    )
-    return MetricSelection(tuple(cleaned), config)
 
 
 def write_metric_report(report: MetricReport, tokens: Sequence[str], out: TextIO) -> None:
@@ -238,7 +188,7 @@ class ExperimentConfig:
     batch_size: int = ScorerEndpoint.batch_size
     timeout: float = ScorerEndpoint.timeout
     rerank_depth: int = 100
-    metrics: MetricSelection = parse_metric_tokens(DEFAULT_METRICS)
+    metrics: MetricConfig = MetricConfig()
     run_tag: str = "augrank"
 
     def __post_init__(self):
@@ -264,7 +214,7 @@ _CONFIG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
     "float": (float, "a finite number"),
-    "MetricSelection": ((list, str), "a list or a comma-separated string"),
+    "MetricConfig": ((list, str), "a list or a comma-separated string"),
 }
 
 
@@ -321,7 +271,7 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
         tokens = values["metrics"]
         if isinstance(tokens, str):
             tokens = tokens.split(",")
-        values["metrics"] = parse_metric_tokens([str(t) for t in tokens])
+        values["metrics"] = MetricConfig(tuple(str(t) for t in tokens))
 
     missing = [
         name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values
@@ -360,8 +310,14 @@ def _open_out(path: str | None):
 
 
 def _load(loader: Callable[[TextIO], T], path: str) -> T:
+    """`loader` applied to the file at `path`; a parse or duplicate-key
+    error names the file in front of its line."""
     with open(path, encoding="utf-8") as handle:
-        return loader(handle)
+        try:
+            return loader(handle)
+        except (ParseError, ConflictError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _by_id(items):
@@ -462,18 +418,18 @@ def _rerank(
 def _evaluate(
     lists: Sequence[RankedList],
     qrels: Qrels,
-    selection: MetricSelection,
+    metrics: MetricConfig,
     out_path: str | None,
     per_query_path: str | None,
 ) -> MetricReport:
     """Evaluate a run, write the aggregate report to `out_path` (stdout
     when None) and, given `per_query_path`, the per-query report there."""
-    report = evaluate_run(lists, qrels, selection.config)
+    report = evaluate_run(lists, qrels, metrics)
     with _open_out(out_path) as out:
-        write_metric_report(report, selection.tokens, out)
+        write_metric_report(report, metrics.tokens, out)
     if per_query_path:
         with _open_out(per_query_path) as out:
-            write_per_query_report(report, selection.tokens, out)
+            write_per_query_report(report, metrics.tokens, out)
     return report
 
 
@@ -538,7 +494,7 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
 
     with _stage("compare"):
         if cfg.baseline_run:
-            baseline = evaluate_run(_load(parse_run, cfg.baseline_run), qrels, cfg.metrics.config)
+            baseline = evaluate_run(_load(parse_run, cfg.baseline_run), qrels, cfg.metrics)
             rows = [(token, compare_runs(baseline, report, token)) for token in cfg.metrics.tokens]
             with _open_out(out_path("compare.tsv")) as out:
                 write_comparison(rows, out)
@@ -627,9 +583,9 @@ def _cmd_trainset_build(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    selection = parse_metric_tokens(args.metrics.split(","))
+    metrics = MetricConfig(tuple(args.metrics.split(",")))
     lists = _load(parse_run, args.run)
-    _evaluate(lists, _load(parse_qrels, args.qrels), selection, args.out, args.per_query)
+    _evaluate(lists, _load(parse_qrels, args.qrels), metrics, args.out, args.per_query)
 
 
 def _cmd_compare(args) -> None:
@@ -734,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser = commands.add_parser("eval", help="evaluate a run against qrels")
     eval_parser.add_argument("--run", required=True)
     eval_parser.add_argument("--qrels", required=True)
-    eval_parser.add_argument("--metrics", default=",".join(DEFAULT_METRICS))
+    eval_parser.add_argument("--metrics", default=",".join(MetricConfig.tokens))
     eval_parser.add_argument("--per-query", help="also write a per-query TSV here")
     eval_parser.add_argument("--out")
     eval_parser.set_defaults(handler=_cmd_eval)

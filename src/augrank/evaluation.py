@@ -1,6 +1,11 @@
 """Ranking metrics (Success@k, MRR@k, nDCG@k, AP/MAP) and the two-tailed
 paired t-test used to mark significance between runs.
 
+Which metrics a report holds is a `MetricConfig`: a tuple of tokens
+`s@k`, `mrr@k`, `ndcg@k` and `map`, canonicalized and checked once, and
+reported in the order given; any number of cutoffs of one metric may be
+asked for. `evaluate_run` computes exactly those tokens.
+
 Conventions: nDCG uses linear gain grade/log2(rank+1) with the ideal DCG
 computed from the query's judged grades sorted descending; Success and MRR
 count grade >= 1 as relevant; AP binarizes at grade >= 2 for graded qrels
@@ -33,30 +38,39 @@ class SignificanceMarker(str, Enum):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Cutoffs for the metric suite."""
+    """The metrics to report, as tokens in report order.
 
-    success_cutoffs: frozenset[int] = frozenset({1, 5, 10, 20})
-    mrr_cutoff: int = 10
-    ndcg_cutoff: int = 10
+    A token is `s@k` (Success), `mrr@k`, `ndcg@k` or `map`, with k >= 1.
+    Tokens are canonicalized ("S@01" is "s@1") and blank ones dropped; a
+    token may appear once, and one metric may be asked for at any number
+    of cutoffs.
+    """
+
+    tokens: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
 
     def __post_init__(self):
-        for k in self.success_cutoffs:
-            if k < 1:
-                raise ValidationError(f"success cutoff must be >= 1, got {k}")
-        if self.mrr_cutoff < 1 or self.ndcg_cutoff < 1:
-            raise ValidationError("metric cutoffs must be >= 1")
-
-    def metric_names(self) -> list[str]:
-        return [f"s@{k}" for k in sorted(self.success_cutoffs)] + [
-            f"mrr@{self.mrr_cutoff}",
-            f"ndcg@{self.ndcg_cutoff}",
-            "map",
-        ]
-
-    def resolve_map_threshold(self, qrels: Qrels) -> int:
-        """AP's relevance grade: 2 when any judgment is graded (max grade
-        >= 2), else 1."""
-        return 2 if qrels.max_grade() >= 2 else 1
+        canonical: list[str] = []
+        for raw in self.tokens:
+            token = raw.strip().lower()
+            if not token:
+                continue
+            if token != "map":
+                name, _, cutoff = token.partition("@")
+                try:
+                    if name not in _CUTOFF_METRICS:
+                        raise ValueError
+                    k = int(cutoff)
+                except ValueError:
+                    raise ValidationError(f"unknown metric token {raw!r}") from None
+                if k < 1:
+                    raise ValidationError(f"metric token {raw!r}: cutoff must be >= 1")
+                token = f"{name}@{k}"
+            if token in canonical:
+                raise ValidationError(f"duplicate metric token {raw!r}")
+            canonical.append(token)
+        if not canonical:
+            raise ValidationError("no metrics requested")
+        object.__setattr__(self, "tokens", tuple(canonical))
 
 
 @dataclass
@@ -152,10 +166,33 @@ def average_precision(ranked: RankedList, qrels: Qrels, threshold: int) -> float
     return precision_sum / total_relevant
 
 
+# Success and MRR count any positive grade as relevant.
+_CUTOFF_METRICS = {
+    "s": lambda ranked, qrels, k: success_at_k(ranked, qrels, k, 1),
+    "mrr": lambda ranked, qrels, k: mrr_at_k(ranked, qrels, k, 1),
+    "ndcg": ndcg_at_k,
+}
+
+
+def resolve_map_threshold(qrels: Qrels) -> int:
+    """AP's relevance grade: 2 when any judgment is graded (max grade
+    >= 2), else 1."""
+    return 2 if qrels.max_grade() >= 2 else 1
+
+
+def _metric_value(token: str, ranked: RankedList, qrels: Qrels, map_threshold: int) -> float:
+    """One judged query's value for a canonical metric token."""
+    if token == "map":
+        return average_precision(ranked, qrels, map_threshold)
+    name, _, cutoff = token.partition("@")
+    return _CUTOFF_METRICS[name](ranked, qrels, int(cutoff))
+
+
 def evaluate_run(
     lists: Sequence[RankedList], qrels: Qrels, cfg: MetricConfig = MetricConfig()
 ) -> MetricReport:
-    """Per-query metrics and their means over the judged queries.
+    """Per-query values and means over the judged queries of exactly the
+    metrics in `cfg.tokens`, in that order.
 
     Queries missing from the qrels are excluded from the means and reported
     in `unjudged_query_ids`. Raises when no run query is judged.
@@ -166,28 +203,23 @@ def evaluate_run(
             raise ConflictError(f"run contains query {ranked.query_id!r} twice")
         seen.add(ranked.query_id)
 
-    map_threshold = cfg.resolve_map_threshold(qrels)
-    threshold = 1  # Success and MRR count any positive grade as relevant
+    map_threshold = resolve_map_threshold(qrels)
     per_query: dict[str, dict[str, float]] = {}
     unjudged: list[str] = []
     for ranked in lists:
         if not qrels.has_query(ranked.query_id):
             unjudged.append(ranked.query_id)
             continue
-        values: dict[str, float] = {}
-        for k in sorted(cfg.success_cutoffs):
-            values[f"s@{k}"] = success_at_k(ranked, qrels, k, threshold)
-        values[f"mrr@{cfg.mrr_cutoff}"] = mrr_at_k(ranked, qrels, cfg.mrr_cutoff, threshold)
-        values[f"ndcg@{cfg.ndcg_cutoff}"] = ndcg_at_k(ranked, qrels, cfg.ndcg_cutoff)
-        values["map"] = average_precision(ranked, qrels, map_threshold)
-        per_query[ranked.query_id] = values
+        per_query[ranked.query_id] = {
+            token: _metric_value(token, ranked, qrels, map_threshold) for token in cfg.tokens
+        }
     if not per_query:
         raise ValidationError("no run query appears in the qrels")
 
     ordered_qids = sorted(per_query)
     aggregate = {
-        name: sum(per_query[qid][name] for qid in ordered_qids) / len(ordered_qids)
-        for name in cfg.metric_names()
+        token: sum(per_query[qid][token] for qid in ordered_qids) / len(ordered_qids)
+        for token in cfg.tokens
     }
     return MetricReport(per_query, aggregate, len(ordered_qids), tuple(unjudged))
 

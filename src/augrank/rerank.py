@@ -114,7 +114,7 @@ def build_augmented_input(query: Query, expansion: Expansion, passage: Passage) 
     An empty fallback expansion delegates to the plain form so the
     no-augmentation path is byte-identical.
     """
-    if not expansion.text and expansion.fallback:
+    if expansion.fallback:
         return build_input(query, passage)
     return RerankInput(query.id, passage.id, query.text, expansion.text, passage.text)
 

@@ -59,9 +59,16 @@ class _ScorerHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _ScorerServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that timed out has closed its end before the reply.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 @pytest.fixture
 def scorer_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScorerHandler)
+    server = _ScorerServer(("127.0.0.1", 0), _ScorerHandler)
     server.mode = "ok"
     server.request_count = 0
     server.fail_from_request = None
@@ -69,7 +76,10 @@ def scorer_server():
     # deterministic default: score by sequence length, bounded to [0, 1]
     server.score_fn = lambda s: (len(s) % 97) / 96
     server.address = f"http://127.0.0.1:{server.server_address[1]}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

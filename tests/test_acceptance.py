@@ -172,7 +172,7 @@ def test_criterion_3_template_golden_suite():
     nl = ExpansionMode.NATURAL_LANGUAGE
 
     def exp(text, fallback=False):
-        return Expansion("q", nl, text, (), fallback=fallback)
+        return Expansion("q", nl, text)
 
     plain_cases = [
         (Query("q", "who am i"), Passage("d", None, "a passage"),

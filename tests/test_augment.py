@@ -120,12 +120,6 @@ class TestNaturalLanguageExpansion:
         expansion = natural_language_expansion([snip(1, "The T5-XL; works.")], NL_CFG)
         assert expansion.text == "The T5-XL; works."
 
-    def test_provenance_lists_contributing_snippets(self):
-        expansion = natural_language_expansion(
-            [snip(1, words(60)), snip(2, words(10)), snip(3, words(10))], NL_CFG
-        )
-        assert expansion.provenance == ("web_serp:1", "web_serp:2")
-
     def test_wrong_mode_rejected(self):
         with pytest.raises(ValidationError):
             natural_language_expansion([snip(1, "x")], TERMS_CFG)
@@ -279,7 +273,8 @@ class TestAugmentQuery:
         lm = lm_from("corpus background text")
         cache = {"q1": [snip(1, "!!! ---"), snip(2, "...")]}
         expansion = augment_query(Query("q1", "topic"), cache, RetrieverConfig(), TERMS_CFG, lm)
-        assert expansion == Expansion("q1", ExpansionMode.TOPICAL_TERMS, "", (), fallback=True)
+        assert expansion == Expansion("q1", ExpansionMode.TOPICAL_TERMS, "")
+        assert expansion.fallback
 
 
 class TestExpansionFile:

@@ -11,11 +11,11 @@ from augrank.cli import (
     load_experiment_config,
     load_per_query_report,
     main,
-    parse_metric_tokens,
     run_pipeline,
 )
 from augrank.corpus_io import parse_run
 from augrank.errors import ValidationError
+from augrank.evaluation import MetricConfig
 
 
 def write_jsonl(path: Path, records):
@@ -75,33 +75,28 @@ def read_metric(path: Path, token: str) -> float:
 
 class TestMetricTokens:
     def test_default_tokens(self):
-        selection = parse_metric_tokens(["s@1", "s@5", "mrr@10", "ndcg@10", "map"])
-        assert selection.config.success_cutoffs == frozenset({1, 5})
-        assert selection.config.mrr_cutoff == 10
+        default = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
+        assert MetricConfig().tokens == MetricConfig.tokens == default
+        assert ExperimentConfig.metrics == MetricConfig(default)
 
     def test_unknown_token(self):
-        with pytest.raises(ValidationError):
-            parse_metric_tokens(["precision@5"])
+        with pytest.raises(ValidationError, match="'precision@5'"):
+            MetricConfig(("precision@5",))
 
     def test_zero_cutoff_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_metric_tokens(["s@0"])
-
+        with pytest.raises(ValidationError, match="'s@0'"):
+            MetricConfig(("s@0",))
 
     def test_tokens_canonicalized(self):
-        selection = parse_metric_tokens(["S@01", "MRR@5", "Map"])
-        assert selection.tokens == ("s@1", "mrr@5", "map")
-        assert selection.config.success_cutoffs == frozenset({1})
-        assert selection.config.mrr_cutoff == 5
+        assert MetricConfig(("S@01", "MRR@5", " Map", "")).tokens == ("s@1", "mrr@5", "map")
 
     @pytest.mark.parametrize(
         "tokens, named",
-        [(["s@1", "S@1"], "S@1"), (["s@1", "s@01"], "s@01"), (["map", "map"], "map"),
-         (["mrr@5", "mrr@10"], "mrr@10"), (["ndcg@10", "ndcg@20"], "ndcg@20")],
+        [(["s@1", "S@1"], "S@1"), (["s@1", "s@01"], "s@01"), (["map", "map"], "map")],
     )
     def test_repeated_token_or_second_cutoff_rejected(self, tokens, named):
         with pytest.raises(ValidationError, match=repr(named)):
-            parse_metric_tokens(tokens)
+            MetricConfig(tuple(tokens))
 
 
 class TestIndexCommands:
@@ -222,7 +217,16 @@ class TestEvalAndCompareCommands:
                      "--metrics", "S@01"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "s@1\t0.5000"
 
-    @pytest.mark.parametrize("metrics, named", [("mrr@5,mrr@10", "mrr@10"), ("s@1,S@1", "S@1")])
+    def test_eval_reports_every_cutoff_of_one_metric(self, workspace, capsys):
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1a 1 2.0 t\nq1 Q0 d1rel 2 1.0 t\nq2 Q0 d2rel 1 1.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                     "--metrics", "mrr@2,mrr@1,ndcg@1"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "mrr@2\t0.7500", "mrr@1\t0.5000", "ndcg@1\t0.5000"
+        ]
+
+    @pytest.mark.parametrize("metrics, named", [("s@1,S@1", "S@1")])
     def test_eval_rejects_conflicting_tokens(self, workspace, capsys, metrics, named):
         run = workspace / "toy.run"
         run.write_text("q1 Q0 d1rel 1 2.0 t\n")
@@ -422,6 +426,27 @@ class TestExitCodes:
         run = workspace / "toy.run"
         run.write_text("q1 Q0 d1rel 1 1.0 t\n")
         assert main(["eval", "--run", str(run), "--qrels", str(bad)]) == 2
+
+    def test_loader_errors_name_the_file(self, workspace, capsys):
+        corpus = workspace / "null_text.jsonl"
+        corpus.write_text('{"id": "d1", "text": null}\n')
+        queries = workspace / "dup_queries.jsonl"
+        queries.write_text('{"id": "q1", "text": "a"}\n{"id": "q1", "text": "b"}\n')
+        run = workspace / "bad_score.run"
+        run.write_text("q1 Q0 d1 1 x t\n")
+        cases = [
+            (["index", "build", "--corpus", str(corpus), "--out", str(workspace / "x.idx")],
+             f"{corpus}: line 1: field 'text' must be a string"),
+            (["pipeline", "run", "--config",
+              str(make_config(workspace, "out_dup", queries=str(queries)))],
+             f"{queries}: line 2: duplicate query id 'q1'"),
+            (["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt")],
+             f"{run}: line 1: non-numeric score 'x'"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
 
     def test_transport_error_is_three(self, workspace):
         config = make_config(

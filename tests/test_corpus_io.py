@@ -164,6 +164,27 @@ class TestWriteRun:
         for (_, got), (_, expect) in zip(parsed.entries, original.entries):
             assert math.isclose(got, expect, abs_tol=1e-4)
 
+    @given(
+        st.dictionaries(
+            st.from_regex(r"q[0-9]{1,3}", fullmatch=True),
+            st.tuples(
+                st.from_regex(r"[a-z]{1,6}", fullmatch=True),
+                st.lists(st.integers(-10**8, 10**8), min_size=1, max_size=10),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_round_trip_keeps_entries_and_tags_at_four_decimals(self, runs):
+        lists = []
+        for qid, (tag, scaled) in runs.items():
+            scores = sorted((n / 10_000 for n in scaled), reverse=True)
+            entries = tuple((f"d{i}", score) for i, score in enumerate(scores))
+            lists.append(RankedList(qid, entries, tag))
+        out = io.StringIO()
+        write_run(lists, out)
+        assert parse_run(out.getvalue()) == lists
+
 
 class TestRankedListInvariants:
     def test_nan_score(self):

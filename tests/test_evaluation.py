@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from augrank.corpus_io import Qrels, RankedList, parse_qrels
@@ -16,6 +18,7 @@ from augrank.evaluation import (
     ndcg_at_k,
     paired_t_test,
     regularized_incomplete_beta,
+    resolve_map_threshold,
     student_t_two_tailed_p,
     success_at_k,
 )
@@ -153,7 +156,7 @@ class TestEvaluateRun:
             oracle_pq[qid] = (pids, grades)
         cfg = MetricConfig()
         report = evaluate_run(lists, qrels, cfg)
-        map_threshold = cfg.resolve_map_threshold(qrels)
+        map_threshold = resolve_map_threshold(qrels)
         for qid, (pids, grades) in oracle_pq.items():
             got = report.per_query[qid]
             for k in (1, 5, 10, 20):
@@ -215,6 +218,34 @@ class TestEvaluateRun:
         assert report.aggregate["map"] == pytest.approx(0.5)
         # but success@1 uses the binary threshold of 1
         assert report.aggregate["s@1"] == 1.0
+
+
+class TestMetricConfig:
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(("map", None)),
+                st.tuples(st.sampled_from(["s", "mrr", "ndcg"]), st.integers(1, 30)),
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_tokens_canonicalize_in_order_and_name_the_report(self, metrics, rng):
+        raw, canonical = [], []
+        for name, k in metrics:
+            token = name if k is None else f"{name}@{'0' * rng.randint(0, 2)}{k}"
+            raw.append("".join(c.upper() if rng.random() < 0.5 else c for c in token))
+            canonical.append(name if k is None else f"{name}@{k}")
+        cfg = MetricConfig(tuple(raw))
+        assert cfg.tokens == tuple(canonical)
+        assert MetricConfig(cfg.tokens) == cfg
+        qrels = parse_qrels("q1 0 a 1\nq2 0 c 2\n")
+        report = evaluate_run([ranked("a", "b"), ranked("b", "c", qid="q2")], qrels, cfg)
+        assert tuple(report.aggregate) == cfg.tokens
+        assert all(tuple(values) == cfg.tokens for values in report.per_query.values())
 
 
 class TestIncompleteBeta:

@@ -27,8 +27,8 @@ BASELINE = ScorerEndpoint(ScorerKind.LEXICAL_BASELINE)
 NL = ExpansionMode.NATURAL_LANGUAGE
 
 
-def expansion(text, qid="q1", fallback=False):
-    return Expansion(qid, NL, text, (), fallback=fallback)
+def expansion(text, qid="q1"):
+    return Expansion(qid, NL, text)
 
 
 class TestBuildInput:
@@ -62,7 +62,7 @@ class TestBuildAugmentedInput:
 
     def test_empty_fallback_delegates_to_plain(self):
         q, p = Query("q1", "who am i"), Passage("d1", None, "a passage")
-        item = build_augmented_input(q, expansion("", fallback=True), p)
+        item = build_augmented_input(q, expansion(""), p)
         assert item == build_input(q, p)
 
     def test_full_expansion_embedded(self):
@@ -349,7 +349,7 @@ class TestRerankTopk:
         assert first.passage_ids() == second.passage_ids()
 
     def test_fallback_expansion_equals_no_expansion(self):
-        fallback = expansion("", fallback=True)
+        fallback = expansion("")
         with_none = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 4)
         with_fallback = rerank_topk(
             initial_list(), corpus(), Query("q1", "q"), fallback, BASELINE, 4
