@@ -187,18 +187,9 @@ def augment_query(
 
 def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:
     """One JSON record per line: {"query_id", "mode", "text"}."""
-    for expansion in expansions:
-        out.write(
-            json.dumps(
-                {
-                    "query_id": expansion.query_id,
-                    "mode": expansion.mode.value,
-                    "text": expansion.text,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-        )
+    for item in expansions:
+        record = {"query_id": item.query_id, "mode": item.mode.value, "text": item.text}
+        out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:

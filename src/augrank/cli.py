@@ -4,8 +4,10 @@ Subcommands: `index build|search`, `fuse`, `expand`, `rerank`,
 `trainset build`, `eval`, `compare`, and `pipeline run --config <file>`.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
 
-`pipeline run` is driven by a flat JSON key-value config (any key can be
-overridden by a flag) and stages its artifacts in the output directory:
+`pipeline run` is driven by a flat JSON key-value config, checked in full
+when it loads; six keys also take a flag (--mode, --scorer, --scorer-address,
+--k for rerank_depth, --output-dir, --baseline-run). It stages its artifacts
+in the output directory:
 expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
 and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
@@ -27,6 +29,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO, TypeVar
 
 from .augment import (
@@ -45,6 +48,7 @@ from .corpus_io import (
     RankedList,
     Snippet,
     SnippetSource,
+    _iter_lines,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -109,14 +113,15 @@ class StageError(ToolkitError):
         self.cause = cause
 
 
-def write_metric_report(report: MetricReport, tokens: Sequence[str], out: TextIO) -> None:
-    for token in tokens:
-        out.write(f"{token}\t{report.aggregate[token]:.4f}\n")
+def write_metric_report(report: MetricReport, out: TextIO) -> None:
+    for token, mean in report.aggregate.items():
+        out.write(f"{token}\t{mean:.4f}\n")
     out.write(f"queries\t{report.query_count}\n")
     out.write(f"unjudged\t{len(report.unjudged_query_ids)}\n")
 
 
-def write_per_query_report(report: MetricReport, tokens: Sequence[str], out: TextIO) -> None:
+def write_per_query_report(report: MetricReport, out: TextIO) -> None:
+    tokens = list(report.aggregate)
     out.write("query_id\t" + "\t".join(tokens) + "\n")
     for qid in sorted(report.per_query):
         values = report.per_query[qid]
@@ -125,16 +130,16 @@ def write_per_query_report(report: MetricReport, tokens: Sequence[str], out: Tex
 
 def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
     """Read a per-query TSV back into a MetricReport (means recomputed)."""
-    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
-    rows = [line.rstrip("\n") for line in lines if line.strip()]
-    if not rows:
+    rows = _iter_lines(stream)
+    first = next(rows, None)
+    if first is None:
         raise ParseError("empty per-query report")
-    header = rows[0].split("\t")
+    header = first[1].split("\t")
     if header[:1] != ["query_id"] or len(header) < 2:
-        raise ParseError(f"bad per-query report header: {rows[0]!r}")
+        raise ParseError(f"bad per-query report header: {first[1]!r}", first[0])
     tokens = header[1:]
     per_query: dict[str, dict[str, float]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         cells = row.split("\t")
         if len(cells) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line_no)
@@ -142,15 +147,15 @@ def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
         if qid in per_query:
             raise ParseError(f"duplicate query id {qid!r}", line_no)
         try:
-            per_query[qid] = {t: float(v) for t, v in zip(tokens, cells[1:])}
+            values = [float(v) for v in cells[1:]]
         except ValueError:
             raise ParseError(f"non-numeric metric value in row {row!r}", line_no) from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite metric value in row {row!r}", line_no)
+        per_query[qid] = dict(zip(tokens, values))
     if not per_query:
         raise ParseError("per-query report has no data rows")
-    aggregate = {
-        t: sum(per_query[qid][t] for qid in sorted(per_query)) / len(per_query) for t in tokens
-    }
-    return MetricReport(per_query, aggregate, len(per_query))
+    return MetricReport(per_query)
 
 
 def write_comparison(rows: Sequence[tuple[str, TTestResult]], out: TextIO) -> None:
@@ -166,7 +171,8 @@ def write_comparison(rows: Sequence[tuple[str, TTestResult]], out: TextIO) -> No
 class ExperimentConfig:
     """Everything `pipeline run` needs, loaded from a flat JSON object whose
     keys are these field names. A default that a library type also uses is
-    read from that type."""
+    read from that type. Each stage's settings object is built, and so
+    checked, at construction; `expansion` is None in mode none."""
 
     corpus: str
     queries: str
@@ -196,6 +202,25 @@ class ExperimentConfig:
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
         if self.rerank_depth < 1:
             raise ValidationError(f"rerank_depth must be >= 1, got {self.rerank_depth}")
+        self.retriever, self.expansion, self.endpoint, self.fusion  # built now, so checked now
+
+    @cached_property
+    def retriever(self) -> RetrieverConfig:
+        return RetrieverConfig(self.max_snippets, self.source, self.skip_direct_answers)
+
+    @cached_property
+    def expansion(self) -> ExpansionConfig | None:
+        if self.mode == "none":
+            return None
+        return ExpansionConfig(ExpansionMode(self.mode), self.max_words, self.max_terms)
+
+    @cached_property
+    def endpoint(self) -> ScorerEndpoint:
+        return ScorerEndpoint(self.scorer, self.scorer_address, self.batch_size, self.timeout)
+
+    @cached_property
+    def fusion(self) -> FusionConfig:
+        return FusionConfig(self.fusion_alpha)
 
 
 _INPUT_PATHS = (
@@ -257,28 +282,29 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             values[key] = _config_value(fields[key].type, raw)
         except ValueError as exc:
             raise ValidationError(f"config {path}: {key} {exc}, got {raw!r}") from None
-    for key, aliases, what in (
-        ("mode", _MODE_ALIASES, "expansion mode"),
-        ("source", _SOURCE_ALIASES, "snippet source"),
-        ("scorer", _SCORER_ALIASES, "scorer"),
-    ):
-        if key in values:
-            name = values[key].lower()
-            if name not in aliases:
-                raise ValidationError(f"unknown {what} {values[key]!r}")
-            values[key] = aliases[name]
-    if "metrics" in values:
-        tokens = values["metrics"]
-        if isinstance(tokens, str):
-            tokens = tokens.split(",")
-        values["metrics"] = MetricConfig(tuple(str(t) for t in tokens))
-
-    missing = [
-        name for name, f in fields.items() if f.default is dataclasses.MISSING and name not in values
-    ]
+    missing = [n for n, f in fields.items() if f.default is dataclasses.MISSING and n not in values]
     if missing:
         raise ValidationError(f"config {path}: missing required keys: {', '.join(missing)}")
-    cfg = ExperimentConfig(**values)
+
+    try:
+        for key, aliases, what in (
+            ("mode", _MODE_ALIASES, "expansion mode"),
+            ("source", _SOURCE_ALIASES, "snippet source"),
+            ("scorer", _SCORER_ALIASES, "scorer"),
+        ):
+            if key in values:
+                name = values[key].lower()
+                if name not in aliases:
+                    raise ValidationError(f"unknown {what} {values[key]!r}")
+                values[key] = aliases[name]
+        if "metrics" in values:
+            tokens = values["metrics"]
+            if isinstance(tokens, str):
+                tokens = tokens.split(",")
+            values["metrics"] = MetricConfig(tuple(str(t) for t in tokens))
+        cfg = ExperimentConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"config {path}: {exc}") from None
     for name in _INPUT_PATHS:
         value = getattr(cfg, name)
         if value is not None and not os.path.exists(value):
@@ -341,15 +367,14 @@ def _search(
 
 
 def _fuse(
-    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], alpha: float, tag: str
+    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], cfg: FusionConfig, tag: str
 ) -> dict[str, RankedList]:
     """dense + alpha * sparse for every query in either run, by query id."""
-    fusion = FusionConfig(alpha)
     return {
         qid: fuse_runs(
             dense.get(qid, RankedList(qid, (), "dense")),
             sparse.get(qid, RankedList(qid, (), "sparse")),
-            fusion,
+            cfg,
             tag=tag,
         )
         for qid in sorted(set(dense) | set(sparse))
@@ -403,11 +428,7 @@ def _rerank(
                     item = build_augmented_input(query, expansion, corpus[pid])
                 else:
                     item = build_input(query, corpus[pid])
-                record = {
-                    "query_id": item.query_id,
-                    "passage_id": item.passage_id,
-                    "sequence": item.sequence,
-                }
+                record = {"query_id": query.id, "passage_id": pid, "sequence": item.sequence}
                 inputs_out.write(json.dumps(record, ensure_ascii=False) + "\n")
         reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth, tag))
     with _open_out(out_path) as out:
@@ -426,10 +447,10 @@ def _evaluate(
     when None) and, given `per_query_path`, the per-query report there."""
     report = evaluate_run(lists, qrels, metrics)
     with _open_out(out_path) as out:
-        write_metric_report(report, metrics.tokens, out)
+        write_metric_report(report, out)
     if per_query_path:
         with _open_out(per_query_path) as out:
-            write_per_query_report(report, metrics.tokens, out)
+            write_per_query_report(report, out)
     return report
 
 
@@ -465,25 +486,19 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
 
     with _stage("fuse"):
         if cfg.dense_run:
-            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion_alpha, cfg.run_tag)
+            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion, cfg.run_tag)
 
     with _stage("expand"):
         expansions: dict[str, Expansion] = {}
-        if cfg.mode != "none":
+        if cfg.expansion is not None:
             expansions = _expand(
-                queries,
-                cache,
-                RetrieverConfig(cfg.max_snippets, cfg.source, cfg.skip_direct_answers),
-                ExpansionConfig(ExpansionMode(cfg.mode), cfg.max_words, cfg.max_terms),
-                lm,
-                out_path("expansions.jsonl"),
+                queries, cache, cfg.retriever, cfg.expansion, lm, out_path("expansions.jsonl")
             )
 
     with _stage("rerank"):
-        endpoint = ScorerEndpoint(cfg.scorer, cfg.scorer_address, cfg.batch_size, cfg.timeout)
         with open(out_path("inputs.jsonl"), "w", encoding="utf-8") as inputs_out:
             reranked = _rerank(
-                queries, initial, corpus, expansions, endpoint, cfg.rerank_depth,
+                queries, initial, corpus, expansions, cfg.endpoint, cfg.rerank_depth,
                 cfg.run_tag, out_path("reranked.run"), inputs_out,
             )
 
@@ -526,7 +541,8 @@ def _cmd_index_search(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
-    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), args.alpha, args.tag)
+    fusion = FusionConfig(args.alpha)
+    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), fusion, args.tag)
     with _open_out(args.out) as out:
         write_run(list(fused.values()), out)
 
@@ -596,18 +612,14 @@ def _cmd_compare(args) -> None:
         write_comparison([(args.metric, result)], out)
 
 
+# The config keys `pipeline run` also takes as flags; each flag's dest is its key.
+_PIPELINE_FLAGS = ("mode", "scorer", "scorer_address", "rerank_depth", "output_dir", "baseline_run")
+
+
 def _cmd_pipeline_run(args) -> None:
-    overrides = {
-        "mode": args.mode,
-        "scorer": args.scorer,
-        "scorer_address": args.scorer_address,
-        "rerank_depth": args.k,
-        "output_dir": args.output_dir,
-        "baseline_run": args.baseline_run,
-    }
-    cfg = load_experiment_config(args.config, overrides)
+    cfg = load_experiment_config(args.config, {key: getattr(args, key) for key in _PIPELINE_FLAGS})
     report = run_pipeline(cfg)
-    write_metric_report(report, cfg.metrics.tokens, sys.stdout)
+    write_metric_report(report, sys.stdout)
     print(f"artifacts written to {cfg.output_dir}")
 
 
@@ -711,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--mode", choices=sorted(_MODE_ALIASES))
     prun.add_argument("--scorer", choices=sorted(_SCORER_ALIASES))
     prun.add_argument("--scorer-address")
-    prun.add_argument("--k", type=int)
+    prun.add_argument("--k", type=int, dest="rerank_depth")
     prun.add_argument("--output-dir")
     prun.add_argument("--baseline-run")
     prun.set_defaults(handler=_cmd_pipeline_run)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus_io import Qrels, RankedList
@@ -75,16 +75,20 @@ class MetricConfig:
 
 @dataclass
 class MetricReport:
-    """Per-query and mean metric values for one run.
-
-    `query_count` counts the judged queries contributing to the aggregate;
-    unjudged run queries are listed separately.
-    """
+    """Per-query metric values of one run's judged queries. The means
+    (`aggregate`, in the rows' token order) and `query_count` are derived
+    at construction; unjudged run queries are listed separately."""
 
     per_query: dict[str, dict[str, float]]
-    aggregate: dict[str, float]
-    query_count: int
     unjudged_query_ids: tuple[str, ...] = ()
+    aggregate: dict[str, float] = field(init=False)
+    query_count: int = field(init=False)
+
+    def __post_init__(self):
+        rows = [self.per_query[qid] for qid in sorted(self.per_query)]
+        tokens = rows[0] if rows else ()
+        self.aggregate = {t: sum(row[t] for row in rows) / len(rows) for t in tokens}
+        self.query_count = len(rows)
 
 
 @dataclass(frozen=True)
@@ -215,13 +219,7 @@ def evaluate_run(
         }
     if not per_query:
         raise ValidationError("no run query appears in the qrels")
-
-    ordered_qids = sorted(per_query)
-    aggregate = {
-        token: sum(per_query[qid][token] for qid in ordered_qids) / len(ordered_qids)
-        for token in cfg.tokens
-    }
-    return MetricReport(per_query, aggregate, len(ordered_qids), tuple(unjudged))
+    return MetricReport(per_query, tuple(unjudged))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

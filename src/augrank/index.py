@@ -42,11 +42,12 @@ def tokenize(text: str) -> TokenStream:
 
 @dataclass
 class InvertedIndex:
-    """Term -> [(passage id, tf)] postings and each passage's token count.
-    Every other statistic is derived: the totals once at construction (BM25
-    reads them per posting), `collection_frequency` on demand."""
+    """Term -> {passage id: tf} postings, each term's passages in corpus
+    order, and each passage's token count. Every other statistic is
+    derived: the totals once at construction (BM25 reads them per posting),
+    `collection_frequency` on demand."""
 
-    postings: dict[str, list[tuple[str, int]]]
+    postings: dict[str, dict[str, int]]
     doc_lengths: dict[str, int]
     doc_count: int = field(init=False)
     total_tokens: int = field(init=False)
@@ -60,7 +61,7 @@ class InvertedIndex:
     @property
     def collection_frequency(self) -> dict[str, int]:
         """Occurrences of each term across the corpus."""
-        return {term: sum(tf for _, tf in plist) for term, plist in self.postings.items()}
+        return {term: sum(tfs.values()) for term, tfs in self.postings.items()}
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,19 @@ class CorpusLanguageModel:
     """Smoothed unigram model over the indexed corpus.
 
     probability(t) = (cf(t) + 1) / (total_tokens + vocab_size), where
-    vocab_size counts observed term types only; unseen terms get cf = 0.
+    total_tokens sums the collection frequencies and vocab_size counts the
+    observed term types; unseen terms get cf = 0.
     """
 
     collection_frequency: Mapping[str, int]
-    total_tokens: int
-    vocab_size: int
+    total_tokens: int = field(init=False)
+    vocab_size: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total_tokens", sum(self.collection_frequency.values()))
+        object.__setattr__(self, "vocab_size", len(self.collection_frequency))
+        if self.total_tokens <= 0:
+            raise ValidationError("cannot estimate a language model from an empty index")
 
     def probability(self, term: str) -> float:
         cf = self.collection_frequency.get(term, 0)
@@ -93,7 +101,7 @@ class FusionConfig:
 
 def build_index(passages: Sequence[Passage]) -> InvertedIndex:
     """Build an inverted index over passage texts (titles are not indexed)."""
-    postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     doc_lengths: dict[str, int] = {}
     for passage in passages:
         if passage.id in doc_lengths:
@@ -101,7 +109,7 @@ def build_index(passages: Sequence[Passage]) -> InvertedIndex:
         tokens = tokenize(passage.text)
         doc_lengths[passage.id] = len(tokens)
         for term, tf in Counter(tokens).items():
-            postings[term].append((passage.id, tf))
+            postings[term][passage.id] = tf
     return InvertedIndex(dict(postings), doc_lengths)
 
 
@@ -126,14 +134,9 @@ def bm25_score(index: InvertedIndex, query_terms: Sequence[str], passage_id: str
     doc_length = index.doc_lengths[passage_id]
     score = 0.0
     for term in query_terms:
-        tf = 0
-        for pid, freq in index.postings.get(term, ()):
-            if pid == passage_id:
-                tf = freq
-                break
-        if tf == 0:
-            continue
-        score += _idf(index, term) * _tf_weight(index, tf, doc_length)
+        tf = index.postings.get(term, {}).get(passage_id, 0)
+        if tf:
+            score += _idf(index, term) * _tf_weight(index, tf, doc_length)
     return score
 
 
@@ -151,7 +154,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
         if not postings:
             continue
         idf = _idf(index, term)
-        for pid, tf in postings:
+        for pid, tf in postings.items():
             scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     return RankedList(query.id, tuple(ranked), tag)
@@ -159,13 +162,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
 
 def estimate_corpus_lm(index: InvertedIndex) -> CorpusLanguageModel:
     """Add-one smoothed corpus language model from index statistics."""
-    if index.total_tokens <= 0:
-        raise ValidationError("cannot estimate a language model from an empty index")
-    return CorpusLanguageModel(
-        collection_frequency=index.collection_frequency,
-        total_tokens=index.total_tokens,
-        vocab_size=len(index.postings),
-    )
+    return CorpusLanguageModel(index.collection_frequency)
 
 
 def fuse_runs(
@@ -196,7 +193,7 @@ def fuse_runs(
 def save_index(index: InvertedIndex, out: TextIO) -> None:
     """Persist an index as a magic header line followed by one JSON payload."""
     payload = {
-        "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
+        "postings": {t: list(tfs.items()) for t, tfs in index.postings.items()},
         "doc_lengths": index.doc_lengths,
     }
     # json.dumps runs the C encoder; json.dump would run the pure-Python one.
@@ -218,10 +215,10 @@ def load_index(stream: TextIO) -> InvertedIndex:
         payload = json.load(stream)
         doc_lengths = payload["doc_lengths"]
         token_counts = dict.fromkeys(doc_lengths.keys(), 0)
-        postings = {t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()}
+        pairs = {t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"corrupt index payload: {exc}") from None
-    for term, plist in postings.items():
+    for term, plist in pairs.items():
         for pid, tf in plist:
             if not isinstance(pid, str) or pid not in token_counts:
                 raise ParseError(f"corrupt index payload: {term!r} has unknown passage {pid!r}")
@@ -236,4 +233,4 @@ def load_index(stream: TextIO) -> InvertedIndex:
                 f"corrupt index payload: passage {pid!r} has length {doc_lengths[pid]!r} "
                 f"but its postings hold {count} tokens"
             )
-    return InvertedIndex(postings, doc_lengths)
+    return InvertedIndex({t: dict(plist) for t, plist in pairs.items()}, doc_lengths)

@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from augrank.corpus_io import Passage, Query
+from augrank.index import build_index, tokenize
 from augrank.rerank import rerank_topk
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "traced_pipeline.py"
@@ -32,3 +34,25 @@ def test_rerank_topk_arguments_sit_where_the_tracer_reads_them():
     # `endpoint` at 4 and `k` at 5.
     params = list(inspect.signature(rerank_topk).parameters)
     assert (params[2], params[4], params[5]) == ("query", "endpoint", "k")
+
+
+def test_index_counters_match_counts_from_the_tokens():
+    passages = [
+        Passage("d1", None, "apple apple banana"),
+        Passage("d2", None, "banana cherry"),
+        Passage("d3", None, "cherry cherry cherry apple date"),
+    ]
+    query = Query("q1", "apple cherry apple zebra")
+    index = build_index(passages)
+    tracer = load_tracer().Tracer()
+    tracer._after_index_build_index((passages,), {}, index)
+    tracer._after_index_bm25_search((index, query, 10), {}, None)
+
+    # Independent counts: distinct terms per passage, df summed over the
+    # query's token stream (repeats included, unseen terms 0).
+    term_sets = [set(tokenize(p.text)) for p in passages]
+    distinct_terms = sum(len(terms) for terms in term_sets)
+    offered = sum(sum(t in terms for terms in term_sets) for t in tokenize(query.text))
+    assert (distinct_terms, offered) == (7, 6)
+    assert tracer.counters["index.postings"] == distinct_terms
+    assert tracer.counters["index.bm25_search.postings_offered"] == offered

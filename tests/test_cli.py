@@ -391,6 +391,23 @@ class TestPipeline:
         assert f": {key} must be" in capsys.readouterr().err
         assert not (workspace / "out_typed").exists()
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+         ({"scorer": "remote"}, "remote scorer requires an http(s) address, got None"),
+         ({"mode": "nl", "max_words": 0}, "max_words must be >= 1, got 0"),
+         ({"mode": "terms", "max_terms": 0}, "max_terms must be >= 1, got 0"),
+         ({"fusion_alpha": -1}, "fusion alpha must be finite and >= 0, got -1"),
+         ({"max_snippets": 0}, "max_snippets must be >= 1, got 0"),
+         ({"mode": "fancy"}, "unknown expansion mode 'fancy'"),
+         ({"metrics": "s@0"}, "metric token 's@0': cutoff must be >= 1")],
+    )
+    def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
+        config = make_config(workspace, "out_stage", **extra)
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        assert f"config {config}: {named}" in capsys.readouterr().err
+        assert not (workspace / "out_stage").exists()
+
     def test_numeric_strings_and_integral_floats_accepted(self, workspace):
         config = make_config(workspace, "out_numeric", rerank_depth="5", max_words=3.0,
                              timeout="2.5", dense_run=None)
@@ -434,6 +451,10 @@ class TestExitCodes:
         queries.write_text('{"id": "q1", "text": "a"}\n{"id": "q1", "text": "b"}\n')
         run = workspace / "bad_score.run"
         run.write_text("q1 Q0 d1 1 x t\n")
+        nan_report = workspace / "nan_pq.tsv"
+        nan_report.write_text("query_id\ts@1\n\nq1\t1.0\nq2\tnan\n")  # a blank line 2
+        inf_report = workspace / "inf_pq.tsv"
+        inf_report.write_text("query_id\ts@1\tmap\nq1\t-inf\t0.5\nq2\t1.0\t0.5\n")
         cases = [
             (["index", "build", "--corpus", str(corpus), "--out", str(workspace / "x.idx")],
              f"{corpus}: line 1: field 'text' must be a string"),
@@ -442,6 +463,12 @@ class TestExitCodes:
              f"{queries}: line 2: duplicate query id 'q1'"),
             (["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt")],
              f"{run}: line 1: non-numeric score 'x'"),
+            (["compare", "--baseline", str(nan_report), "--treatment", str(inf_report),
+              "--metric", "s@1"],
+             f"{nan_report}: line 4: non-finite metric value"),
+            (["compare", "--baseline", str(inf_report), "--treatment", str(nan_report),
+              "--metric", "s@1"],
+             f"{inf_report}: line 2: non-finite metric value"),
         ]
         for argv, message in cases:
             assert main(argv) == 2

@@ -10,6 +10,7 @@ from augrank.corpus_io import Qrels, RankedList, parse_qrels
 from augrank.errors import ConflictError, ValidationError
 from augrank.evaluation import (
     MetricConfig,
+    MetricReport,
     SignificanceMarker,
     average_precision,
     compare_runs,
@@ -139,6 +140,12 @@ class TestEvaluateRun:
         lists = [ranked("hit", "x", qid="q1"), ranked("x", "hit", qid="q2")]
         report = evaluate_run(lists, qrels)
         assert report.aggregate["s@1"] == pytest.approx(0.5)
+
+    def test_report_derives_means_in_token_order(self):
+        report = MetricReport({"q2": {"map": 0.5, "s@1": 0.0}, "q1": {"map": 0.25, "s@1": 1.0}})
+        assert list(report.aggregate.items()) == [("map", 0.375), ("s@1", 0.5)]
+        assert report.query_count == 2
+        assert report.unjudged_query_ids == ()
 
     def test_ten_query_fixture_matches_oracle(self):
         rng = random.Random(11)

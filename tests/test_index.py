@@ -12,6 +12,7 @@ from augrank.corpus_io import Passage, Query, RankedList
 from augrank.errors import ConflictError, ParseError, UnknownIdError, ValidationError
 from augrank.index import (
     INDEX_MAGIC,
+    CorpusLanguageModel,
     FusionConfig,
     bm25_score,
     bm25_search,
@@ -65,8 +66,8 @@ class TestBuildIndex:
 
     def test_single_passage_counts(self):
         index = build_index([Passage("d1", None, "a a b")])
-        assert index.postings["a"] == [("d1", 2)]
-        assert index.postings["b"] == [("d1", 1)]
+        assert index.postings["a"] == {"d1": 2}
+        assert index.postings["b"] == {"d1": 1}
         assert index.doc_lengths["d1"] == 3
 
     def test_duplicate_id(self):
@@ -85,7 +86,7 @@ class TestBuildIndex:
         assert index.total_tokens == sum(index.doc_lengths.values())
         assert index.total_tokens == sum(index.collection_frequency.values())
         for postings in index.postings.values():
-            for pid, _ in postings:
+            for pid in postings:
                 assert pid in index.doc_lengths
 
 
@@ -212,6 +213,14 @@ class TestCorpusLanguageModel:
     def test_empty_index_is_an_error(self):
         with pytest.raises(ValidationError):
             estimate_corpus_lm(build_index([]))
+
+    def test_totals_derived_from_collection_frequency(self):
+        lm = CorpusLanguageModel({"a": 2, "b": 1})
+        assert (lm.total_tokens, lm.vocab_size) == (3, 2)
+        index = build_index(tiny_corpus())
+        assert estimate_corpus_lm(index).total_tokens == index.total_tokens
+        with pytest.raises(ValidationError):
+            CorpusLanguageModel({})
 
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=40))
     def test_strictly_positive_and_consistent(self, tokens):
