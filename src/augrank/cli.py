@@ -11,7 +11,9 @@ in the output directory:
 expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
 and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
-byte-for-byte with the baseline scorer.
+byte-for-byte with the baseline scorer. Judged queries that got no
+candidates are left out of the run and the means; `pipeline run` names
+them in one stderr line, as `index search` does queries without hits.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -366,6 +368,13 @@ def _search(
     return lists
 
 
+def _warn_no_candidates(query_ids: Sequence[str], what: str) -> None:
+    """One stderr line: `what`, then the count and the first few ids."""
+    if query_ids:
+        shown = ", ".join(query_ids[:5]) + (", ..." if len(query_ids) > 5 else "")
+        print(f"warning: {what}: {len(query_ids)} ({shown})", file=sys.stderr)
+
+
 def _fuse(
     dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], cfg: FusionConfig, tag: str
 ) -> dict[str, RankedList]:
@@ -502,6 +511,11 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
                 cfg.run_tag, out_path("reranked.run"), inputs_out,
             )
 
+    ranked_ids = {ranked.query_id for ranked in reranked}
+    _warn_no_candidates(
+        [q.id for q in queries if qrels.has_query(q.id) and q.id not in ranked_ids],
+        "judged queries without candidates, left out of the metrics",
+    )
     with _stage("eval"):
         report = _evaluate(
             reranked, qrels, cfg.metrics, out_path("metrics.tsv"), out_path("per_query.tsv")
@@ -535,9 +549,11 @@ def _cmd_index_build(args) -> None:
 
 def _cmd_index_search(args) -> None:
     index = _load(load_index, args.index)
-    lists = _search(index, _load(load_queries, args.queries), args.k, args.tag)
+    queries = _load(load_queries, args.queries)
+    lists = _search(index, queries, args.k, args.tag)
     with _open_out(args.out) as out:
         write_run(list(lists.values()), out)
+    _warn_no_candidates([q.id for q in queries if q.id not in lists], "queries without hits")
 
 
 def _cmd_fuse(args) -> None:

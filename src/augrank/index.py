@@ -10,6 +10,7 @@ ascending passage id so results are reproducible across platforms.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -37,7 +38,9 @@ def tokenize(text: str) -> TokenStream:
 
     "T5-xl re-ranker" -> ["t5", "xl", "re", "ranker"]
     """
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    # Lowercase each match, not the text: "İ".lower() appends a combining
+    # dot, which the pattern would treat as a boundary.
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 @dataclass
@@ -45,13 +48,18 @@ class InvertedIndex:
     """Term -> {passage id: tf} postings, each term's passages in corpus
     order, and each passage's token count. Every other statistic is
     derived: the totals once at construction (BM25 reads them per posting),
-    `collection_frequency` on demand."""
+    `collection_frequency` on demand, and each term's BM25 impacts the first
+    time `bm25_search` meets the term. The impacts are a cache: never saved,
+    not compared, and not shown."""
 
     postings: dict[str, dict[str, int]]
     doc_lengths: dict[str, int]
     doc_count: int = field(init=False)
     total_tokens: int = field(init=False)
     avg_doc_length: float = field(init=False)
+    _impacts: dict[str, list[tuple[str, float]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         self.doc_count = len(self.doc_lengths)
@@ -140,23 +148,39 @@ def bm25_score(index: InvertedIndex, query_terms: Sequence[str], passage_id: str
     return score
 
 
+def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
+    """(passage id, BM25 contribution) for each posting of `term`, in
+    postings order; computed on first use and cached on the index."""
+    impacts = index._impacts.get(term)
+    if impacts is None:
+        idf = _idf(index, term)
+        impacts = [
+            (pid, idf * _tf_weight(index, tf, index.doc_lengths[pid]))
+            for pid, tf in index.postings[term].items()
+        ]
+        index._impacts[term] = impacts
+    return impacts
+
+
 def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -> RankedList:
     """Top-k passages by BM25, score descending, ties by ascending passage id.
 
     Only passages containing at least one query term are returned, so the
-    result may be shorter than k.
+    result may be shorter than k. Each term's per-passage contributions are
+    computed once per index and reused by later queries; scores add them up
+    in query-term order, so every score is bit-identical to `bm25_score`'s
+    sum over the same terms.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    scores: defaultdict[str, float] = defaultdict(float)
+    scores: dict[str, float] = {}
+    get = scores.get
     for term in tokenize(query.text):
-        postings = index.postings.get(term)
-        if not postings:
+        if term not in index.postings:
             continue
-        idf = _idf(index, term)
-        for pid, tf in postings.items():
-            scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        for pid, impact in _term_impacts(index, term):
+            scores[pid] = get(pid, 0.0) + impact
+    ranked = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedList(query.id, tuple(ranked), tag)
 
 
@@ -202,9 +226,9 @@ def save_index(index: InvertedIndex, out: TextIO) -> None:
 
 def load_index(stream: TextIO) -> InvertedIndex:
     """Read an artifact written by `save_index`. A term without postings or
-    with a passage twice, a posting for a passage without a length, a tf
-    below 1, or a passage whose tfs do not sum to its length is a
-    ParseError."""
+    with a passage twice, a posting for a passage without a length, a tf or
+    a length that is not an integer, a tf below 1, a negative length, or a
+    passage whose tfs do not sum to its length is a ParseError."""
     header = stream.readline().rstrip("\n")
     if header != INDEX_MAGIC:
         raise ParseError(
@@ -218,6 +242,9 @@ def load_index(stream: TextIO) -> InvertedIndex:
         pairs = {t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"corrupt index payload: {exc}") from None
+    for pid, length in doc_lengths.items():
+        if type(length) is not int or length < 0:
+            raise ParseError(f"corrupt index payload: passage {pid!r} has length {length!r}")
     for term, plist in pairs.items():
         for pid, tf in plist:
             if not isinstance(pid, str) or pid not in token_counts:

@@ -22,7 +22,8 @@ in [0, 1], higher means more relevant:
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. Requests go through the standard
-  library's urllib.request, one fresh connection per batch. A failed
+  library's urllib.request, one fresh connection per batch; it is imported
+  at the first remote batch, so other commands start without it. A failed
   request, or any status but 200, is a TransportError naming the batch's
   input indices; a reply outside the contract is a ProtocolError.
 """
@@ -34,10 +35,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from http.client import HTTPException
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
-from urllib.request import Request, urlopen
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel
@@ -142,6 +140,12 @@ def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
 
 
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:
+    # Imported here: http.client and urllib.request are a large share of
+    # importing the CLI, and only this scorer uses them.
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
     url = endpoint.address.rstrip("/") + "/score"
     scores: list[float] = []
     for start in range(0, len(inputs), endpoint.batch_size):

@@ -2,10 +2,17 @@
 
 Everything here is coded straight from the definitions with plain loops
 and counting, deliberately avoiding the library's own code paths, so a
-bug in the implementation cannot hide in its oracle.
+bug in the implementation cannot hide in its oracle. The exception is
+`bm25_search_oracle`, the library's earlier, uncached `bm25_search`: it
+shares the per-posting arithmetic and differs in everything around it.
 """
 
 import math
+from collections import defaultdict
+
+from augrank.corpus_io import RankedList
+from augrank.errors import ValidationError
+from augrank.index import _idf, _tf_weight, tokenize
 
 
 def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):
@@ -23,6 +30,22 @@ def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):
         norm = 1.0 - b + b * len(mine) / avgdl
         score += idf * tf * (k1 + 1.0) / (tf + k1 * norm)
     return score
+
+
+def bm25_search_oracle(index, query, k, tag="bm25"):
+    """Top-k by BM25 with defaultdict accumulation and a full sort."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    scores = defaultdict(float)
+    for term in tokenize(query.text):
+        postings = index.postings.get(term)
+        if not postings:
+            continue
+        idf = _idf(index, term)
+        for pid, tf in postings.items():
+            scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return RankedList(query.id, tuple(ranked), tag)
 
 
 def kl_weights_oracle(snippet_token_lists, corpus_token_lists):

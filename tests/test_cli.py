@@ -112,6 +112,19 @@ class TestIndexCommands:
         assert {r.query_id for r in lists} == {"q1", "q2", "q3"}
         assert all(r.tag == "bm25" for r in lists)
 
+    def test_search_names_queries_without_hits_on_stderr(self, workspace, capsys):
+        index_path = workspace / "corpus.idx"
+        assert main(["index", "build", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(index_path)]) == 0
+        queries = [{"id": f"q{i}", "text": "zebra"} for i in range(7)]
+        write_jsonl(workspace / "queries.jsonl", queries + [{"id": "q7", "text": "shared"}])
+        capsys.readouterr()
+        assert main(["index", "search", "--index", str(index_path),
+                     "--queries", str(workspace / "queries.jsonl")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: queries without hits: 7 (q0, q1, q2, q3, q4, ...)\n"
+        assert {r.query_id for r in parse_run(captured.out)} == {"q7"}
+
     @pytest.mark.parametrize(
         "artifact, named",
         [
@@ -121,6 +134,8 @@ class TestIndexCommands:
              "'d9'"),
             ('augrank-index/2\n{"postings": {"a": [["d1", 2]]}, "doc_lengths": {"d1": 3}}',
              "length 3"),
+            ('augrank-index/2\n{"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": true}}',
+             "passage 'd1' has length True"),
         ],
     )
     def test_search_rejects_old_or_inconsistent_artifact(self, workspace, capsys, artifact, named):
@@ -304,6 +319,20 @@ class TestPipeline:
         compare_lines = (workspace / "out_aug" / "compare.tsv").read_text().splitlines()
         assert compare_lines[0].startswith("metric\t")
         assert any(line.startswith("s@1\t") for line in compare_lines[1:])
+
+    def test_judged_queries_without_candidates_named_on_stderr(self, workspace, capsys):
+        queries = [{"id": "q1", "text": "shared topic1"}, {"id": "q2", "text": "zebra"},
+                   {"id": "q3", "text": "yak"}, {"id": "q4", "text": "gnu"}]
+        write_jsonl(workspace / "queries.jsonl", queries)  # q4 is not judged
+        config = make_config(workspace, "out_drop")
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: judged queries without candidates, left out of the metrics: 2 (q2, q3)\n"
+        )
+        assert "queries\t1\n" in captured.out
+        run = parse_run((workspace / "out_drop" / "reranked.run").read_text())
+        assert [ranked.query_id for ranked in run] == ["q1"]
 
     def test_all_fallback_expansions_equal_mode_none(self, workspace):
         empty_cache = workspace / "empty_snippets.jsonl"

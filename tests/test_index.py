@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from augrank.corpus_io import Passage, Query, RankedList
 from augrank.errors import ConflictError, ParseError, UnknownIdError, ValidationError
 from augrank.index import (
+    _TOKEN_RE,
     INDEX_MAGIC,
     CorpusLanguageModel,
     FusionConfig,
@@ -23,7 +24,7 @@ from augrank.index import (
     save_index,
     tokenize,
 )
-from oracles import bm25_oracle
+from oracles import bm25_oracle, bm25_search_oracle
 
 
 class TestTokenize:
@@ -47,6 +48,16 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
         assert all(tokens)
+
+    @given(st.text())
+    def test_equals_lowercased_matches(self, text):
+        assert tokenize(text) == [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+
+    def test_dotted_capital_i_is_lowercased_after_matching(self):
+        # "İ".lower() is "i" plus a combining dot, which is not a word
+        # character: lowercasing the text first would split the token.
+        assert tokenize("İstanbul") == ["i\u0307stanbul"]
+        assert tokenize("İstanbul".lower()) == ["i", "stanbul"]
 
 
 def tiny_corpus():
@@ -191,6 +202,48 @@ class TestBm25Search:
             )
             for k in range(1, len(passages) + 2):
                 assert bm25_search(index, query, k).entries == tuple(exhaustive[:k])
+
+
+# Case variants share a token, "snake_case" and "x_1" split at the
+# underscore, "straße" and "STRASSE" stay two tokens, and "İstanbul" keeps
+# its combining dot inside one token.
+SEARCH_WORDS = ["apple", "APPLE", "İstanbul", "straße", "STRASSE", "x_1", "42", "snake_case", "b"]
+
+
+@st.composite
+def corpus_and_queries(draw):
+    vocab = draw(st.lists(st.sampled_from(SEARCH_WORDS), min_size=3, max_size=5, unique=True))
+    word_lists = st.lists(st.sampled_from(vocab), max_size=8)
+    texts = draw(st.lists(word_lists.map(" ".join), min_size=1, max_size=8))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=3))  # duplicate passages
+    pids = draw(st.permutations([f"p{i}" for i in range(len(texts))]))
+    query_words = st.lists(st.sampled_from(vocab + ["zebra", "_", "İ"]), max_size=6)
+    queries = draw(st.lists(query_words.map(" ".join), min_size=1, max_size=4))
+    return [Passage(pid, None, text) for pid, text in zip(pids, texts)], queries
+
+
+class TestBm25SearchOracle:
+    @given(corpus_and_queries(), st.data())
+    def test_entries_bit_identical_to_uncached_search(self, drawn, data):
+        passages, query_texts = drawn
+        index = build_index(passages)
+        before = io.StringIO()
+        save_index(index, before)
+        queries = [Query(f"q{i}", text) for i, text in enumerate(query_texts)]
+        # Interleave queries and depths, so each term's impacts are read
+        # both the first time (cold) and from the cache (warm).
+        calls = [(q, k) for q in queries for k in range(1, len(passages) + 2)]
+        for query, k in data.draw(st.permutations(calls)):
+            got = bm25_search(index, query, k, tag="t")
+            expected = bm25_search_oracle(index, query, k, tag="t")
+            assert got == expected
+            assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in expected.entries]
+        after = io.StringIO()
+        save_index(index, after)
+        assert after.getvalue() == before.getvalue()
+        after.seek(0)
+        loaded = load_index(after)
+        assert loaded == index
 
 
 class TestCorpusLanguageModel:
@@ -348,6 +401,10 @@ class TestIndexPersistence:
             (INDEX_MAGIC, {"postings": {}, "doc_lengths": [["d1", 1]]}, "corrupt"),
             (INDEX_MAGIC, {"postings": {"a": [["d1"]]}, "doc_lengths": {"d1": 1}}, "corrupt"),
             (INDEX_MAGIC, {"doc_lengths": {}}, "corrupt"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": True}},
+             "passage 'd1' has length True"),
+            (INDEX_MAGIC, {"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": 1.0}},
+             "passage 'd1' has length 1.0"),
         ],
     )
     def test_inconsistent_artifact_rejected(self, header, payload, match):
