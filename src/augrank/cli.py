@@ -13,7 +13,8 @@ and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
 byte-for-byte with the baseline scorer. Judged queries that got no
 candidates are left out of the run and the means; `pipeline run` names
-them in one stderr line, as `index search` does queries without hits.
+them in one stderr line, as `index search` does queries without hits and
+`eval` judged queries that the run does not hold.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -617,7 +618,13 @@ def _cmd_trainset_build(args) -> None:
 def _cmd_eval(args) -> None:
     metrics = MetricConfig(tuple(args.metrics.split(",")))
     lists = _load(parse_run, args.run)
-    _evaluate(lists, _load(parse_qrels, args.qrels), metrics, args.out, args.per_query)
+    qrels = _load(parse_qrels, args.qrels)
+    run_ids = {ranked.query_id for ranked in lists}
+    _warn_no_candidates(
+        [qid for qid in qrels.judgments if qid not in run_ids],
+        "judged queries missing from the run, left out of the metrics",
+    )
+    _evaluate(lists, qrels, metrics, args.out, args.per_query)
 
 
 def _cmd_compare(args) -> None:

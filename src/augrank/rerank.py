@@ -17,8 +17,10 @@ in [0, 1], higher means more relevant:
 
 - lexical_baseline: BM25 of the document against the tokenized query +
   description terms, squashed to [0, 1] via s/(s+1). Collection statistics
-  are computed over the batch's own documents, so the scorer is
-  self-contained (in the pipeline a batch is one query's candidate list).
+  are computed over the batch's distinct passage ids (a repeated id keeps
+  its first document), so the scorer is self-contained (in the pipeline a
+  batch is one query's candidate list). Each distinct passage and each
+  distinct query + description stream is tokenized once per batch.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. Requests go through the standard
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -40,7 +43,7 @@ from urllib.parse import urlsplit
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel
 from .errors import ProtocolError, TransportError, UnknownIdError, ValidationError
-from .index import bm25_score, build_index, tokenize
+from .index import BM25_B, BM25_K1, tokenize
 
 QUERY_LABEL = "Query:"
 DESCRIPTION_LABEL = "Description:"
@@ -124,17 +127,40 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
-    documents: dict[str, Passage] = {}
+    # Each distinct passage id and each distinct (query, description) stream
+    # is tokenized once; each term's idf is computed once. The arithmetic is
+    # `bm25_score`'s over an index of the batch's distinct passages, so the
+    # scores are bit-identical to it.
+    documents: dict[str, tuple[Counter[str], int]] = {}
+    streams: dict[tuple[str, str | None], list[str]] = {}
     for item in inputs:
         if item.passage_id not in documents:
-            documents[item.passage_id] = Passage(item.passage_id, None, item.document)
-    batch_index = build_index(list(documents.values()))
+            tokens = tokenize(item.document)
+            documents[item.passage_id] = (Counter(tokens), len(tokens))
+        key = (item.query, item.description)
+        if key not in streams:
+            terms = tokenize(item.query)
+            if item.description is not None:
+                terms += tokenize(item.description)
+            streams[key] = terms
+    doc_count = len(documents)
+    avg_doc_length = sum(length for _, length in documents.values()) / doc_count
+    query_terms = {term for terms in streams.values() for term in terms}
+    df = dict.fromkeys(query_terms, 0)
+    for counts, _ in documents.values():
+        for term in counts.keys() & query_terms:
+            df[term] += 1
+    idf = {term: math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5)) for term, n in df.items()}
     scores = []
     for item in inputs:
-        terms = tokenize(item.query)
-        if item.description is not None:
-            terms += tokenize(item.description)
-        raw = bm25_score(batch_index, terms, item.passage_id)
+        counts, length = documents[item.passage_id]
+        raw = 0.0
+        for term in streams[(item.query, item.description)]:
+            # get, not [], which would call Counter.__missing__ for every miss.
+            tf = counts.get(term, 0)
+            if tf:
+                norm = 1.0 - BM25_B + BM25_B * length / avg_doc_length
+                raw += idf[term] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
         scores.append(raw / (raw + 1.0))
     return scores
 

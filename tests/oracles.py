@@ -2,17 +2,21 @@
 
 Everything here is coded straight from the definitions with plain loops
 and counting, deliberately avoiding the library's own code paths, so a
-bug in the implementation cannot hide in its oracle. The exception is
-`bm25_search_oracle`, the library's earlier, uncached `bm25_search`: it
-shares the per-posting arithmetic and differs in everything around it.
+bug in the implementation cannot hide in its oracle. There are two
+exceptions, each the library's earlier version of a function, kept to pin
+a faster rewrite bit for bit: `bm25_search_oracle`, the uncached
+`bm25_search`, and `lexical_baseline_scores_oracle`, the lexical
+re-ranker that built an index over each batch and called `bm25_score`
+per candidate. Both share the per-posting arithmetic and differ in
+everything around it.
 """
 
 import math
 from collections import defaultdict
 
-from augrank.corpus_io import RankedList
+from augrank.corpus_io import Passage, RankedList
 from augrank.errors import ValidationError
-from augrank.index import _idf, _tf_weight, tokenize
+from augrank.index import _idf, _tf_weight, bm25_score, build_index, tokenize
 
 
 def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):
@@ -46,6 +50,24 @@ def bm25_search_oracle(index, query, k, tag="bm25"):
             scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     return RankedList(query.id, tuple(ranked), tag)
+
+
+def lexical_baseline_scores_oracle(inputs):
+    """Lexical re-ranker scores via an index over the batch's distinct
+    passages (the first document seen for an id wins) and `bm25_score`."""
+    documents = {}
+    for item in inputs:
+        if item.passage_id not in documents:
+            documents[item.passage_id] = Passage(item.passage_id, None, item.document)
+    batch_index = build_index(list(documents.values()))
+    scores = []
+    for item in inputs:
+        terms = tokenize(item.query)
+        if item.description is not None:
+            terms += tokenize(item.description)
+        raw = bm25_score(batch_index, terms, item.passage_id)
+        scores.append(raw / (raw + 1.0))
+    return scores
 
 
 def kl_weights_oracle(snippet_token_lists, corpus_token_lists):

@@ -241,6 +241,24 @@ class TestEvalAndCompareCommands:
             "mrr@2\t0.7500", "mrr@1\t0.5000", "ndcg@1\t0.5000"
         ]
 
+    def test_eval_names_judged_queries_missing_from_run_on_stderr(self, workspace, capsys):
+        (workspace / "qrels2.txt").write_text("q1 0 d1rel 1\nq2 0 d2rel 1\n")
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1rel 1 2.0 t\n")
+        args = ["eval", "--run", str(run), "--qrels", str(workspace / "qrels2.txt"),
+                "--metrics", "s@1"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "s@1\t1.0000\nqueries\t1\nunjudged\t0\n"
+        assert captured.err == (
+            "warning: judged queries missing from the run, left out of the metrics: 1 (q2)\n"
+        )
+        aggregate, per_query = workspace / "agg.tsv", workspace / "pq.tsv"
+        assert main(args + ["--out", str(aggregate), "--per-query", str(per_query)]) == 0
+        assert capsys.readouterr().out == ""
+        assert aggregate.read_text() == "s@1\t1.0000\nqueries\t1\nunjudged\t0\n"
+        assert per_query.read_text() == "query_id\ts@1\nq1\t1.000000\n"
+
     @pytest.mark.parametrize("metrics, named", [("s@1,S@1", "S@1")])
     def test_eval_rejects_conflicting_tokens(self, workspace, capsys, metrics, named):
         run = workspace / "toy.run"

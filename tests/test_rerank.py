@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import augrank.rerank as rerank_module
@@ -12,6 +12,7 @@ from augrank.corpus_io import Passage, Query, RankedList, TrainingLabel
 from augrank.errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from augrank.index import tokenize
 from augrank.rerank import (
+    RerankInput,
     ScorerEndpoint,
     ScorerKind,
     build_augmented_input,
@@ -20,7 +21,7 @@ from augrank.rerank import (
     score_batch,
     training_sequence,
 )
-from oracles import bm25_oracle
+from oracles import bm25_oracle, lexical_baseline_scores_oracle
 
 BASELINE = ScorerEndpoint(ScorerKind.LEXICAL_BASELINE)
 
@@ -195,6 +196,72 @@ class TestLexicalBaseline:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             score_batch([], BASELINE)
+
+
+# Words whose tokens are easy to get wrong: a lowercase that grows ("İ"),
+# a casefold the tokenizer must not apply ("straße" vs "STRASSE"), an
+# underscore boundary and the template's label literals.
+_TRICKY_WORDS = ["İstanbul", "straße", "STRASSE", "x_1", "Document:", "Query:", "Relevant:"]
+_PUNCTUATION_ONLY = ["", "!", "... --", "?!:"]
+
+
+@st.composite
+def lexical_batches(draw):
+    """Batches with shared small vocabularies (so df ties are common),
+    passage ids reused with other documents, repeated query terms, and
+    plain and augmented inputs for several queries side by side."""
+    vocab = draw(st.lists(st.sampled_from(["apple", "pie", "plum", "tart", "crumb", "zest"]),
+                          min_size=3, max_size=5, unique=True))
+    words = st.sampled_from(vocab + _TRICKY_WORDS)
+    text = st.lists(words, max_size=12).map(" ".join)
+    punctuation = st.sampled_from(_PUNCTUATION_ONLY)
+    document = punctuation if draw(st.booleans()) else st.one_of(text, punctuation)
+    streams = draw(st.lists(st.tuples(text, st.one_of(st.none(), text)), min_size=1, max_size=3))
+    items = draw(st.lists(
+        st.tuples(st.sampled_from(range(len(streams))), st.sampled_from(["p0", "p1", "p2", "p3"]),
+                  document),
+        min_size=1, max_size=8,
+    ))
+    return [
+        RerankInput(f"q{i}", pid, streams[i][0], streams[i][1], doc) for i, pid, doc in items
+    ]
+
+
+class TestLexicalBaselineBitExact:
+    @given(lexical_batches())
+    @example([RerankInput("q1", "p0", "apple", None, "!"),
+              RerankInput("q1", "p1", "apple pie", "x_1", "... --")])
+    @example([RerankInput("q1", "p0", "straße pie pie", "STRASSE", "straße pie"),
+              RerankInput("q1", "p0", "straße pie pie", "STRASSE", "STRASSE apple"),
+              RerankInput("q2", "p1", "İstanbul Document:", None, "istanbul document pie")])
+    # Summing this query's terms in any other order changes the last bit.
+    @example([RerankInput("q1", pid, "plum x_1 pie", None, doc) for pid, doc in (
+        ("p0", "straße apple pie apple straße"),
+        ("p1", "apple pie"),
+        ("p2", "x_1 straße x_1 pie"),
+    )])
+    def test_scores_match_index_oracle_bit_for_bit(self, batch):
+        got = score_batch(batch, BASELINE)
+        assert [s.hex() for s in got] == [s.hex() for s in lexical_baseline_scores_oracle(batch)]
+
+    def test_each_passage_and_query_stream_tokenized_once(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(rerank_module, "tokenize", counting_tokenize)
+        query, desc = Query("q1", "apple pie"), expansion("plum tart")
+        pids = ("d1", "d2", "d3", "d4", "d1")
+        items = [
+            build_augmented_input(query, desc, Passage(pid, None, f"{pid} apple text"))
+            for pid in pids
+        ]
+        score_batch(items, BASELINE)
+        assert sorted(calls) == sorted(
+            ["apple pie", "plum tart"] + [f"{pid} apple text" for pid in pids[:4]]
+        )
 
 
 class TestRemoteScorer:
