@@ -60,6 +60,7 @@ from .index import (
     bm25_score,
     bm25_search,
     build_index,
+    corpus_lm,
     estimate_corpus_lm,
     fuse_runs,
     tokenize,

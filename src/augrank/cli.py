@@ -74,6 +74,7 @@ from .index import (
     InvertedIndex,
     bm25_search,
     build_index,
+    corpus_lm,
     estimate_corpus_lm,
     fuse_runs,
     load_index,
@@ -480,13 +481,12 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
         qrels = _load(parse_qrels, cfg.qrels)
         cache = _load(load_snippet_cache, cfg.snippet_cache) if cfg.snippet_cache else {}
 
-    topical = cfg.mode == ExpansionMode.TOPICAL_TERMS.value
     with _stage("index"):
         index = lm = None
-        if cfg.initial_run is None or topical:
+        if cfg.initial_run is None:
             index = build_index(passages)
-        if topical:
-            lm = estimate_corpus_lm(index)
+        if cfg.mode == ExpansionMode.TOPICAL_TERMS.value:
+            lm = estimate_corpus_lm(index) if index is not None else corpus_lm(passages)
 
     with _stage("initial"):
         if cfg.initial_run:
@@ -571,7 +571,7 @@ def _cmd_expand(args) -> None:
     lm = None
     if mode is ExpansionMode.TOPICAL_TERMS:
         if args.corpus:
-            lm = estimate_corpus_lm(build_index(_load(load_corpus, args.corpus)))
+            lm = corpus_lm(_load(load_corpus, args.corpus))
         elif args.index:
             lm = estimate_corpus_lm(_load(load_index, args.index))
         else:

@@ -15,7 +15,7 @@ import json
 import math
 import re
 from collections import Counter, defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -49,15 +49,16 @@ class InvertedIndex:
     order, and each passage's token count. Every other statistic is
     derived: the totals once at construction (BM25 reads them per posting),
     `collection_frequency` on demand, and each term's BM25 impacts the first
-    time `bm25_search` meets the term. The impacts are a cache: never saved,
-    not compared, and not shown."""
+    time `bm25_search` meets the term, as floats aligned with the term's
+    postings. The impacts are a cache: never saved, not compared, and not
+    shown."""
 
     postings: dict[str, dict[str, int]]
     doc_lengths: dict[str, int]
     doc_count: int = field(init=False)
     total_tokens: int = field(init=False)
     avg_doc_length: float = field(init=False)
-    _impacts: dict[str, list[tuple[str, float]]] = field(
+    _impacts: dict[str, list[float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -89,7 +90,7 @@ class CorpusLanguageModel:
         object.__setattr__(self, "total_tokens", sum(self.collection_frequency.values()))
         object.__setattr__(self, "vocab_size", len(self.collection_frequency))
         if self.total_tokens <= 0:
-            raise ValidationError("cannot estimate a language model from an empty index")
+            raise ValidationError("cannot estimate a language model from a corpus with no tokens")
 
     def probability(self, term: str) -> float:
         cf = self.collection_frequency.get(term, 0)
@@ -148,14 +149,14 @@ def bm25_score(index: InvertedIndex, query_terms: Sequence[str], passage_id: str
     return score
 
 
-def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
-    """(passage id, BM25 contribution) for each posting of `term`, in
-    postings order; computed on first use and cached on the index."""
+def _term_impacts(index: InvertedIndex, term: str) -> list[float]:
+    """The BM25 contribution of each posting of `term`, aligned with
+    `index.postings[term]`; computed on first use and cached on the index."""
     impacts = index._impacts.get(term)
     if impacts is None:
         idf = _idf(index, term)
         impacts = [
-            (pid, idf * _tf_weight(index, tf, index.doc_lengths[pid]))
+            idf * _tf_weight(index, tf, index.doc_lengths[pid])
             for pid, tf in index.postings[term].items()
         ]
         index._impacts[term] = impacts
@@ -176,9 +177,10 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
     scores: dict[str, float] = {}
     get = scores.get
     for term in tokenize(query.text):
-        if term not in index.postings:
+        postings = index.postings.get(term)
+        if postings is None:
             continue
-        for pid, impact in _term_impacts(index, term):
+        for pid, impact in zip(postings, _term_impacts(index, term)):
             scores[pid] = get(pid, 0.0) + impact
     ranked = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedList(query.id, tuple(ranked), tag)
@@ -187,6 +189,16 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
 def estimate_corpus_lm(index: InvertedIndex) -> CorpusLanguageModel:
     """Add-one smoothed corpus language model from index statistics."""
     return CorpusLanguageModel(index.collection_frequency)
+
+
+def corpus_lm(passages: Iterable[Passage]) -> CorpusLanguageModel:
+    """The model `estimate_corpus_lm(build_index(passages))` returns, counted
+    from the passages' tokens without building postings. Passage ids are
+    not read, so pass each passage once (as `load_corpus` does)."""
+    counts: Counter[str] = Counter()
+    for passage in passages:
+        counts.update(tokenize(passage.text))
+    return CorpusLanguageModel(counts)
 
 
 def fuse_runs(

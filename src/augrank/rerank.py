@@ -23,10 +23,18 @@ in [0, 1], higher means more relevant:
   distinct query + description stream is tokenized once per batch.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
-  JSON numbers (not booleans) in [0, 1]. Requests go through the standard
-  library's urllib.request, one fresh connection per batch; it is imported
-  at the first remote batch, so other commands start without it. A failed
-  request, or any status but 200, is a TransportError naming the batch's
+  JSON numbers (not booleans) in [0, 1]. The address needs a host, and a
+  port in 1..65535 if it names one. Each call's batches go over one
+  HTTP/1.1 keep-alive connection from the standard library's http.client,
+  opened at the first batch and closed when the call returns; the HTTP
+  modules are imported then, so other commands start without them. A
+  request that fails on a reused connection before its reply (the server
+  closed it between requests) is sent once more on a new connection.
+  Proxies come from the environment as urllib.request reads them
+  (http_proxy, https_proxy, no_proxy); https goes through a CONNECT
+  tunnel, and HTTPS certificates are checked against the system trust
+  store. Any other failed request, or any status but 200 (a redirect
+  included: it is not followed), is a TransportError naming the batch's
   input indices; a reply outside the contract is a ProtocolError.
 """
 
@@ -38,7 +46,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel
@@ -68,10 +76,21 @@ class ScorerEndpoint:
     timeout: float = 10.0
 
     def __post_init__(self):
-        # urlopen would also follow file:, ftp: and data: URLs.
-        scheme = urlsplit(self.address or "").scheme
-        if self.kind is ScorerKind.REMOTE and scheme not in ("http", "https"):
-            raise ValidationError(f"remote scorer requires an http(s) address, got {self.address!r}")
+        if self.kind is ScorerKind.REMOTE:
+            parts = urlsplit(self.address or "")
+            if parts.scheme not in ("http", "https"):
+                raise ValidationError(
+                    f"remote scorer requires an http(s) address, got {self.address!r}"
+                )
+            try:
+                port_ok = parts.port != 0  # None (the scheme's default) or 1..65535
+            except ValueError:
+                port_ok = False
+            if not parts.hostname or not port_ok:
+                raise ValidationError(
+                    f"remote scorer address needs a host and a port in 1..65535, "
+                    f"got {self.address!r}"
+                )
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
@@ -165,47 +184,95 @@ def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
     return scores
 
 
+def _connection(url: str, timeout: float):
+    """An HTTP(S) connection for `url`, not yet opened, the request target
+    to send on it, and the headers for every request. The proxy is the one
+    urllib.request would use: taken from the environment, skipped for a
+    host in no_proxy; an http URL goes to it in absolute form, an https URL
+    through a CONNECT tunnel; user:password in its URL becomes a Basic
+    Proxy-Authorization header."""
+    from base64 import b64encode
+    from http.client import HTTPConnection, HTTPSConnection
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(url)
+    cls = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+    host = parts.netloc.rpartition("@")[2]
+    target = urlunsplit(("", "", parts.path, parts.query, ""))
+    headers = {"Content-Type": "application/json"}
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(host):
+        return cls(parts.hostname, parts.port, timeout=timeout), target, headers
+    proxy_parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
+    auth = {}
+    if proxy_parts.username and proxy_parts.password:
+        credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+        auth["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode("ascii")
+    connection = cls(unquote(proxy_parts.netloc.rpartition("@")[2]), timeout=timeout)
+    if parts.scheme == "https":
+        connection.set_tunnel(host, headers=auth)
+        return connection, target, headers
+    return connection, urlunsplit(parts._replace(fragment="")), headers | auth
+
+
+def _post(connection, target: str, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+    """Status and body of one POST. http.client opens the connection when it
+    has none, and keeps it open after a reply unless the server closes it."""
+    reused = connection.sock is not None
+    try:
+        connection.request("POST", target, body, headers)
+        response = connection.getresponse()
+    # http.client's RemoteDisconnected is a ConnectionResetError. A server
+    # may close a kept-alive connection between requests; that request is
+    # sent once more, on a new connection. A timeout is not retried.
+    except (ConnectionResetError, BrokenPipeError):
+        if not reused:
+            raise
+        connection.close()
+        connection.request("POST", target, body, headers)
+        response = connection.getresponse()
+    with response:
+        return response.status, response.read()
+
+
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:
     # Imported here: http.client and urllib.request are a large share of
     # importing the CLI, and only this scorer uses them.
     from http.client import HTTPException
-    from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
 
     url = endpoint.address.rstrip("/") + "/score"
+    connection = None
     scores: list[float] = []
-    for start in range(0, len(inputs), endpoint.batch_size):
-        batch = inputs[start : start + endpoint.batch_size]
-        indices = range(start, start + len(batch))
-        request = Request(
-            url,
-            data=json.dumps({"inputs": [item.sequence for item in batch]}).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urlopen(request, timeout=endpoint.timeout) as response:
-                status, body = response.status, response.read()
-        except HTTPError as exc:
-            exc.close()
-            raise TransportError(f"scorer returned HTTP {exc.code}", indices) from None
-        except (OSError, HTTPException) as exc:
-            raise TransportError(f"scorer request failed: {exc}", indices) from exc
-        if status != 200:
-            raise TransportError(f"scorer returned HTTP {status}", indices)
-        try:
-            payload = json.loads(body)
-        except ValueError:
-            raise ProtocolError("scorer response is not valid JSON") from None
-        got = payload.get("scores") if isinstance(payload, dict) else None
-        if not isinstance(got, list) or len(got) != len(batch):
-            raise ProtocolError(
-                f"expected {len(batch)} scores, got "
-                f"{len(got) if isinstance(got, list) else payload!r}"
-            )
-        for value in got:
-            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-                raise ProtocolError(f"score {value!r} outside [0, 1]")
-            scores.append(float(value))
+    try:
+        for start in range(0, len(inputs), endpoint.batch_size):
+            batch = inputs[start : start + endpoint.batch_size]
+            indices = range(start, start + len(batch))
+            body = json.dumps({"inputs": [item.sequence for item in batch]}).encode()
+            try:
+                if connection is None:
+                    connection, target, headers = _connection(url, endpoint.timeout)
+                status, data = _post(connection, target, body, headers)
+            except (OSError, HTTPException) as exc:
+                raise TransportError(f"scorer request failed: {exc}", indices) from exc
+            if status != 200:
+                raise TransportError(f"scorer returned HTTP {status}", indices)
+            try:
+                payload = json.loads(data)
+            except ValueError:
+                raise ProtocolError("scorer response is not valid JSON") from None
+            got = payload.get("scores") if isinstance(payload, dict) else None
+            if not isinstance(got, list) or len(got) != len(batch):
+                raise ProtocolError(
+                    f"expected {len(batch)} scores, got "
+                    f"{len(got) if isinstance(got, list) else payload!r}"
+                )
+            for value in got:
+                if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+                    raise ProtocolError(f"score {value!r} outside [0, 1]")
+                scores.append(float(value))
+    finally:
+        if connection is not None:
+            connection.close()
     return scores
 
 

@@ -65,6 +65,10 @@ def make_config(tmp_path, out_name, **extra):
     return path
 
 
+def no_index(passages):
+    raise AssertionError("build_index called")
+
+
 def read_metric(path: Path, token: str) -> float:
     for line in path.read_text().splitlines():
         name, value = line.split("\t")
@@ -179,7 +183,8 @@ class TestExpandCommand:
                      "--mode", "terms"])
         assert code == 2
 
-    def test_terms_with_corpus(self, workspace):
+    def test_terms_with_corpus(self, workspace, monkeypatch):
+        monkeypatch.setattr("augrank.cli.build_index", no_index)  # counted from tokens
         out = workspace / "term_expansions.jsonl"
         assert main(["expand", "--queries", str(workspace / "queries.jsonl"),
                      "--snippets", str(workspace / "snippets.jsonl"),
@@ -389,6 +394,20 @@ class TestPipeline:
         assert main(["pipeline", "run", "--config", str(config)]) == 0
         assert (workspace / "out_fused" / "reranked.run").exists()
 
+    def test_terms_with_initial_run_builds_no_index(self, workspace, monkeypatch):
+        monkeypatch.setattr("augrank.cli.build_index", no_index)
+        initial = workspace / "initial.run"
+        initial.write_text("".join(
+            f"q{i} Q0 d{i}{suffix} {r} {3 - r}.0 init\n"
+            for i in (1, 2, 3) for r, suffix in enumerate(("a", "rel", "b"), start=1)
+        ))
+        config = make_config(workspace, "out_terms_initial", mode="terms",
+                             initial_run=str(initial))
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        records = [json.loads(line) for line in
+                   (workspace / "out_terms_initial" / "expansions.jsonl").read_text().splitlines()]
+        assert "marker1" in records[0]["text"].split()
+
     def test_remote_scorer_pipeline(self, workspace, scorer_server):
         config = make_config(
             workspace, "out_remote",
@@ -447,7 +466,12 @@ class TestPipeline:
          ({"fusion_alpha": -1}, "fusion alpha must be finite and >= 0, got -1"),
          ({"max_snippets": 0}, "max_snippets must be >= 1, got 0"),
          ({"mode": "fancy"}, "unknown expansion mode 'fancy'"),
-         ({"metrics": "s@0"}, "metric token 's@0': cutoff must be >= 1")],
+         ({"metrics": "s@0"}, "metric token 's@0': cutoff must be >= 1"),
+         ({"scorer": "remote", "scorer_address": "http:///score"},
+          "remote scorer address needs a host and a port in 1..65535, got 'http:///score'"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:abc"},
+          "remote scorer address needs a host and a port in 1..65535, "
+          "got 'http://127.0.0.1:abc'")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)

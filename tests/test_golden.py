@@ -104,11 +104,8 @@ def golden_workspace(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_pipeline_artifacts_match_golden_hashes(golden_workspace, mode):
-    root = golden_workspace
-    out = root / f"out_{mode}"
-    config = root / f"{mode}.json"
+def _golden_config(root, mode, out, **extra):
+    config = root / f"{out.name}.json"
     config.write_text(json.dumps({
         "corpus": str(root / "corpus.jsonl"),
         "queries": str(root / "queries.jsonl"),
@@ -121,7 +118,16 @@ def test_pipeline_artifacts_match_golden_hashes(golden_workspace, mode):
         "max_words": 20,
         "max_terms": 6,
         "rerank_depth": 10,
+        **extra,
     }))
+    return config
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_pipeline_artifacts_match_golden_hashes(golden_workspace, mode):
+    root = golden_workspace
+    out = root / f"out_{mode}"
+    config = _golden_config(root, mode, out)
     assert main(["pipeline", "run", "--config", str(config)]) == 0
     got = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -129,3 +135,14 @@ def test_pipeline_artifacts_match_golden_hashes(golden_workspace, mode):
         if (out / name).exists()
     }
     assert got == GOLDEN[mode]
+
+
+def test_terms_expansions_from_an_initial_run_match_golden_hash(golden_workspace):
+    """With an initial run no index is built, and the corpus language model
+    counted from the passages' tokens gives the same expansions."""
+    root = golden_workspace
+    out = root / "out_terms_initial"
+    config = _golden_config(root, "terms", out, initial_run=str(root / "baseline.run"))
+    assert main(["pipeline", "run", "--config", str(config)]) == 0
+    expansions = hashlib.sha256((out / "expansions.jsonl").read_bytes()).hexdigest()
+    assert expansions == GOLDEN["terms"]["expansions.jsonl"]

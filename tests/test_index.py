@@ -18,6 +18,7 @@ from augrank.index import (
     bm25_score,
     bm25_search,
     build_index,
+    corpus_lm,
     estimate_corpus_lm,
     fuse_runs,
     load_index,
@@ -285,6 +286,32 @@ class TestCorpusLanguageModel:
         assert lm.probability("zzz") > 0
         # add-one over observed types: Σ (cf+1)/(total+V) = 1 exactly
         assert math.isclose(observed_mass, 1.0, rel_tol=1e-12)
+
+
+# Texts whose tokens are easy to get wrong: a lowercase that grows ("İ"), a
+# casefold the tokenizer must not apply ("straße" vs "STRASSE"), an
+# underscore boundary, and punctuation-only passages.
+_LM_TEXTS = st.lists(
+    st.sampled_from(["İstanbul", "straße", "STRASSE", "x_1", "apple", "pie", "!", "... --"]),
+    max_size=8,
+).map(" ".join)
+
+
+class TestCorpusLmFromTokens:
+    @given(st.lists(_LM_TEXTS, min_size=1, max_size=6))
+    def test_equals_the_index_estimate(self, texts):
+        passages = [Passage(f"d{i}", None, text) for i, text in enumerate(texts)]
+        if not any(tokenize(text) for text in texts):
+            with pytest.raises(ValidationError):
+                corpus_lm(passages)
+            with pytest.raises(ValidationError):
+                estimate_corpus_lm(build_index(passages))
+            return
+        got, want = corpus_lm(passages), estimate_corpus_lm(build_index(passages))
+        assert list(got.collection_frequency.items()) == list(want.collection_frequency.items())
+        assert (got.total_tokens, got.vocab_size) == (want.total_tokens, want.vocab_size)
+        for term in [*want.collection_frequency, "unseen", "i", "strasse", "x_1"]:
+            assert got.probability(term).hex() == want.probability(term).hex()
 
 
 class TestFuseRuns:
