@@ -482,11 +482,8 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
         cache = _load(load_snippet_cache, cfg.snippet_cache) if cfg.snippet_cache else {}
 
     with _stage("index"):
-        index = lm = None
-        if cfg.initial_run is None:
-            index = build_index(passages)
-        if cfg.mode == ExpansionMode.TOPICAL_TERMS.value:
-            lm = estimate_corpus_lm(index) if index is not None else corpus_lm(passages)
+        index = build_index(passages) if cfg.initial_run is None else None
+        lm = corpus_lm(passages) if cfg.mode == ExpansionMode.TOPICAL_TERMS.value else None
 
     with _stage("initial"):
         if cfg.initial_run:

@@ -188,9 +188,9 @@ def _connection(url: str, timeout: float):
     """An HTTP(S) connection for `url`, not yet opened, the request target
     to send on it, and the headers for every request. The proxy is the one
     urllib.request would use: taken from the environment, skipped for a
-    host in no_proxy; an http URL goes to it in absolute form, an https URL
-    through a CONNECT tunnel; user:password in its URL becomes a Basic
-    Proxy-Authorization header."""
+    host in no_proxy; an http URL goes to it in absolute form (over TLS when
+    the proxy URL is https://), an https URL through a CONNECT tunnel;
+    user:password in its URL becomes a Basic Proxy-Authorization header."""
     from base64 import b64encode
     from http.client import HTTPConnection, HTTPSConnection
     from urllib.request import getproxies, proxy_bypass
@@ -208,10 +208,14 @@ def _connection(url: str, timeout: float):
     if proxy_parts.username and proxy_parts.password:
         credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
         auth["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode("ascii")
-    connection = cls(unquote(proxy_parts.netloc.rpartition("@")[2]), timeout=timeout)
+    proxy_host = unquote(proxy_parts.netloc.rpartition("@")[2])
     if parts.scheme == "https":
+        connection = cls(proxy_host, timeout=timeout)
         connection.set_tunnel(host, headers=auth)
         return connection, target, headers
+    # An http request is sent to an https:// proxy over TLS, as urllib does.
+    cls = HTTPSConnection if proxy_parts.scheme == "https" else HTTPConnection
+    connection = cls(proxy_host, timeout=timeout)
     return connection, urlunsplit(parts._replace(fragment="")), headers | auth
 
 

@@ -513,6 +513,25 @@ class TestRemoteConnection:
         score_batch(self.items(1), ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address))
         assert scorer_server.last_path == "/score"
 
+    # As urllib does: an http request follows the proxy URL's scheme (TLS
+    # to an https:// proxy); an https one is always tunnelled, so the
+    # connection is TLS to the target whatever the proxy's scheme.
+    @pytest.mark.parametrize(
+        "url, proxy, cls, tunnel",
+        [("http://localhost:1", "http://proxy.invalid:3128", "HTTPConnection", None),
+         ("http://localhost:1", "https://proxy.invalid:3128", "HTTPSConnection", None),
+         ("http://localhost:1", "proxy.invalid:3128", "HTTPConnection", None),
+         ("https://localhost", "http://proxy.invalid:3128", "HTTPSConnection", "localhost"),
+         ("https://localhost", "https://proxy.invalid:3128", "HTTPSConnection", "localhost")],
+    )
+    def test_connection_class_follows_urllib(self, no_proxy_env, url, proxy, cls, tunnel):
+        no_proxy_env.setenv(url.partition(":")[0] + "_proxy", proxy)
+        connection, _, _ = rerank_module._connection(url + "/score", 1.0)
+        assert type(connection).__name__ == cls
+        assert (connection.host, connection.port) == ("proxy.invalid", 3128)
+        assert connection._tunnel_host == tunnel
+        assert connection.sock is None  # nothing is opened until a request
+
     def test_https_goes_through_a_connect_tunnel(self, scorer_server, no_proxy_env):
         port = scorer_server.server_address[1]
         no_proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{port}")
