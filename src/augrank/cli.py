@@ -51,6 +51,7 @@ from .corpus_io import (
     RankedList,
     Snippet,
     SnippetSource,
+    _holds_lone_surrogate,
     _iter_lines,
     load_corpus,
     load_queries,
@@ -270,12 +271,16 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config {path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"config {path}: {_not_utf8(path)}") from None
     if not isinstance(data, dict):
         raise ParseError(f"config {path}: expected a JSON object")
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    for key in data:
+    for key, raw in data.items():
         if key not in fields:
             raise ValidationError(f"config {path}: unknown key {key!r}")
+        if isinstance(raw, str) and _holds_lone_surrogate(raw):
+            raise ParseError(f"config {path}: {key} holds a lone surrogate")
     values = dict(data)
     values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
 
@@ -339,15 +344,30 @@ def _open_out(path: str | None):
             yield handle
 
 
+def _not_utf8(path: str) -> str:
+    """Names the first line of the file at `path` that is not UTF-8. Reads
+    the file again in binary, so call it only after decoding failed."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()  # the line ends text mode splits on
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"line {line_no}: not UTF-8 text ({exc.reason})"
+    return "not UTF-8 text"
+
+
 def _load(loader: Callable[[TextIO], T], path: str) -> T:
     """`loader` applied to the file at `path`; a parse or duplicate-key
-    error names the file in front of its line."""
+    error, or text that is not UTF-8, names the file in front of its line."""
     with open(path, encoding="utf-8") as handle:
         try:
             return loader(handle)
         except (ParseError, ConflictError) as exc:
             exc.args = (f"{path}: {exc}",)
             raise
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: {_not_utf8(path)}") from None
 
 
 def _by_id(items):

@@ -259,9 +259,22 @@ _FIELD_TYPES: dict[str, tuple[type, ...]] = {
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", type(None): "null"}
 
 
+def _holds_lone_surrogate(text: str) -> bool:
+    """True when `text` cannot be written as UTF-8, which only a lone
+    surrogate (from a JSON escape such as "\\ud800") causes. O(1) for ASCII."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
     """One JSONL record whose named fields are checked against
-    `_FIELD_TYPES`; read a nullable field with `get`."""
+    `_FIELD_TYPES`; read a nullable field with `get`. A string field that
+    holds a lone surrogate is rejected too: no artifact could hold it."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -269,13 +282,17 @@ def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", line_no)
     for key in fields:
-        if type(record.get(key)) not in _FIELD_TYPES[key]:
+        value = record.get(key)
+        if type(value) not in _FIELD_TYPES[key]:
             if key not in record:
                 raise ParseError(f"missing field {key!r}", line_no)
             expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _FIELD_TYPES[key])
             raise ParseError(
-                f"field {key!r} must be {expected}, got {json.dumps(record[key])}", line_no
+                f"field {key!r} must be {expected}, got {json.dumps(value)}", line_no
             )
+        # isascii() first: a call per ASCII field is measurable on a corpus.
+        if type(value) is str and not value.isascii() and _holds_lone_surrogate(value):
+            raise ParseError(f"field {key!r} holds a lone surrogate", line_no)
     return record
 
 

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .corpus_io import Passage, Query, RankedList
+from .corpus_io import Passage, Query, RankedList, _holds_lone_surrogate
 from .errors import ConflictError, ParseError, UnknownIdError, ValidationError
 
 BM25_K1 = 0.9
@@ -30,16 +30,28 @@ INDEX_MAGIC = "augrank-index/2"
 # Runs of Unicode letters/digits; underscore and punctuation are boundaries.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Every ASCII code point that is not a letter or digit, mapped to a space.
+_ASCII_BOUNDARIES = str.maketrans({c: " " for c in range(128) if not chr(c).isalnum()})
+
 TokenStream = list[str]
 
 
 def tokenize(text: str) -> TokenStream:
-    """Lowercased tokens split on non-alphanumeric boundaries.
+    r"""Lowercased runs of Unicode letters and digits; underscore and
+    punctuation are boundaries.
 
     "T5-xl re-ranker" -> ["t5", "xl", "re", "ranker"]
+
+    Two paths give the same tokens. ASCII text is lowercased, every
+    non-alphanumeric character becomes a space, and the result is split:
+    in ASCII `[^\W_]` is exactly `[A-Za-z0-9]`, and lowercasing maps only
+    A-Z to a-z, so it moves no boundary and `split()` returns the maximal
+    runs. Other text is matched first and each match lowercased, since
+    there lowercasing can move a boundary: "İ".lower() appends a combining
+    dot, which the pattern treats as a boundary.
     """
-    # Lowercase each match, not the text: "İ".lower() appends a combining
-    # dot, which the pattern would treat as a boundary.
+    if text.isascii():
+        return text.lower().translate(_ASCII_BOUNDARIES).split()
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
@@ -170,7 +182,9 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
     result may be shorter than k. Each term's per-passage contributions are
     computed once per index and reused by later queries; scores add them up
     in query-term order, so every score is bit-identical to `bm25_score`'s
-    sum over the same terms.
+    sum over the same terms. With more than k scored passages, the k-th
+    largest score is the floor: only passages scoring at least the floor,
+    ties at it included, are sorted, and the first k kept.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -182,7 +196,11 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
             continue
         for pid, impact in zip(postings, _term_impacts(index, term)):
             scores[pid] = get(pid, 0.0) + impact
-    ranked = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    items = scores.items()
+    if len(scores) > k:
+        floor = heapq.nlargest(k, scores.values())[-1]
+        items = [(pid, score) for pid, score in items if score >= floor]
+    ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:k]
     return RankedList(query.id, tuple(ranked), tag)
 
 
@@ -239,8 +257,9 @@ def save_index(index: InvertedIndex, out: TextIO) -> None:
 def load_index(stream: TextIO) -> InvertedIndex:
     """Read an artifact written by `save_index`. A term without postings or
     with a passage twice, a posting for a passage without a length, a tf or
-    a length that is not an integer, a tf below 1, a negative length, or a
-    passage whose tfs do not sum to its length is a ParseError."""
+    a length that is not an integer, a tf below 1, a negative length, a
+    passage id holding a lone surrogate, or a passage whose tfs do not sum
+    to its length is a ParseError."""
     header = stream.readline().rstrip("\n")
     if header != INDEX_MAGIC:
         raise ParseError(
@@ -257,6 +276,8 @@ def load_index(stream: TextIO) -> InvertedIndex:
     for pid, length in doc_lengths.items():
         if type(length) is not int or length < 0:
             raise ParseError(f"corrupt index payload: passage {pid!r} has length {length!r}")
+        if _holds_lone_surrogate(pid):
+            raise ParseError(f"corrupt index payload: passage {pid!r} holds a lone surrogate")
     for term, plist in pairs.items():
         for pid, tf in plist:
             if not isinstance(pid, str) or pid not in token_counts:

@@ -140,6 +140,9 @@ class TestIndexCommands:
              "length 3"),
             ('augrank-index/2\n{"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": true}}',
              "passage 'd1' has length True"),
+            ('augrank-index/2\n{"postings": {"a": [["d\\ud800", 1]]}, '
+             '"doc_lengths": {"d\\ud800": 1}}',
+             "passage 'd\\ud800' holds a lone surrogate"),
         ],
     )
     def test_search_rejects_old_or_inconsistent_artifact(self, workspace, capsys, artifact, named):
@@ -545,6 +548,54 @@ class TestExitCodes:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+
+    def test_undecodable_input_names_the_file_and_line(self, workspace, capsys):
+        corpus = workspace / "raw_ff_corpus.jsonl"
+        corpus.write_bytes(b'{"id": "d1", "text": "a"}\r\n{"id": "d2", "text": "b\xff"}\n')
+        qrels = workspace / "raw_fe_qrels.txt"
+        qrels.write_bytes(b"q1 0 d1rel 1\n\nq2 0 d2rel\xfe 1\n")  # a blank line 2
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1rel 1 1.0 t\n")
+        config = make_config(workspace, "out_raw_config")
+        config.write_bytes(config.read_bytes()[:-1] + b', "run_tag": "\xff"}')
+        surrogate_corpus = workspace / "surrogate_corpus.jsonl"
+        surrogate_corpus.write_text(
+            '{"id": "d1", "text": "shared topic1"}\n{"id": "d2", "text": "x \\ud800"}\n'
+        )
+        surrogate_config = make_config(workspace, "out_surrogate_config")
+        surrogate_config.write_text(surrogate_config.read_text()[:-1] + ', "run_tag": "\\ud800"}')
+        surrogate_snippets = workspace / "surrogate_snippets.jsonl"
+        surrogate_snippets.write_text(
+            '{"query_id": "q1", "rank": 1, "kind": "organic", "text": "\\udc80 y", '
+            '"source": "web_serp"}\n'
+        )
+        cases = [
+            (["pipeline", "run", "--config",
+              str(make_config(workspace, "out_raw", corpus=str(corpus)))],
+             f"{corpus}: line 2: not UTF-8 text"),
+            (["eval", "--run", str(run), "--qrels", str(qrels)],
+             f"{qrels}: line 3: not UTF-8 text"),
+            (["pipeline", "run", "--config", str(config)],
+             f"config {config}: line 1: not UTF-8 text"),
+            (["pipeline", "run", "--config",
+              str(make_config(workspace, "out_surrogate", corpus=str(surrogate_corpus)))],
+             f"{surrogate_corpus}: line 2: field 'text' holds a lone surrogate"),
+            (["pipeline", "run", "--config", str(surrogate_config)],
+             f"config {surrogate_config}: run_tag holds a lone surrogate"),
+            (["expand", "--queries", str(workspace / "queries.jsonl"),
+              "--snippets", str(surrogate_snippets), "--mode", "nl",
+              "--out", str(workspace / "surrogate_expansions.jsonl")],
+             f"{surrogate_snippets}: line 1: field 'text' holds a lone surrogate"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        for out in ("out_raw", "out_surrogate"):
+            assert not any((workspace / out).iterdir())
+        assert not (workspace / "out_raw_config").exists()
+        assert not (workspace / "out_surrogate_config").exists()
+        assert not (workspace / "surrogate_expansions.jsonl").exists()
 
     def test_transport_error_is_three(self, workspace):
         config = make_config(

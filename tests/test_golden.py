@@ -146,3 +146,97 @@ def test_terms_expansions_from_an_initial_run_match_golden_hash(golden_workspace
     assert main(["pipeline", "run", "--config", str(config)]) == 0
     expansions = hashlib.sha256((out / "expansions.jsonl").read_bytes()).hexdigest()
     assert expansions == GOLDEN["terms"]["expansions.jsonl"]
+
+
+# Capitals, underscores, tabs, digits, dotted capital I (lowercases to two
+# code points), "Straße" and "STRASSE" (two tokens: no casefolding), an
+# accented word and a punctuation-only passage: text that takes the
+# tokenizer's non-ASCII path and its ASCII path with every kind of boundary.
+MIXED_VOCAB = [
+    "Apple", "RIVER", "stone_cloud", "Engine42", "İstanbul", "Straße", "STRASSE",
+    "x_1", "T5-xl", "re-ranker", "Crème", "brûlée", "Harbor\tlight", "2022", "velvet",
+    "Orbit;", "(meadow)", "it's", "__init__", "snake_case",
+]
+
+# Recorded with a tokenizer that matched every text with the regex, so they
+# pin that its ASCII path changes no byte.
+MIXED_GOLDEN = {
+    "none": {
+        "reranked.run": "924d28d4564ea074e1eb5df3a7b4cc79809cb4bc0d59f6f6b25671bea93a1513",
+        "inputs.jsonl": "578e848c34990edf7bfd09b0a194938e1ee298f68adeaff1fc00a92ab3a4d0fa",
+        "metrics.tsv": "6eab3d455cef36e8bc70fd7ec581c4ae440685e78caea94dc2d033e23b11226f",
+        "per_query.tsv": "9532805ad70215f1d6773478d7860ef6a178e50e1f2440527120cd094033db61",
+        "compare.tsv": "4ab78ba25bc0b4a6f4770c9d7a0eb432fc70fd606f9112650f6de82499548d37",
+    },
+    "terms": {
+        "reranked.run": "9617ad9dd0c996e7fab1a4ffb1e990949667aae9deeb6a77119453372cd7abab",
+        "expansions.jsonl": "39d7b747b7907dce114180a8fb44f599d7e9502c319afdac021e01a77bc54084",
+        "inputs.jsonl": "75ae437de2d81c9c536f068f46082faf069e0e0300e53f20fd08444cc1e0fb6e",
+        "metrics.tsv": "27928bf4bed463b333c16cb95a740c2dc5a53d5d2090be2b0d1bdea516e73bf4",
+        "per_query.tsv": "d2d5e9ad30378c7543daa0afa9ce91402ad41ab276748f5c04ab155bce4d2848",
+        "compare.tsv": "63e86957a47e4efeb8d798384c896d18f781051bf1c86b47bf083769a9bd40bf",
+    },
+}
+
+
+def _mixed_words(seed: int, count: int) -> str:
+    return " ".join(
+        MIXED_VOCAB[(seed * 3 + i * 7 + i * i) % len(MIXED_VOCAB)] for i in range(count)
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_workspace(tmp_path_factory):
+    """16 passages, p15 punctuation only; 5 queries, q4's snippets
+    punctuation only (so its terms expansion falls back); a dense run that
+    brings p15 into every candidate list."""
+    root = tmp_path_factory.mktemp("mixed")
+    passages = [{"id": f"p{i:02d}", "text": _mixed_words(i, 6 + i % 4)} for i in range(15)]
+    passages.append({"id": "p15", "text": "... -- !? ;\t_"})
+    _write_jsonl(root / "corpus.jsonl", passages)
+    _write_jsonl(
+        root / "queries.jsonl",
+        [{"id": f"q{i}", "text": _mixed_words(50 + i, 2 + i % 2)} for i in range(5)],
+    )
+    (root / "qrels.txt").write_text(
+        "".join(f"q{i} 0 p{(i * 3) % 15:02d} 1\n" for i in range(5)) + "q1 0 p15 1\n"
+    )
+    _write_jsonl(
+        root / "snippets.jsonl",
+        [
+            {"query_id": f"q{i}", "rank": r, "kind": "organic",
+             "text": "?! -- ..." if i == 4 else _mixed_words(80 + 2 * i + r, 8) + ".",
+             "source": "web_serp"}
+            for i in range(5)
+            for r in range(1, 4)
+        ],
+    )
+    (root / "dense.run").write_text(
+        "".join(
+            f"q{i} Q0 {pid} {j + 1} {5 - j}.25 dense\n"
+            for i in range(5)
+            for j, pid in enumerate(["p15", f"p{(i * 4) % 15:02d}", f"p{(i * 4 + 1) % 15:02d}"])
+        )
+    )
+    (root / "baseline.run").write_text(
+        "".join(
+            f"q{i} Q0 p{(i * 2 + j) % 16:02d} {j + 1} {6 - j}.0 base\n"
+            for i in range(5)
+            for j in range(5)
+        )
+    )
+    return root
+
+
+@pytest.mark.parametrize("mode", sorted(MIXED_GOLDEN))
+def test_mixed_text_pipeline_artifacts_match_golden_hashes(mixed_workspace, mode):
+    root = mixed_workspace
+    out = root / f"out_{mode}"
+    config = _golden_config(root, mode, out)
+    assert main(["pipeline", "run", "--config", str(config)]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (out / name).exists()
+    }
+    assert got == MIXED_GOLDEN[mode]

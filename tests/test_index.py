@@ -54,6 +54,19 @@ class TestTokenize:
     def test_equals_lowercased_matches(self, text):
         assert tokenize(text) == [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
 
+    def test_every_ascii_character_splits_as_the_pattern_does(self):
+        # Includes the separators str.split() knows beyond " \t\n\r"
+        # (\x0b, \x0c, \x1c-\x1f), "_", and DEL.
+        for code in range(128):
+            c = chr(code)
+            for text in (c, "a" + c + "B", c + "Z9" + c):
+                expected = [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+                assert tokenize(text) == expected, repr(text)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_ascii_text_equals_lowercased_matches(self, text):
+        assert tokenize(text) == [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+
     def test_dotted_capital_i_is_lowercased_after_matching(self):
         # "İ".lower() is "i" plus a combining dot, which is not a word
         # character: lowercasing the text first would split the token.
@@ -245,6 +258,28 @@ class TestBm25SearchOracle:
         after.seek(0)
         loaded = load_index(after)
         assert loaded == index
+
+
+class TestBm25SearchTies:
+    def test_ties_at_the_kth_score_break_by_passage_id(self):
+        # Duplicate texts tie: 4 x "apple pie", 3 x "apple", 2 x "pie pie",
+        # then one passage without a query term. Ids are not in corpus order.
+        texts = ["apple pie"] * 4 + ["apple"] * 3 + ["pie pie"] * 2 + ["zebra"]
+        pids = ["p5", "p1", "p8", "p3", "p9", "p0", "p4", "p7", "p2", "p6"]
+        index = build_index([Passage(pid, None, text) for pid, text in zip(pids, texts)])
+        query = Query("q", "apple pie")
+        full = bm25_search_oracle(index, query, len(pids)).entries
+        # Nine hits; for k = 1, 2, 3 the k-th score is shared by passages
+        # that do not fit in k, and from k = 9 on every hit fits.
+        assert len(full) == 9
+        assert full[0][1] == full[3][1] > full[4][1]
+        for k in range(1, len(full) + 2):
+            got = bm25_search(index, query, k)
+            expected = bm25_search_oracle(index, query, k)
+            assert got == expected
+            assert [(pid, s.hex()) for pid, s in got.entries] == [
+                (pid, s.hex()) for pid, s in expected.entries
+            ]
 
 
 class TestCorpusLanguageModel:
