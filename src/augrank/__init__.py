@@ -57,7 +57,6 @@ from .index import (
     CorpusLanguageModel,
     FusionConfig,
     InvertedIndex,
-    bm25_score,
     bm25_search,
     build_index,
     corpus_lm,

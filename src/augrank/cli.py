@@ -12,9 +12,11 @@ expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
 and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
 byte-for-byte with the baseline scorer. Judged queries that got no
-candidates are left out of the run and the means; `pipeline run` names
-them in one stderr line, as `index search` does queries without hits and
-`eval` judged queries that the run does not hold.
+candidates are left out of the run and the means, and queries of a
+supplied initial or dense run that the query file lacks are left out of
+the run; `pipeline run` names each kind in one stderr line, as `index
+search` does queries without hits and `eval` judged queries that the run
+does not hold.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -390,7 +392,7 @@ def _search(
     return lists
 
 
-def _warn_no_candidates(query_ids: Sequence[str], what: str) -> None:
+def _warn_queries(query_ids: Sequence[str], what: str) -> None:
     """One stderr line: `what`, then the count and the first few ids."""
     if query_ids:
         shown = ", ".join(query_ids[:5]) + (", ..." if len(query_ids) > 5 else "")
@@ -442,8 +444,9 @@ def _rerank(
     inputs_out: TextIO | None = None,
 ) -> list[RankedList]:
     """Rerank the top k of each query's initial list, in query order, and
-    write the run to `out_path` (stdout when None). With `inputs_out`, every
-    scorer input is also written there as one rendered JSON record."""
+    write the run to `out_path` (stdout when None). With `inputs_out`, each
+    query's scorer inputs are also written there, once it has been
+    reranked, as one rendered JSON record each."""
     reranked = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -451,17 +454,15 @@ def _rerank(
             continue
         depth = min(k, len(ranked.entries))
         expansion = expansions.get(query.id)
+        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth, tag))
         if inputs_out is not None:
             for pid, _ in ranked.entries[:depth]:
-                if pid not in corpus:
-                    continue  # rerank_topk raises the definitive error
                 if expansion is not None:
                     item = build_augmented_input(query, expansion, corpus[pid])
                 else:
                     item = build_input(query, corpus[pid])
                 record = {"query_id": query.id, "passage_id": pid, "sequence": item.sequence}
                 inputs_out.write(json.dumps(record, ensure_ascii=False) + "\n")
-        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth, tag))
     with _open_out(out_path) as out:
         write_run(reranked, out)
     return reranked
@@ -514,6 +515,11 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
     with _stage("fuse"):
         if cfg.dense_run:
             initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion, cfg.run_tag)
+    query_ids = {q.id for q in queries}
+    _warn_queries(
+        [qid for qid in initial if qid not in query_ids],
+        "run queries missing from the query file, left out of the run",
+    )
 
     with _stage("expand"):
         expansions: dict[str, Expansion] = {}
@@ -530,7 +536,7 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
             )
 
     ranked_ids = {ranked.query_id for ranked in reranked}
-    _warn_no_candidates(
+    _warn_queries(
         [q.id for q in queries if qrels.has_query(q.id) and q.id not in ranked_ids],
         "judged queries without candidates, left out of the metrics",
     )
@@ -571,7 +577,7 @@ def _cmd_index_search(args) -> None:
     lists = _search(index, queries, args.k, args.tag)
     with _open_out(args.out) as out:
         write_run(list(lists.values()), out)
-    _warn_no_candidates([q.id for q in queries if q.id not in lists], "queries without hits")
+    _warn_queries([q.id for q in queries if q.id not in lists], "queries without hits")
 
 
 def _cmd_fuse(args) -> None:
@@ -637,7 +643,7 @@ def _cmd_eval(args) -> None:
     lists = _load(parse_run, args.run)
     qrels = _load(parse_qrels, args.qrels)
     run_ids = {ranked.query_id for ranked in lists}
-    _warn_no_candidates(
+    _warn_queries(
         [qid for qid in qrels.judgments if qid not in run_ids],
         "judged queries missing from the run, left out of the metrics",
     )
@@ -647,9 +653,10 @@ def _cmd_eval(args) -> None:
 def _cmd_compare(args) -> None:
     baseline = _load(load_per_query_report, args.baseline)
     treatment = _load(load_per_query_report, args.treatment)
-    result = compare_runs(baseline, treatment, args.metric)
+    (metric,) = MetricConfig((args.metric,)).tokens
+    result = compare_runs(baseline, treatment, metric)
     with _open_out(args.out) as out:
-        write_comparison([(args.metric, result)], out)
+        write_comparison([(metric, result)], out)
 
 
 # The config keys `pipeline run` also takes as flags; each flag's dest is its key.
@@ -694,10 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
     expand_parser = commands.add_parser("expand", help="build query expansions")
     expand_parser.add_argument("--queries", required=True)
     expand_parser.add_argument("--snippets", required=True, help="snippet cache file")
-    expand_parser.add_argument("--mode", required=True, choices=["nl", "terms"])
-    # Enum-valued defaults are given by value; the alias tables accept both spellings.
+    # Alias-valued flags take their alias table's spellings in any case, as
+    # the config does; enum-valued defaults are given by value.
     expand_parser.add_argument(
-        "--source", default=RetrieverConfig.source.value, choices=["serp", "wiki"]
+        "--mode", required=True, type=str.lower,
+        choices=[name for name, mode in _MODE_ALIASES.items() if mode != "none"],
+    )
+    expand_parser.add_argument(
+        "--source", default=RetrieverConfig.source.value, type=str.lower, choices=_SOURCE_ALIASES
     )
     expand_parser.add_argument("--max-words", type=int, default=ExpansionConfig.max_words)
     expand_parser.add_argument("--max-terms", type=int, default=ExpansionConfig.max_terms)
@@ -716,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     rerank_parser.add_argument("--queries", required=True)
     rerank_parser.add_argument("--expansions", default="none", help="expansion file or 'none'")
     rerank_parser.add_argument(
-        "--scorer", default=ExperimentConfig.scorer.value, choices=["baseline", "remote"]
+        "--scorer", default=ExperimentConfig.scorer.value, type=str.lower, choices=_SCORER_ALIASES
     )
     rerank_parser.add_argument("--address", help="remote scorer base URL")
     rerank_parser.add_argument("--batch-size", type=int, default=ScorerEndpoint.batch_size)
@@ -760,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prun = pipeline_commands.add_parser("run", help="run a declarative experiment config")
     prun.add_argument("--config", required=True)
-    prun.add_argument("--mode", choices=sorted(_MODE_ALIASES))
-    prun.add_argument("--scorer", choices=sorted(_SCORER_ALIASES))
+    prun.add_argument("--mode", type=str.lower, choices=_MODE_ALIASES)
+    prun.add_argument("--scorer", type=str.lower, choices=_SCORER_ALIASES)
     prun.add_argument("--scorer-address")
     prun.add_argument("--k", type=int, dest="rerank_depth")
     prun.add_argument("--output-dir")

@@ -100,8 +100,8 @@ class TTestResult:
     marker: SignificanceMarker
 
 
-def success_at_k(ranked: RankedList, qrels: Qrels, k: int, threshold: int) -> float | None:
-    """1.0 if any of the top-k passages has grade >= threshold, else 0.0.
+def success_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
+    """1.0 if any of the top-k passages has grade >= 1, else 0.0.
 
     Returns None (unjudged) when the query has no qrels entry at all.
     """
@@ -110,20 +110,20 @@ def success_at_k(ranked: RankedList, qrels: Qrels, k: int, threshold: int) -> fl
     if not qrels.has_query(ranked.query_id):
         return None
     for pid, _ in ranked.entries[:k]:
-        if qrels.grade(ranked.query_id, pid) >= threshold:
+        if qrels.grade(ranked.query_id, pid) >= 1:
             return 1.0
     return 0.0
 
 
-def mrr_at_k(ranked: RankedList, qrels: Qrels, k: int, threshold: int) -> float | None:
-    """Reciprocal rank of the first passage with grade >= threshold within
-    the top k; 0.0 if there is none."""
+def mrr_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
+    """Reciprocal rank of the first passage with grade >= 1 within the top
+    k; 0.0 if there is none."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not qrels.has_query(ranked.query_id):
         return None
     for rank, (pid, _) in enumerate(ranked.entries[:k], start=1):
-        if qrels.grade(ranked.query_id, pid) >= threshold:
+        if qrels.grade(ranked.query_id, pid) >= 1:
             return 1.0 / rank
     return 0.0
 
@@ -170,12 +170,7 @@ def average_precision(ranked: RankedList, qrels: Qrels, threshold: int) -> float
     return precision_sum / total_relevant
 
 
-# Success and MRR count any positive grade as relevant.
-_CUTOFF_METRICS = {
-    "s": lambda ranked, qrels, k: success_at_k(ranked, qrels, k, 1),
-    "mrr": lambda ranked, qrels, k: mrr_at_k(ranked, qrels, k, 1),
-    "ndcg": ndcg_at_k,
-}
+_CUTOFF_METRICS = {"s": success_at_k, "mrr": mrr_at_k, "ndcg": ndcg_at_k}
 
 
 def resolve_map_threshold(qrels: Qrels) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from .corpus_io import Passage, Query, RankedList, _holds_lone_surrogate
-from .errors import ConflictError, ParseError, UnknownIdError, ValidationError
+from .errors import ConflictError, ParseError, ValidationError
 
 BM25_K1 = 0.9
 BM25_B = 0.4
@@ -144,23 +144,6 @@ def _tf_weight(index: InvertedIndex, tf: int, doc_length: int) -> float:
     return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
 
 
-def bm25_score(index: InvertedIndex, query_terms: Sequence[str], passage_id: str) -> float:
-    """BM25 score of one passage for a query token stream.
-
-    Sums over the stream as given, so repeated query terms contribute
-    repeatedly. Terms absent from the passage contribute 0.
-    """
-    if passage_id not in index.doc_lengths:
-        raise UnknownIdError(f"passage {passage_id!r} not in index")
-    doc_length = index.doc_lengths[passage_id]
-    score = 0.0
-    for term in query_terms:
-        tf = index.postings.get(term, {}).get(passage_id, 0)
-        if tf:
-            score += _idf(index, term) * _tf_weight(index, tf, doc_length)
-    return score
-
-
 def _term_impacts(index: InvertedIndex, term: str) -> list[float]:
     """The BM25 contribution of each posting of `term`, aligned with
     `index.postings[term]`; computed on first use and cached on the index."""
@@ -181,10 +164,10 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
     Only passages containing at least one query term are returned, so the
     result may be shorter than k. Each term's per-passage contributions are
     computed once per index and reused by later queries; scores add them up
-    in query-term order, so every score is bit-identical to `bm25_score`'s
-    sum over the same terms. With more than k scored passages, the k-th
-    largest score is the floor: only passages scoring at least the floor,
-    ties at it included, are sorted, and the first k kept.
+    in query-term order, so repeated query terms contribute repeatedly. With
+    more than k scored passages, the k-th largest score is the floor: only
+    passages scoring at least the floor, ties at it included, are sorted,
+    and the first k kept.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")

@@ -77,7 +77,10 @@ class ScorerEndpoint:
 
     def __post_init__(self):
         if self.kind is ScorerKind.REMOTE:
-            parts = urlsplit(self.address or "")
+            try:
+                parts = urlsplit(self.address or "")
+            except ValueError as exc:  # e.g. an unclosed "[" around an IPv6 host
+                raise ValidationError(f"remote scorer address {self.address!r}: {exc}") from None
             if parts.scheme not in ("http", "https"):
                 raise ValidationError(
                     f"remote scorer requires an http(s) address, got {self.address!r}"
@@ -147,9 +150,9 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
     # Each distinct passage id and each distinct (query, description) stream
-    # is tokenized once; each term's idf is computed once. The arithmetic is
-    # `bm25_score`'s over an index of the batch's distinct passages, so the
-    # scores are bit-identical to it.
+    # is tokenized once; each term's idf is computed once. The arithmetic
+    # follows index.py's `_idf` and `_tf_weight` operation for operation,
+    # over the batch's distinct passages, summed in query-term order.
     documents: dict[str, tuple[Counter[str], int]] = {}
     streams: dict[tuple[str, str | None], list[str]] = {}
     for item in inputs:

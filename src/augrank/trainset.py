@@ -20,13 +20,17 @@ from .rerank import build_augmented_input, build_input, training_sequence
 
 @dataclass(frozen=True)
 class TrainingSet:
-    examples: tuple[TrainingExample, ...]
-    positives: int
-    negatives: int
+    """Labelled examples in input order; the label counts are derived."""
 
-    def __post_init__(self):
-        if self.positives + self.negatives != len(self.examples):
-            raise ValidationError("positive + negative counts do not match example count")
+    examples: tuple[TrainingExample, ...]
+
+    @property
+    def positives(self) -> int:
+        return sum(e.label is TrainingLabel.RELEVANT for e in self.examples)
+
+    @property
+    def negatives(self) -> int:
+        return len(self.examples) - self.positives
 
 
 def make_pairs(
@@ -34,9 +38,8 @@ def make_pairs(
     corpus: Mapping[str, Passage],
     queries: Mapping[str, Query],
 ) -> TrainingSet:
-    """Validate that every triple's ids resolve and tally the label counts."""
+    """Validate that every triple's ids resolve."""
     examples = []
-    positives = negatives = 0
     for triple in triples:
         if triple.query_id not in queries:
             raise UnknownIdError(f"training triple references unknown query {triple.query_id!r}")
@@ -45,11 +48,7 @@ def make_pairs(
                 f"training triple references unknown passage {triple.passage_id!r}"
             )
         examples.append(triple)
-        if triple.label is TrainingLabel.RELEVANT:
-            positives += 1
-        else:
-            negatives += 1
-    return TrainingSet(tuple(examples), positives, negatives)
+    return TrainingSet(tuple(examples))
 
 
 def balance_upsample(training_set: TrainingSet) -> TrainingSet:
@@ -69,11 +68,7 @@ def balance_upsample(training_set: TrainingSet) -> TrainingSet:
         e for e in training_set.examples if e.label is TrainingLabel.RELEVANT
     ]
     extras = tuple(positive_examples[i % len(positive_examples)] for i in range(deficit))
-    return TrainingSet(
-        training_set.examples + extras,
-        positives=training_set.negatives,
-        negatives=training_set.negatives,
-    )
+    return TrainingSet(training_set.examples + extras)
 
 
 def render_training_sequences(

@@ -2,21 +2,21 @@
 
 Everything here is coded straight from the definitions with plain loops
 and counting, deliberately avoiding the library's own code paths, so a
-bug in the implementation cannot hide in its oracle. There are two
+bug in the implementation cannot hide in its oracle. There are three
 exceptions, each the library's earlier version of a function, kept to pin
-a faster rewrite bit for bit: `bm25_search_oracle`, the uncached
-`bm25_search`, and `lexical_baseline_scores_oracle`, the lexical
-re-ranker that built an index over each batch and called `bm25_score`
-per candidate. Both share the per-posting arithmetic and differ in
-everything around it.
+a faster rewrite bit for bit: `bm25_score`, which scored one passage
+against an index; `bm25_search_oracle`, the uncached `bm25_search`; and
+`lexical_baseline_scores_oracle`, the lexical re-ranker that built an
+index over each batch and called `bm25_score` per candidate. All three
+share the per-posting arithmetic and differ in everything around it.
 """
 
 import math
 from collections import defaultdict
 
 from augrank.corpus_io import Passage, RankedList
-from augrank.errors import ValidationError
-from augrank.index import _idf, _tf_weight, bm25_score, build_index, tokenize
+from augrank.errors import UnknownIdError, ValidationError
+from augrank.index import _idf, _tf_weight, build_index, tokenize
 
 
 def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):
@@ -33,6 +33,23 @@ def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         norm = 1.0 - b + b * len(mine) / avgdl
         score += idf * tf * (k1 + 1.0) / (tf + k1 * norm)
+    return score
+
+
+def bm25_score(index, query_terms, passage_id):
+    """BM25 score of one passage for a query token stream.
+
+    Sums over the stream as given, so repeated query terms contribute
+    repeatedly. Terms absent from the passage contribute 0.
+    """
+    if passage_id not in index.doc_lengths:
+        raise UnknownIdError(f"passage {passage_id!r} not in index")
+    doc_length = index.doc_lengths[passage_id]
+    score = 0.0
+    for term in query_terms:
+        tf = index.postings.get(term, {}).get(passage_id, 0)
+        if tf:
+            score += _idf(index, term) * _tf_weight(index, tf, doc_length)
     return score
 
 

@@ -30,7 +30,6 @@ from augrank.evaluation import (
 )
 from augrank.index import (
     FusionConfig,
-    bm25_score,
     bm25_search,
     build_index,
     estimate_corpus_lm,
@@ -42,6 +41,7 @@ from augrank.trainset import TrainingSet, balance_upsample
 from augrank.corpus_io import TrainingExample, TrainingLabel
 from oracles import (
     ap_oracle,
+    bm25_score,
     kl_weights_oracle,
     mrr_oracle,
     ndcg_oracle,
@@ -124,9 +124,9 @@ def test_criterion_2_metric_oracle_suite():
         for ranked in lists:
             pids, judged = truth[ranked.query_id]
             for k in (1, 5, 10, 20):
-                assert success_at_k(ranked, qrels, k, 1) == pytest.approx(
+                assert success_at_k(ranked, qrels, k) == pytest.approx(
                     success_oracle(pids, judged, k, 1), abs=1e-10)
-                assert mrr_at_k(ranked, qrels, k, 1) == pytest.approx(
+                assert mrr_at_k(ranked, qrels, k) == pytest.approx(
                     mrr_oracle(pids, judged, k, 1), abs=1e-10)
                 assert ndcg_at_k(ranked, qrels, k) == pytest.approx(
                     ndcg_oracle(pids, judged, k), abs=1e-10)
@@ -149,8 +149,8 @@ def test_criterion_2_metric_oracle_suite():
             entries.append((f"d{j}", float(len(grades) - j)))
         perfect = RankedList("q", tuple(entries))
         k = len(grades)
-        assert success_at_k(perfect, qrels, k, 1) == 1.0
-        assert mrr_at_k(perfect, qrels, k, 1) == 1.0
+        assert success_at_k(perfect, qrels, k) == 1.0
+        assert mrr_at_k(perfect, qrels, k) == 1.0
         assert ndcg_at_k(perfect, qrels, k) == 1.0
         assert average_precision(perfect, qrels, 2) == 1.0
 
@@ -293,7 +293,8 @@ def test_criterion_6_bm25_search_oracle():
     avgdl = (3 + 2 + 4) / 3
     for pid, tf, length in (("d1", 1, 3), ("d2", 1, 2)):
         expected = idf * tf * (0.9 + 1.0) / (tf + 0.9 * (1 - 0.4 + 0.4 * length / avgdl))
-        assert bm25_score(index, ["apple"], pid) == pytest.approx(expected, abs=1e-9)
+        scores = dict(bm25_search(index, Query("q", "apple"), 10).entries)
+        assert scores[pid] == pytest.approx(expected, abs=1e-9)
     result = bm25_search(index, Query("q", "apple"), 10)
     assert result.passage_ids() == ("d2", "d1")  # shorter matching doc wins
     _report(6, "search equals exhaustive scoring on 100 corpora at every k; "
@@ -412,7 +413,7 @@ def _training_set(positives, negatives):
         TrainingExample(f"q{positives + i}", f"d{positives + i}", TrainingLabel.NOT_RELEVANT)
         for i in range(negatives)
     ]
-    return TrainingSet(tuple(examples), positives, negatives)
+    return TrainingSet(tuple(examples))
 
 
 def test_criterion_8_upsampling_contract():

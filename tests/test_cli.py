@@ -180,6 +180,22 @@ class TestExpandCommand:
         assert "marker1" in by_qid["q1"]["text"]
         assert by_qid["q3"]["text"] == ""  # uncached -> fallback record
 
+    @pytest.mark.parametrize(
+        "mode, source", [("natural_language", "web_serp"), ("NL", "SERP"), ("Natural_Language", "Wiki")]
+    )
+    def test_mode_and_source_take_every_alias_in_any_case(self, workspace, mode, source):
+        argv = ["expand", "--queries", str(workspace / "queries.jsonl"),
+                "--snippets", str(workspace / "snippets.jsonl"), "--out"]
+        expected, got = workspace / "expected.jsonl", workspace / "got.jsonl"
+        canonical_source = "wiki" if source.lower() == "wiki" else "serp"
+        assert main(argv + [str(expected), "--mode", "nl", "--source", canonical_source]) == 0
+        assert main(argv + [str(got), "--mode", mode, "--source", source]) == 0
+        assert got.read_bytes() == expected.read_bytes()
+
+    def test_mode_none_is_a_usage_error(self, workspace):
+        assert main(["expand", "--queries", str(workspace / "queries.jsonl"),
+                     "--snippets", str(workspace / "snippets.jsonl"), "--mode", "none"]) == 1
+
     def test_terms_requires_corpus(self, workspace):
         code = main(["expand", "--queries", str(workspace / "queries.jsonl"),
                      "--snippets", str(workspace / "snippets.jsonl"),
@@ -198,6 +214,28 @@ class TestExpandCommand:
         terms = by_qid["q1"]["text"].split()
         assert 0 < len(terms) <= 4
         assert "marker1" in terms
+
+
+class TestRerankCommand:
+    def argv(self, workspace):
+        run = workspace / "initial.run"
+        run.write_text("q1 Q0 d1a 1 2.0 init\nq1 Q0 d1rel 2 1.0 init\n")
+        return ["rerank", "--run", str(run), "--corpus", str(workspace / "corpus.jsonl"),
+                "--queries", str(workspace / "queries.jsonl")]
+
+    @pytest.mark.parametrize("scorer", ["lexical_baseline", "BASELINE", "Lexical_Baseline"])
+    def test_scorer_takes_every_alias_in_any_case(self, workspace, capsys, scorer):
+        argv = self.argv(workspace)
+        assert main(argv + ["--scorer", "baseline"]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--scorer", scorer]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_unparseable_address_is_a_data_error(self, workspace, capsys):
+        assert main(self.argv(workspace) + ["--scorer", "remote", "--address", "http://[::1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'http://[::1'" in captured.err and "Traceback" not in captured.err
 
 
 class TestTrainsetCommand:
@@ -277,7 +315,7 @@ class TestEvalAndCompareCommands:
         assert captured.out == ""
         assert repr(named) in captured.err
 
-    def test_compare_between_per_query_reports(self, workspace, capsys):
+    def per_query_reports(self, workspace):
         base_run = workspace / "base.run"
         treat_run = workspace / "treat.run"
         base_run.write_text(
@@ -295,6 +333,10 @@ class TestEvalAndCompareCommands:
         for run, pq in ((base_run, base_pq), (treat_run, treat_pq)):
             assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
                          "--per-query", str(pq), "--out", str(workspace / "agg.tsv")]) == 0
+        return base_pq, treat_pq
+
+    def test_compare_between_per_query_reports(self, workspace, capsys):
+        base_pq, treat_pq = self.per_query_reports(workspace)
         assert main(["compare", "--baseline", str(base_pq), "--treatment", str(treat_pq),
                      "--metric", "s@1"]) == 0
         output = capsys.readouterr().out
@@ -303,6 +345,23 @@ class TestEvalAndCompareCommands:
         assert row[5] == "p01"  # uniform +1 uplift -> zero variance branch
         report = load_per_query_report(base_pq.read_text())
         assert report.query_count == 3
+
+    def test_compare_canonicalizes_the_metric_token(self, workspace, capsys):
+        base_pq, treat_pq = self.per_query_reports(workspace)
+        argv = ["compare", "--baseline", str(base_pq), "--treatment", str(treat_pq), "--metric"]
+        assert main(argv + ["s@1"]) == 0
+        canonical = capsys.readouterr().out
+        assert main(argv + [" S@01 "]) == 0
+        assert capsys.readouterr().out == canonical
+
+    @pytest.mark.parametrize("token", ["p@5", "s@1,map", "S@0"])
+    def test_compare_rejects_a_bad_metric_token(self, workspace, capsys, token):
+        base_pq, treat_pq = self.per_query_reports(workspace)
+        assert main(["compare", "--baseline", str(base_pq), "--treatment", str(treat_pq),
+                     "--metric", token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(token) in captured.err and "Traceback" not in captured.err
 
 
 class TestPipeline:
@@ -411,6 +470,43 @@ class TestPipeline:
                    (workspace / "out_terms_initial" / "expansions.jsonl").read_text().splitlines()]
         assert "marker1" in records[0]["text"].split()
 
+    def test_run_queries_missing_from_query_file_named_on_stderr(self, workspace, capsys):
+        lines = "".join(
+            f"q{i} Q0 d{i}{suffix} {r} {3 - r}.0 init\n"
+            for i in (1, 2, 3) for r, suffix in enumerate(("a", "rel", "b"), start=1)
+        )
+        clean, extra = workspace / "clean.run", workspace / "extra.run"
+        clean.write_text(lines)
+        extra.write_text(lines + "q9 Q0 d1a 1 1.0 init\n")
+        dense = workspace / "dense.run"
+        dense.write_text("q1 Q0 d1rel 1 9.0 dense\nq8 Q0 d2a 1 9.0 dense\n")
+
+        def run(initial, dense_run=None):
+            config = make_config(workspace, "out_missing", initial_run=str(initial),
+                                 dense_run=dense_run and str(dense_run))
+            assert main(["pipeline", "run", "--config", str(config)]) == 0
+            captured = capsys.readouterr()
+            artifacts = {p.name: p.read_bytes() for p in (workspace / "out_missing").iterdir()}
+            return captured.out, captured.err, artifacts
+
+        clean_out, clean_err, clean_artifacts = run(clean)
+        out, err, artifacts = run(extra)
+        assert clean_err == ""
+        assert (out, artifacts) == (clean_out, clean_artifacts)
+        warning = "warning: run queries missing from the query file, left out of the run: "
+        assert err == warning + "1 (q9)\n"
+        assert run(extra, dense)[1] == warning + "2 (q8, q9)\n"
+
+    def test_flags_take_aliases_in_any_case(self, workspace):
+        config = make_config(workspace, "out_alias_expected", mode="nl")
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        assert main(["pipeline", "run", "--config", str(config), "--mode", "NATURAL_LANGUAGE",
+                     "--scorer", "Lexical_Baseline",
+                     "--output-dir", str(workspace / "out_alias")]) == 0
+        for name in ("expansions.jsonl", "inputs.jsonl", "reranked.run", "metrics.tsv"):
+            expected = (workspace / "out_alias_expected" / name).read_bytes()
+            assert (workspace / "out_alias" / name).read_bytes() == expected, name
+
     def test_remote_scorer_pipeline(self, workspace, scorer_server):
         config = make_config(
             workspace, "out_remote",
@@ -474,7 +570,9 @@ class TestPipeline:
           "remote scorer address needs a host and a port in 1..65535, got 'http:///score'"),
          ({"scorer": "remote", "scorer_address": "http://127.0.0.1:abc"},
           "remote scorer address needs a host and a port in 1..65535, "
-          "got 'http://127.0.0.1:abc'")],
+          "got 'http://127.0.0.1:abc'"),
+         ({"scorer": "remote", "scorer_address": "http://[::1"},
+          "remote scorer address 'http://[::1': Invalid IPv6 URL")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)

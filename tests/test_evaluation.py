@@ -46,32 +46,33 @@ def judged(qid="q1", **grades):
 
 class TestSuccessAtK:
     def test_relevant_at_rank_one(self):
-        assert success_at_k(ranked("rel", "x"), judged(rel=1), 1, 1) == 1.0
+        assert success_at_k(ranked("rel", "x"), judged(rel=1), 1) == 1.0
 
     def test_no_relevant_anywhere(self):
-        assert success_at_k(ranked("a", "b"), judged(rel=1), 10, 1) == 0.0
+        assert success_at_k(ranked("a", "b"), judged(rel=1), 10) == 0.0
 
     def test_relevant_at_rank_seven(self):
         pids = ["a", "b", "c", "d", "e", "f", "rel", "g"]
         run = ranked(*pids)
         qrels = judged(rel=1)
-        assert success_at_k(run, qrels, 5, 1) == 0.0
-        assert success_at_k(run, qrels, 10, 1) == 1.0
+        assert success_at_k(run, qrels, 5) == 0.0
+        assert success_at_k(run, qrels, 10) == 1.0
 
     def test_unjudged_query_signals_none(self):
-        assert success_at_k(ranked("a", qid="other"), judged(rel=1), 5, 1) is None
+        assert success_at_k(ranked("a", qid="other"), judged(rel=1), 5) is None
 
-    def test_threshold_respected(self):
-        assert success_at_k(ranked("weak"), judged(weak=1), 1, 2) == 0.0
+    def test_grade_zero_is_not_relevant(self):
+        assert success_at_k(ranked("zero", "rel"), judged(zero=0, rel=1), 1) == 0.0
+        assert success_at_k(ranked("zero", "rel"), judged(zero=0, rel=1), 2) == 1.0
 
 
 class TestMrrAtK:
     def test_first_relevant_at_rank_three(self):
-        assert mrr_at_k(ranked("a", "b", "rel"), judged(rel=1), 10, 1) == pytest.approx(1 / 3)
+        assert mrr_at_k(ranked("a", "b", "rel"), judged(rel=1), 10) == pytest.approx(1 / 3)
 
     def test_relevant_beyond_cutoff(self):
         pids = [f"d{i}" for i in range(10)] + ["rel"]
-        assert mrr_at_k(ranked(*pids), judged(rel=1), 10, 1) == 0.0
+        assert mrr_at_k(ranked(*pids), judged(rel=1), 10) == 0.0
 
     def test_five_query_mean_matches_oracle(self):
         rng = random.Random(3)
@@ -82,7 +83,7 @@ class TestMrrAtK:
             rng.shuffle(pids)
             qrels = judged(qid=f"q{i}", d3=1)
             run = ranked(*pids, qid=f"q{i}")
-            value = mrr_at_k(run, qrels, 10, 1)
+            value = mrr_at_k(run, qrels, 10)
             values.append(value)
             total += mrr_oracle(pids, {"d3": 1}, 10)
         assert sum(values) / 5 == pytest.approx(total / 5, abs=1e-12)
@@ -208,7 +209,7 @@ class TestEvaluateRun:
                 qrels.add_judgment("q1", pid, g)
             run = ranked(*pids)
             for metric in (success_at_k, mrr_at_k):
-                values = [metric(run, qrels, k, 1) for k in range(1, 12)]
+                values = [metric(run, qrels, k) for k in range(1, 12)]
                 assert values == sorted(values)
             # with the trec-style ideal truncated at k, nDCG@k is only
             # monotone once k covers every judged document and the

@@ -9,13 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from augrank.corpus_io import Passage, Query, RankedList
-from augrank.errors import ConflictError, ParseError, UnknownIdError, ValidationError
+from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.index import (
     _TOKEN_RE,
     INDEX_MAGIC,
     CorpusLanguageModel,
     FusionConfig,
-    bm25_score,
     bm25_search,
     build_index,
     corpus_lm,
@@ -25,7 +24,7 @@ from augrank.index import (
     save_index,
     tokenize,
 )
-from oracles import bm25_oracle, bm25_search_oracle
+from oracles import bm25_oracle, bm25_score, bm25_search_oracle
 
 
 class TestTokenize:
@@ -115,21 +114,20 @@ class TestBuildIndex:
                 assert pid in index.doc_lengths
 
 
+def bm25_scores(index, text):
+    """Each passage's BM25 score for a query text, as `bm25_search` gives it
+    (passages without a query term are absent)."""
+    return dict(bm25_search(index, Query("q", text), index.doc_count).entries)
+
+
 class TestBm25Score:
     def test_absent_term_contributes_zero(self):
         index = build_index(tiny_corpus())
-        with_term = bm25_score(index, ["apple", "zebra"], "d1")
-        without = bm25_score(index, ["apple"], "d1")
-        assert with_term == without
+        assert bm25_scores(index, "apple zebra") == bm25_scores(index, "apple")
 
     def test_empty_query(self):
         index = build_index(tiny_corpus())
-        assert bm25_score(index, [], "d1") == 0.0
-
-    def test_unknown_passage(self):
-        index = build_index(tiny_corpus())
-        with pytest.raises(UnknownIdError):
-            bm25_score(index, ["apple"], "nope")
+        assert bm25_scores(index, "") == {}
 
     def test_hand_computed_single_term(self):
         # "apple" appears in d1 (tf 2, len 3) over a 3-doc corpus, df=2,
@@ -138,12 +136,12 @@ class TestBm25Score:
         idf = math.log(1 + (3 - 2 + 0.5) / (2 + 0.5))
         norm = 1 - 0.4 + 0.4 * 3 / 3
         expected = idf * 2 * (0.9 + 1) / (2 + 0.9 * norm)
-        assert math.isclose(bm25_score(index, ["apple"], "d1"), expected, abs_tol=1e-9)
+        assert math.isclose(bm25_scores(index, "apple")["d1"], expected, abs_tol=1e-9)
 
     def test_repeated_query_terms_accumulate(self):
         index = build_index(tiny_corpus())
-        once = bm25_score(index, ["apple"], "d1")
-        twice = bm25_score(index, ["apple", "apple"], "d1")
+        once = bm25_scores(index, "apple")["d1"]
+        twice = bm25_scores(index, "apple apple")["d1"]
         assert math.isclose(twice, 2 * once)
 
     def test_matches_independent_oracle_on_random_corpora(self):
@@ -157,9 +155,10 @@ class TestBm25Score:
             index = build_index(passages)
             doc_tokens = {p.id: tokenize(p.text) for p in passages}
             query = rng.choices(vocab, k=rng.randint(1, 4))
+            scores = bm25_scores(index, " ".join(query))
             for p in passages:
                 assert math.isclose(
-                    bm25_score(index, query, p.id),
+                    scores.get(p.id, 0.0),
                     bm25_oracle(doc_tokens, query, p.id),
                     abs_tol=1e-12,
                 )

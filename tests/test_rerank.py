@@ -392,6 +392,12 @@ class TestRemoteScorer:
             ScorerEndpoint(ScorerKind.REMOTE, address)
         assert repr(address) in str(exc_info.value)
 
+    @pytest.mark.parametrize("address", ["http://[::1", "http://[::1/score", "http://::1]:80"])
+    def test_unparseable_address_is_a_validation_error(self, address):
+        with pytest.raises(ValidationError) as exc_info:
+            ScorerEndpoint(ScorerKind.REMOTE, address)
+        assert repr(address) in str(exc_info.value)
+
     @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
     def test_timeout_must_be_finite_and_positive(self, timeout):
         with pytest.raises(ValidationError, match="timeout"):

@@ -54,7 +54,7 @@ class TestBalanceUpsample:
             TrainingExample(f"q{positives + i}", f"d{positives + i}", NEG)
             for i in range(negatives)
         ]
-        return TrainingSet(tuple(examples), positives, negatives)
+        return TrainingSet(tuple(examples))
 
     def test_two_pos_six_neg(self):
         balanced = balance_upsample(self.make(2, 6))
@@ -135,6 +135,6 @@ class TestRenderTrainingSequences:
         assert len(sequences) == len(ts.examples)
 
     def test_missing_passage_raises(self):
-        ts = TrainingSet((TrainingExample("q0", "d99", POS),), 1, 0)
+        ts = TrainingSet((TrainingExample("q0", "d99", POS),))
         with pytest.raises(UnknownIdError):
             render_training_sequences(ts, queries(), corpus())
