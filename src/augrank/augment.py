@@ -10,6 +10,10 @@ Two strategies build the augmenting string for a query:
   divergence between the snippet language model A and the corpus model C,
   and keep the top `max_terms` terms in descending-weight order.
 
+Each strategy returns only the text. `augment_query` retrieves, picks the
+strategy by the configured mode and builds the one `Expansion`, with the
+query's id and that mode, for every query, a fallback included.
+
 P(t|A) is unsmoothed (only terms occurring in the snippets are candidates);
 P(t|C) comes smoothed from the index module, so the ratio is always
 defined. Terms with P(t|A) < P(t|C) get negative weights and rank last
@@ -23,7 +27,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
 
@@ -107,23 +111,18 @@ def retrieve(
     return filter_snippets(snippets, cfg)[: cfg.max_snippets]
 
 
-def natural_language_expansion(snippets: Sequence[Snippet], cfg: ExpansionConfig) -> Expansion:
+def natural_language_expansion(snippets: Sequence[Snippet], max_words: int) -> str:
     """Concatenate snippet texts with single spaces and truncate to the
     first `max_words` whitespace words, keeping casing and punctuation.
 
     Truncation never splits a word. When nothing is truncated the joined
     text is kept verbatim.
     """
-    if cfg.mode is not ExpansionMode.NATURAL_LANGUAGE:
-        raise ValidationError(f"config mode is {cfg.mode.value}, expected natural_language")
-    query_id = snippets[0].query_id if snippets else ""
     joined = " ".join(s.text for s in snippets)
     words = joined.split()
-    if len(words) <= cfg.max_words:
-        text = joined
-    else:
-        text = " ".join(words[: cfg.max_words])
-    return Expansion(query_id, cfg.mode, text)
+    if len(words) <= max_words:
+        return joined
+    return " ".join(words[:max_words])
 
 
 def topical_term_weights(
@@ -148,20 +147,17 @@ def topical_term_weights(
 
 
 def topical_term_expansion(
-    snippets: Sequence[Snippet], lm: CorpusLanguageModel, cfg: ExpansionConfig
-) -> Expansion:
+    snippets: Sequence[Snippet], lm: CorpusLanguageModel, max_terms: int
+) -> str:
     """Space-joined top `max_terms` terms in descending-weight order.
 
     Snippets without a single token (punctuation only) give the empty
-    fallback expansion.
+    text.
     """
-    if cfg.mode is not ExpansionMode.TOPICAL_TERMS:
-        raise ValidationError(f"config mode is {cfg.mode.value}, expected topical_terms")
-    query_id = snippets[0].query_id if snippets else ""
     if not any(tokenize(s.text) for s in snippets):
-        return Expansion(query_id, cfg.mode, "")
+        return ""
     weights = topical_term_weights(snippets, lm)
-    return Expansion(query_id, cfg.mode, " ".join(w.term for w in weights[: cfg.max_terms]))
+    return " ".join(w.term for w in weights[:max_terms])
 
 
 def augment_query(
@@ -171,18 +167,19 @@ def augment_query(
     expansion_cfg: ExpansionConfig,
     lm: CorpusLanguageModel | None = None,
 ) -> Expansion:
-    """Retrieve then expand. Empty retrieval (or an expansion that comes
-    out empty) returns the empty fallback expansion."""
+    """Retrieve then expand; the expansion carries `query.id` and the
+    configured mode. Empty retrieval (or an expansion that comes out
+    empty) returns the empty fallback expansion."""
     snippets = retrieve(query, cache, retriever_cfg)
     if not snippets:
-        return Expansion(query.id, expansion_cfg.mode, "")
-    if expansion_cfg.mode is ExpansionMode.NATURAL_LANGUAGE:
-        expansion = natural_language_expansion(snippets, expansion_cfg)
+        text = ""
+    elif expansion_cfg.mode is ExpansionMode.NATURAL_LANGUAGE:
+        text = natural_language_expansion(snippets, expansion_cfg.max_words)
+    elif lm is None:
+        raise ValidationError("topical term expansion requires a corpus language model")
     else:
-        if lm is None:
-            raise ValidationError("topical term expansion requires a corpus language model")
-        expansion = topical_term_expansion(snippets, lm, expansion_cfg)
-    return replace(expansion, query_id=query.id)
+        text = topical_term_expansion(snippets, lm, expansion_cfg.max_terms)
+    return Expansion(query.id, expansion_cfg.mode, text)
 
 
 def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:

@@ -55,6 +55,7 @@ from .corpus_io import (
     SnippetSource,
     _holds_lone_surrogate,
     _iter_lines,
+    check_run_token,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -83,7 +84,8 @@ from .index import (
     load_index,
     save_index,
 )
-from .rerank import ScorerEndpoint, ScorerKind, build_augmented_input, build_input, rerank_topk
+from .rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
+from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .trainset import balance_upsample, make_pairs, render_training_sequences
 
 T = TypeVar("T")
@@ -209,6 +211,7 @@ class ExperimentConfig:
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
         if self.rerank_depth < 1:
             raise ValidationError(f"rerank_depth must be >= 1, got {self.rerank_depth}")
+        check_run_token(self.run_tag, "run tag")
         self.retriever, self.expansion, self.endpoint, self.fusion  # built now, so checked now
 
     @cached_property
@@ -380,13 +383,11 @@ def _read_run(path: str) -> dict[str, RankedList]:
     return {ranked.query_id: ranked for ranked in _load(parse_run, path)}
 
 
-def _search(
-    index: InvertedIndex, queries: Iterable[Query], k: int, tag: str
-) -> dict[str, RankedList]:
+def _search(index: InvertedIndex, queries: Iterable[Query], k: int) -> dict[str, RankedList]:
     """BM25 top-k per query; a query with no hits gets no list."""
     lists = {}
     for query in queries:
-        ranked = bm25_search(index, query, k, tag=tag)
+        ranked = bm25_search(index, query, k)
         if ranked.entries:
             lists[query.id] = ranked
     return lists
@@ -400,15 +401,12 @@ def _warn_queries(query_ids: Sequence[str], what: str) -> None:
 
 
 def _fuse(
-    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], cfg: FusionConfig, tag: str
+    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], cfg: FusionConfig
 ) -> dict[str, RankedList]:
     """dense + alpha * sparse for every query in either run, by query id."""
     return {
         qid: fuse_runs(
-            dense.get(qid, RankedList(qid, (), "dense")),
-            sparse.get(qid, RankedList(qid, (), "sparse")),
-            cfg,
-            tag=tag,
+            dense.get(qid, RankedList(qid, ())), sparse.get(qid, RankedList(qid, ())), cfg
         )
         for qid in sorted(set(dense) | set(sparse))
     }
@@ -444,9 +442,9 @@ def _rerank(
     inputs_out: TextIO | None = None,
 ) -> list[RankedList]:
     """Rerank the top k of each query's initial list, in query order, and
-    write the run to `out_path` (stdout when None). With `inputs_out`, each
-    query's scorer inputs are also written there, once it has been
-    reranked, as one rendered JSON record each."""
+    write the run with `tag` to `out_path` (stdout when None). With
+    `inputs_out`, each query's scorer inputs are also written there, once
+    it has been reranked, as one rendered JSON record each."""
     reranked = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -454,17 +452,14 @@ def _rerank(
             continue
         depth = min(k, len(ranked.entries))
         expansion = expansions.get(query.id)
-        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth, tag))
+        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth))
         if inputs_out is not None:
             for pid, _ in ranked.entries[:depth]:
-                if expansion is not None:
-                    item = build_augmented_input(query, expansion, corpus[pid])
-                else:
-                    item = build_input(query, corpus[pid])
+                item = build_augmented_input(query, expansion, corpus[pid])
                 record = {"query_id": query.id, "passage_id": pid, "sequence": item.sequence}
                 inputs_out.write(json.dumps(record, ensure_ascii=False) + "\n")
     with _open_out(out_path) as out:
-        write_run(reranked, out)
+        write_run(reranked, tag, out)
     return reranked
 
 
@@ -510,11 +505,11 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
         if cfg.initial_run:
             initial = _read_run(cfg.initial_run)
         else:
-            initial = _search(index, queries, cfg.rerank_depth, cfg.run_tag)
+            initial = _search(index, queries, cfg.rerank_depth)
 
     with _stage("fuse"):
         if cfg.dense_run:
-            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion, cfg.run_tag)
+            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion)
     query_ids = {q.id for q in queries}
     _warn_queries(
         [qid for qid in initial if qid not in query_ids],
@@ -574,17 +569,17 @@ def _cmd_index_build(args) -> None:
 def _cmd_index_search(args) -> None:
     index = _load(load_index, args.index)
     queries = _load(load_queries, args.queries)
-    lists = _search(index, queries, args.k, args.tag)
+    lists = _search(index, queries, args.k)
     with _open_out(args.out) as out:
-        write_run(list(lists.values()), out)
+        write_run(list(lists.values()), args.tag, out)
     _warn_queries([q.id for q in queries if q.id not in lists], "queries without hits")
 
 
 def _cmd_fuse(args) -> None:
     fusion = FusionConfig(args.alpha)
-    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), fusion, args.tag)
+    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), fusion)
     with _open_out(args.out) as out:
-        write_run(list(fused.values()), out)
+        write_run(list(fused.values()), args.tag, out)
 
 
 def _cmd_expand(args) -> None:

@@ -14,7 +14,9 @@ File formats:
   source, label and (in expansion files) mode are strings, title is a
   string or null, and rank is an integer (not a boolean). A wrong type is
   a ParseError naming the line and the field.
-- Run files are TREC 6-column text: `qid Q0 docid rank score tag`.
+- Run files are TREC 6-column text: `qid Q0 docid rank score tag`. The tag
+  names the run and is the same on every line: `write_run` takes it once
+  and writes it on each line, and `parse_run` does not read it.
 - Qrels are TREC 4-column text: `qid 0 docid grade`.
 
 Duplicate judgments, duplicate docids within a query, and duplicate record
@@ -129,11 +131,11 @@ class Qrels:
 @dataclass(frozen=True)
 class RankedList:
     """One query's candidate ranking: entries are (passage_id, score),
-    sorted by score descending, passage ids unique, no NaN scores."""
+    sorted by score descending, passage ids unique, no NaN scores. The run
+    tag is not part of it: it is given to `write_run`."""
 
     query_id: str
     entries: tuple[tuple[str, float], ...]
-    tag: str = "run"
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -193,16 +195,16 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
 
     Entries are grouped by qid (lists emitted in order of first appearance)
     and re-sorted by score descending with ties broken by the given rank
-    ascending, so write_run -> parse_run round-trips preserve ordering.
+    ascending, so write_run -> parse_run round-trips preserve ordering. The
+    tag column must be present but is not read.
     """
     groups: dict[str, list[tuple[str, int, float]]] = {}
-    tags: dict[str, str] = {}
     seen: dict[str, set[str]] = {}
     for line_no, line in _iter_lines(stream):
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}: {line!r}", line_no)
-        qid, _, docid, rank_str, score_str, tag = parts
+        qid, _, docid, rank_str, score_str, _ = parts
         try:
             rank = int(rank_str)
         except ValueError:
@@ -217,29 +219,32 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
             raise ConflictError(f"line {line_no}: duplicate docid {docid!r} for query {qid!r}")
         seen[qid].add(docid)
         groups.setdefault(qid, []).append((docid, rank, score))
-        tags.setdefault(qid, tag)
 
     lists = []
     for qid, rows in groups.items():
         rows.sort(key=lambda r: (-r[2], r[1]))
-        lists.append(
-            RankedList(qid, tuple((docid, score) for docid, _, score in rows), tags[qid])
-        )
+        lists.append(RankedList(qid, tuple((docid, score) for docid, _, score in rows)))
     return lists
 
 
-def write_run(lists: Sequence[RankedList], out: TextIO) -> None:
-    """Write TREC 6-column format with fixed 4-decimal scores.
+def check_run_token(value: str, what: str) -> None:
+    """A run file column that must be one non-empty token, such as a run
+    tag or a docid; `what` names it in the ValidationError."""
+    if not value or any(ch.isspace() for ch in value):
+        raise ValidationError(f"{what} {value!r} is not a single non-empty token")
+
+
+def write_run(lists: Sequence[RankedList], tag: str, out: TextIO) -> None:
+    """Write TREC 6-column format with fixed 4-decimal scores and `tag` on
+    every line; the tag is checked before anything is written.
 
     Rank column numbers entries 1..n in list order.
     """
+    check_run_token(tag, "run tag")
     for ranked in lists:
-        if not ranked.tag or any(ch.isspace() for ch in ranked.tag):
-            raise ValidationError(f"run tag {ranked.tag!r} is not a single non-empty token")
         for rank, (pid, score) in enumerate(ranked.entries, start=1):
-            if not pid or any(ch.isspace() for ch in pid):
-                raise ValidationError(f"docid {pid!r} is not a single non-empty token")
-            out.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.4f} {ranked.tag}\n")
+            check_run_token(pid, "docid")
+            out.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.4f} {tag}\n")
 
 
 # The JSON types each JSONL field may hold. A field that may be null may

@@ -158,7 +158,7 @@ def _term_impacts(index: InvertedIndex, term: str) -> list[float]:
     return impacts
 
 
-def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -> RankedList:
+def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     """Top-k passages by BM25, score descending, ties by ascending passage id.
 
     Only passages containing at least one query term are returned, so the
@@ -184,7 +184,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int, tag: str = "bm25") -
         floor = heapq.nlargest(k, scores.values())[-1]
         items = [(pid, score) for pid, score in items if score >= floor]
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:k]
-    return RankedList(query.id, tuple(ranked), tag)
+    return RankedList(query.id, tuple(ranked))
 
 
 def estimate_corpus_lm(index: InvertedIndex) -> CorpusLanguageModel:
@@ -202,9 +202,7 @@ def corpus_lm(passages: Iterable[Passage]) -> CorpusLanguageModel:
     return CorpusLanguageModel(counts)
 
 
-def fuse_runs(
-    dense: RankedList, sparse: RankedList, cfg: FusionConfig, tag: str = "hybrid"
-) -> RankedList:
+def fuse_runs(dense: RankedList, sparse: RankedList, cfg: FusionConfig) -> RankedList:
     """Linear fusion over the union of both lists: dense + alpha * sparse.
 
     A passage missing from one list takes that list's minimum score
@@ -224,7 +222,7 @@ def fuse_runs(
         for pid in set(dense_scores) | set(sparse_scores)
     ]
     fused.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(dense.query_id, tuple(fused), tag)
+    return RankedList(dense.query_id, tuple(fused))
 
 
 def save_index(index: InvertedIndex, out: TextIO) -> None:

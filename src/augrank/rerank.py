@@ -8,7 +8,9 @@ space after each label colon, single space between segments):
     plain:     "Query: <q> Document: <d> Relevant:"          (description None)
     augmented: "Query: <q> Description: <expansion> Document: <d> Relevant:"
 
-Training sequences append " true" / " false" after "Relevant:". Strings are
+`build_augmented_input` is the one place that picks the template: no
+expansion, or the empty fallback one, gives the plain form. Training
+sequences append " true" / " false" after "Relevant:". Strings are
 rendered only where a string leaves the program: the remote scorer's
 payload, the pipeline's inputs.jsonl and training sequences. Nothing parses
 a rendered sequence back, so text that contains a label literal such as
@@ -131,13 +133,14 @@ def build_input(query: Query, passage: Passage) -> RerankInput:
     return RerankInput(query.id, passage.id, query.text, None, passage.text)
 
 
-def build_augmented_input(query: Query, expansion: Expansion, passage: Passage) -> RerankInput:
-    """Augmented input with the expansion text as the Description segment.
-
-    An empty fallback expansion delegates to the plain form so the
-    no-augmentation path is byte-identical.
+def build_augmented_input(
+    query: Query, expansion: Expansion | None, passage: Passage
+) -> RerankInput:
+    """The input for `query` and `passage`: augmented, with the expansion
+    text as the Description segment, or plain when there is no expansion or
+    it is the empty fallback, so the no-augmentation path is byte-identical.
     """
-    if expansion.fallback:
+    if expansion is None or expansion.fallback:
         return build_input(query, passage)
     return RerankInput(query.id, passage.id, query.text, expansion.text, passage.text)
 
@@ -299,14 +302,15 @@ def rerank_topk(
     expansion: Expansion | None,
     endpoint: ScorerEndpoint,
     k: int,
-    tag: str = "rerank",
 ) -> RankedList:
     """Rescore the top-k of the initial list; ties keep initial order.
 
     Entries beyond k keep their relative order after the re-ranked head and
     are assigned synthetic scores strictly below the head's minimum so the
     output remains a valid descending run. The output is always a
-    permutation of the input entries.
+    permutation of the input entries. Each candidate's input comes from
+    `build_augmented_input`, so a None or fallback expansion scores the
+    plain form.
     """
     if not 1 <= k <= len(initial.entries):
         raise ValidationError(
@@ -318,14 +322,11 @@ def rerank_topk(
         passage = passages.get(pid)
         if passage is None:
             raise UnknownIdError(f"passage {pid!r} from the initial run is not in the corpus")
-        if expansion is not None:
-            inputs.append(build_augmented_input(query, expansion, passage))
-        else:
-            inputs.append(build_input(query, passage))
+        inputs.append(build_augmented_input(query, expansion, passage))
     scores = score_batch(inputs, endpoint)
     order = sorted(range(k), key=lambda i: (-scores[i], i))
     entries = [(head[i][0], scores[i]) for i in order]
     floor = entries[-1][1]
     for offset, (pid, _) in enumerate(initial.entries[k:], start=1):
         entries.append((pid, floor - offset * _TAIL_STEP))
-    return RankedList(initial.query_id, tuple(entries), tag)
+    return RankedList(initial.query_id, tuple(entries))

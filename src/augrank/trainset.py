@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .augment import Expansion
 from .corpus_io import Passage, Query, TrainingExample, TrainingLabel
 from .errors import UnknownIdError, ValidationError
-from .rerank import build_augmented_input, build_input, training_sequence
+from .rerank import build_augmented_input, training_sequence
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,6 @@ def render_training_sequences(
         if passage is None:
             raise UnknownIdError(f"unknown passage {example.passage_id!r}")
         expansion = expansions.get(example.query_id) if expansions else None
-        if expansion is not None:
-            rerank_input = build_augmented_input(query, expansion, passage)
-        else:
-            rerank_input = build_input(query, passage)
+        rerank_input = build_augmented_input(query, expansion, passage)
         sequences.append(training_sequence(rerank_input, example.label))
     return sequences

@@ -53,7 +53,7 @@ def bm25_score(index, query_terms, passage_id):
     return score
 
 
-def bm25_search_oracle(index, query, k, tag="bm25"):
+def bm25_search_oracle(index, query, k):
     """Top-k by BM25 with defaultdict accumulation and a full sort."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -66,7 +66,7 @@ def bm25_search_oracle(index, query, k, tag="bm25"):
         for pid, tf in postings.items():
             scores[pid] += idf * _tf_weight(index, tf, index.doc_lengths[pid])
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return RankedList(query.id, tuple(ranked), tag)
+    return RankedList(query.id, tuple(ranked))
 
 
 def lexical_baseline_scores_oracle(inputs):

@@ -224,9 +224,9 @@ def test_criterion_4_truncation_contract():
             organic("q", r + 1, " ".join(rng.choices(big_vocab, k=rng.randint(5, 60))))
             for r in range(rng.randint(1, 5))
         ]
-        nl_text = natural_language_expansion(snippets, nl_cfg).text
+        nl_text = natural_language_expansion(snippets, nl_cfg.max_words)
         assert len(nl_text.split()) <= 64
-        term_text = topical_term_expansion(snippets, lm, terms_cfg).text
+        term_text = topical_term_expansion(snippets, lm, terms_cfg.max_terms)
         terms = term_text.split()
         assert len(terms) <= 64
         assert len(set(terms)) == len(terms)
@@ -444,12 +444,10 @@ def test_criterion_9_fusion_contract():
         dense = RankedList(
             "q",
             tuple(sorted(((p, rng.random()) for p in dense_pids), key=lambda e: -e[1])),
-            "dense",
         )
         sparse = RankedList(
             "q",
             tuple(sorted(((p, rng.random()) for p in sparse_pids), key=lambda e: -e[1])),
-            "sparse",
         )
         fused = fuse_runs(dense, sparse, FusionConfig(0.0))
         dense_set = set(dense.passage_ids())
@@ -457,8 +455,8 @@ def test_criterion_9_fusion_contract():
         assert restricted == list(dense.passage_ids())
         assert set(fused.passage_ids()) == dense_set | set(sparse.passage_ids())
 
-    dense = RankedList("q", (("d1", 1.0),), "dense")
-    sparse = RankedList("q", (("d1", 2.0),), "sparse")
+    dense = RankedList("q", (("d1", 1.0),))
+    sparse = RankedList("q", (("d1", 2.0),))
     fused = fuse_runs(dense, sparse, FusionConfig(1.3))
     assert fused.entries[0][1] == pytest.approx(3.6, abs=1e-12)
     _report(9, "alpha=0 preserved dense order on 100 pairs; 1.0 + 1.3*2.0 = 3.6")

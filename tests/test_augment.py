@@ -100,29 +100,21 @@ def words(n, prefix="w"):
 class TestNaturalLanguageExpansion:
     def test_two_forty_word_snippets_truncate_to_64(self):
         first, second = words(40, "a"), words(40, "b")
-        expansion = natural_language_expansion([snip(1, first), snip(2, second)], NL_CFG)
+        text = natural_language_expansion([snip(1, first), snip(2, second)], 64)
         expected = first + " " + " ".join(second.split()[:24])
-        assert expansion.text == expected
-        assert len(expansion.text.split()) == 64
+        assert text == expected
+        assert len(text.split()) == 64
 
     def test_short_snippet_verbatim(self):
         text = words(10)
-        expansion = natural_language_expansion([snip(1, text)], NL_CFG)
-        assert expansion.text == text
-        assert not expansion.fallback
+        assert natural_language_expansion([snip(1, text)], 64) == text
 
     def test_empty_sequence_gives_empty_text(self):
-        expansion = natural_language_expansion([], NL_CFG)
-        assert expansion.text == ""
-        assert expansion.fallback
+        assert natural_language_expansion([], 64) == ""
 
     def test_casing_and_punctuation_preserved(self):
-        expansion = natural_language_expansion([snip(1, "The T5-XL; works.")], NL_CFG)
-        assert expansion.text == "The T5-XL; works."
-
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            natural_language_expansion([snip(1, "x")], TERMS_CFG)
+        text = natural_language_expansion([snip(1, "The T5-XL; works.")], 64)
+        assert text == "The T5-XL; works."
 
     @given(
         st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30), max_size=6),
@@ -130,9 +122,7 @@ class TestNaturalLanguageExpansion:
     )
     def test_truncation_never_splits_words(self, snippet_words, max_words):
         snippets = [snip(i + 1, " ".join(ws)) for i, ws in enumerate(snippet_words)]
-        cfg = ExpansionConfig(ExpansionMode.NATURAL_LANGUAGE, max_words=max_words)
-        expansion = natural_language_expansion(snippets, cfg)
-        out_words = expansion.text.split()
+        out_words = natural_language_expansion(snippets, max_words).split()
         assert len(out_words) <= max_words
         all_words = [w for ws in snippet_words for w in ws]
         assert out_words == all_words[: len(out_words)]
@@ -194,29 +184,26 @@ class TestTopicalTermExpansion:
     def test_caps_at_max_terms(self):
         lm = lm_from("common words only")
         text = " ".join(f"term{i}" for i in range(100))
-        expansion = topical_term_expansion([snip(1, text)], lm, TERMS_CFG)
-        assert len(expansion.text.split()) == 64
+        assert len(topical_term_expansion([snip(1, text)], lm, 64).split()) == 64
 
     def test_fewer_terms_than_cap(self):
         lm = lm_from("common words only")
-        expansion = topical_term_expansion([snip(1, "alpha beta gamma")], lm, TERMS_CFG)
-        assert len(expansion.text.split()) == 3
+        assert len(topical_term_expansion([snip(1, "alpha beta gamma")], lm, 64).split()) == 3
 
     def test_order_equals_oracle_sort(self):
         corpus_texts = ["one common phrase", "another common phrase"]
         lm = lm_from(*corpus_texts)
         snippets = [snip(1, "quantum common flux quantum"), snip(2, "flux capacitor common")]
-        expansion = topical_term_expansion(snippets, lm, TERMS_CFG)
+        text = topical_term_expansion(snippets, lm, 64)
         oracle = kl_weights_oracle(
             [tokenize(s.text) for s in snippets], [tokenize(t) for t in corpus_texts]
         )
         expected = sorted(oracle, key=lambda t: (-oracle[t], t))
-        assert expansion.text.split() == expected
+        assert text.split() == expected
 
     def test_terms_pairwise_distinct(self):
         lm = lm_from("x y z")
-        expansion = topical_term_expansion([snip(1, "dup dup dup other dup")], lm, TERMS_CFG)
-        terms = expansion.text.split()
+        terms = topical_term_expansion([snip(1, "dup dup dup other dup")], lm, 64).split()
         assert len(terms) == len(set(terms))
 
     def test_duplicating_snippets_changes_nothing(self):
@@ -228,11 +215,7 @@ class TestTopicalTermExpansion:
         assert [(w.term, round(w.weight, 12)) for w in once] == [
             (w.term, round(w.weight, 12)) for w in twice
         ]
-        cfg = TERMS_CFG
-        assert (
-            topical_term_expansion(snippets, lm, cfg).text
-            == topical_term_expansion(doubled, lm, cfg).text
-        )
+        assert topical_term_expansion(snippets, lm, 64) == topical_term_expansion(doubled, lm, 64)
 
 
 class TestAugmentQuery:
@@ -249,8 +232,18 @@ class TestAugmentQuery:
 
     def test_uncached_query_falls_back(self):
         expansion = augment_query(Query("q9", "x"), self.make_cache(), RetrieverConfig(), NL_CFG)
-        assert expansion.text == ""
+        assert expansion == Expansion("q9", ExpansionMode.NATURAL_LANGUAGE, "")
         assert expansion.fallback
+
+    @pytest.mark.parametrize("cfg", [NL_CFG, TERMS_CFG])
+    def test_query_id_comes_from_the_query(self, cfg):
+        # The snippets cached under q1 claim another query id; the expansion
+        # still names q1, in both modes.
+        cache = {"q1": [snip(1, "alpha beta", qid="other"), snip(2, "gamma", qid="")]}
+        lm = lm_from("corpus background text")
+        expansion = augment_query(Query("q1", "topic"), cache, RetrieverConfig(), cfg, lm)
+        assert (expansion.query_id, expansion.mode) == ("q1", cfg.mode)
+        assert expansion.text
 
     def test_deterministic(self):
         args = (Query("q1", "topic"), self.make_cache(), RetrieverConfig(), NL_CFG)

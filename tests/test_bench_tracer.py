@@ -1,23 +1,35 @@
 """bench/traced_pipeline.py wraps augrank names at run time and stops a
-traced benchmark run with exit 4 when one is missing. These checks catch
-such a rename in the test suite instead."""
+traced benchmark run with exit 4 when one is missing, and
+bench/setup_probe.py imports augrank names to time the set-up. These checks
+catch a rename or a moved argument in the test suite instead."""
 
 import importlib.util
 import inspect
 from pathlib import Path
 
+from augrank.augment import augment_query
 from augrank.corpus_io import Passage, Query
-from augrank.index import build_index, tokenize
+from augrank.index import bm25_search, build_index, tokenize
 from augrank.rerank import rerank_topk
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "traced_pipeline.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("traced_pipeline", TRACER_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_bench_module("traced_pipeline")
+
+
+def test_setup_probe_imports_resolve():
+    # Every name the probe imports from augrank must exist; a missing one
+    # is an ImportError here.
+    assert callable(load_bench_module("setup_probe").set_up)
 
 
 def test_every_required_wrapped_name_exists():
@@ -34,6 +46,14 @@ def test_rerank_topk_arguments_sit_where_the_tracer_reads_them():
     # `endpoint` at 4 and `k` at 5.
     params = list(inspect.signature(rerank_topk).parameters)
     assert (params[2], params[4], params[5]) == ("query", "endpoint", "k")
+
+
+def test_bm25_search_and_augment_query_arguments_sit_where_the_tracer_reads_them():
+    # _after_index_bm25_search reads `index` at 0 and `query` at 1;
+    # _QUERY_ARG reads bm25_search's `query` at 1 and augment_query's at 0.
+    bm25_params = list(inspect.signature(bm25_search).parameters)
+    assert bm25_params[:2] == ["index", "query"]
+    assert list(inspect.signature(augment_query).parameters)[0] == "query"
 
 
 def test_index_counters_match_counts_from_the_tokens():

@@ -69,6 +69,11 @@ def no_index(passages):
     raise AssertionError("build_index called")
 
 
+def run_tags(text: str) -> list[str]:
+    """The tag column of every line of a run file."""
+    return [line.split()[5] for line in text.splitlines()]
+
+
 def read_metric(path: Path, token: str) -> float:
     for line in path.read_text().splitlines():
         name, value = line.split("\t")
@@ -114,7 +119,7 @@ class TestIndexCommands:
                      "--k", "10", "--out", str(run_path)]) == 0
         lists = parse_run(run_path.read_text())
         assert {r.query_id for r in lists} == {"q1", "q2", "q3"}
-        assert all(r.tag == "bm25" for r in lists)
+        assert set(run_tags(run_path.read_text())) == {"bm25"}
 
     def test_search_names_queries_without_hits_on_stderr(self, workspace, capsys):
         index_path = workspace / "corpus.idx"
@@ -166,7 +171,7 @@ class TestFuseCommand:
                      "--alpha", "1.3", "--out", str(out)]) == 0
         (fused,) = parse_run(out.read_text())
         assert fused.entries[0][1] == pytest.approx(3.6, abs=1e-4)
-        assert fused.tag == "hybrid"
+        assert run_tags(out.read_text()) == ["hybrid"]
 
 
 class TestExpandCommand:
@@ -230,6 +235,10 @@ class TestRerankCommand:
         expected = capsys.readouterr().out
         assert main(argv + ["--scorer", scorer]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_default_tag_on_every_line(self, workspace, capsys):
+        assert main(self.argv(workspace)) == 0
+        assert run_tags(capsys.readouterr().out) == ["rerank", "rerank"]
 
     def test_unparseable_address_is_a_data_error(self, workspace, capsys):
         assert main(self.argv(workspace) + ["--scorer", "remote", "--address", "http://[::1"]) == 2
@@ -376,6 +385,14 @@ class TestPipeline:
         # ablation identity: no Description segment in any input
         inputs = [json.loads(l) for l in (out_dir / "inputs.jsonl").read_text().splitlines()]
         assert all("Description:" not in r["sequence"] for r in inputs)
+
+    def test_every_run_line_ends_in_run_tag(self, workspace):
+        for out_name, extra, tag in (("tag_default", {}, "augrank"),
+                                     ("tag_set", {"run_tag": "exp-1", "mode": "nl"}, "exp-1")):
+            config = make_config(workspace, out_name, **extra)
+            assert main(["pipeline", "run", "--config", str(config)]) == 0
+            lines = (workspace / out_name / "reranked.run").read_text().splitlines()
+            assert lines and all(line.endswith(" " + tag) for line in lines)
 
     def test_reruns_are_byte_identical(self, workspace):
         first = make_config(workspace, "det_a", mode="nl")
@@ -572,7 +589,9 @@ class TestPipeline:
           "remote scorer address needs a host and a port in 1..65535, "
           "got 'http://127.0.0.1:abc'"),
          ({"scorer": "remote", "scorer_address": "http://[::1"},
-          "remote scorer address 'http://[::1': Invalid IPv6 URL")],
+          "remote scorer address 'http://[::1': Invalid IPv6 URL"),
+         ({"run_tag": "a b"}, "run tag 'a b' is not a single non-empty token"),
+         ({"run_tag": ""}, "run tag '' is not a single non-empty token")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)

@@ -74,7 +74,6 @@ class TestParseRun:
         assert len(lists) == 1
         assert lists[0].query_id == "q1"
         assert lists[0].passage_ids() == ("d1", "d2")
-        assert lists[0].tag == "bm25"
 
     def test_resorts_by_score(self):
         lists = parse_run("q1 Q0 dlow 1 8.0 t\nq1 Q0 dhigh 2 9.5 t\n")
@@ -115,33 +114,60 @@ class TestParseRun:
         with pytest.raises(ConflictError):
             parse_run("q1 Q0 d1 1 9.0 t\nq1 Q0 d1 2 8.0 t\n")
 
+    def test_tag_column_is_not_read(self):
+        # Mixed tags within and across queries parse to the same lists as one tag.
+        one_tag = "q1 Q0 a 1 3.0 t\nq1 Q0 b 2 2.0 t\nq2 Q0 c 1 1.0 t\n"
+        mixed = "q1 Q0 a 1 3.0 bm25\nq1 Q0 b 2 2.0 dense\nq2 Q0 c 1 1.0 x\n"
+        assert parse_run(mixed) == parse_run(one_tag)
+
+    def test_missing_tag_column_rejected(self):
+        with pytest.raises(ParseError, match="expected 6 fields"):
+            parse_run("q1 Q0 d1 1 9.0\n")
+
 
 class TestWriteRun:
     def test_single_entry_golden(self):
         out = io.StringIO()
-        write_run([RankedList("q1", (("d1", 9.5),), "tag")], out)
+        write_run([RankedList("q1", (("d1", 9.5),))], "tag", out)
         assert out.getvalue() == "q1 Q0 d1 1 9.5000 tag\n"
 
     def test_empty_sequence(self):
         out = io.StringIO()
-        write_run([], out)
+        write_run([], "t", out)
         assert out.getvalue() == ""
 
     def test_rank_column_numbers_entries(self):
         out = io.StringIO()
-        write_run([RankedList("q1", (("a", 3.0), ("b", 2.0), ("c", 1.0)), "t")], out)
+        write_run([RankedList("q1", (("a", 3.0), ("b", 2.0), ("c", 1.0)))], "t", out)
         ranks = [line.split()[3] for line in out.getvalue().splitlines()]
         assert ranks == ["1", "2", "3"]
+
+    def test_tag_on_every_line(self):
+        lists = [RankedList("q1", (("a", 2.0), ("b", 1.0))), RankedList("q2", (("c", 1.0),))]
+        out = io.StringIO()
+        write_run(lists, "mytag", out)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 3
+        assert [line.split()[5] for line in lines] == ["mytag"] * 3
 
     def test_whitespace_docid_rejected(self):
         out = io.StringIO()
         with pytest.raises(ValidationError):
-            write_run([RankedList("q1", (("d 1", 1.0),), "t")], out)
+            write_run([RankedList("q1", (("d 1", 1.0),))], "t", out)
 
     def test_empty_tag_rejected(self):
         out = io.StringIO()
         with pytest.raises(ValidationError):
-            write_run([RankedList("q1", (("d1", 1.0),), "")], out)
+            write_run([RankedList("q1", (("d1", 1.0),))], "", out)
+
+    def test_bad_tag_rejected_before_any_line(self):
+        # The tag is checked once, before the first list: with no lists too.
+        with pytest.raises(ValidationError, match="run tag 'a b'"):
+            write_run([], "a b", io.StringIO())
+        out = io.StringIO()
+        with pytest.raises(ValidationError):
+            write_run([RankedList("q1", (("d1", 1.0),))], "a\tb", out)
+        assert out.getvalue() == ""
 
     @given(
         st.lists(
@@ -156,9 +182,9 @@ class TestWriteRun:
     )
     def test_round_trip_preserves_order_and_scores(self, raw):
         entries = sorted(((f"d{i}", s) for i, s in raw), key=lambda e: (-e[1], e[0]))
-        original = RankedList("q1", tuple(entries), "t")
+        original = RankedList("q1", tuple(entries))
         out = io.StringIO()
-        write_run([original], out)
+        write_run([original], "t", out)
         (parsed,) = parse_run(out.getvalue())
         assert parsed.passage_ids() == original.passage_ids()
         for (_, got), (_, expect) in zip(parsed.entries, original.entries):
@@ -167,22 +193,20 @@ class TestWriteRun:
     @given(
         st.dictionaries(
             st.from_regex(r"q[0-9]{1,3}", fullmatch=True),
-            st.tuples(
-                st.from_regex(r"[a-z]{1,6}", fullmatch=True),
-                st.lists(st.integers(-10**8, 10**8), min_size=1, max_size=10),
-            ),
+            st.lists(st.integers(-10**8, 10**8), min_size=1, max_size=10),
             min_size=1,
             max_size=5,
-        )
+        ),
+        st.from_regex(r"[a-z]{1,6}", fullmatch=True),
     )
-    def test_round_trip_keeps_entries_and_tags_at_four_decimals(self, runs):
+    def test_round_trip_keeps_entries_at_four_decimals(self, runs, tag):
         lists = []
-        for qid, (tag, scaled) in runs.items():
+        for qid, scaled in runs.items():
             scores = sorted((n / 10_000 for n in scaled), reverse=True)
             entries = tuple((f"d{i}", score) for i, score in enumerate(scores))
-            lists.append(RankedList(qid, entries, tag))
+            lists.append(RankedList(qid, entries))
         out = io.StringIO()
-        write_run(lists, out)
+        write_run(lists, tag, out)
         assert parse_run(out.getvalue()) == lists
 
 

@@ -247,8 +247,8 @@ class TestBm25SearchOracle:
         # both the first time (cold) and from the cache (warm).
         calls = [(q, k) for q in queries for k in range(1, len(passages) + 2)]
         for query, k in data.draw(st.permutations(calls)):
-            got = bm25_search(index, query, k, tag="t")
-            expected = bm25_search_oracle(index, query, k, tag="t")
+            got = bm25_search(index, query, k)
+            expected = bm25_search_oracle(index, query, k)
             assert got == expected
             assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in expected.entries]
         after = io.StringIO()
@@ -350,22 +350,22 @@ class TestCorpusLmFromTokens:
 
 class TestFuseRuns:
     def test_alpha_zero_keeps_dense_order(self):
-        dense = RankedList("q", (("a", 5.0), ("b", 3.0), ("c", 1.0)), "dense")
-        sparse = RankedList("q", (("c", 9.0), ("a", 2.0)), "sparse")
+        dense = RankedList("q", (("a", 5.0), ("b", 3.0), ("c", 1.0)))
+        sparse = RankedList("q", (("c", 9.0), ("a", 2.0)))
         fused = fuse_runs(dense, sparse, FusionConfig(0.0))
         restricted = [pid for pid in fused.passage_ids() if pid in {"a", "b", "c"}]
         assert restricted == ["a", "b", "c"]
 
     def test_single_doc_arithmetic(self):
-        dense = RankedList("q", (("d1", 1.0),), "dense")
-        sparse = RankedList("q", (("d1", 2.0),), "sparse")
+        dense = RankedList("q", (("d1", 1.0),))
+        sparse = RankedList("q", (("d1", 2.0),))
         fused = fuse_runs(dense, sparse, FusionConfig(1.3))
         assert math.isclose(fused.entries[0][1], 3.6, abs_tol=1e-12)
 
     def test_disjoint_singletons_fill_with_minimum(self):
         # by hand: a = 1.0 + 1.3*3.0 (sparse fill), b = 1.0 (dense fill) + 1.3*3.0
-        dense = RankedList("q", (("a", 1.0),), "dense")
-        sparse = RankedList("q", (("b", 3.0),), "sparse")
+        dense = RankedList("q", (("a", 1.0),))
+        sparse = RankedList("q", (("b", 3.0),))
         fused = fuse_runs(dense, sparse, FusionConfig(1.3))
         assert fused.passage_ids() == ("a", "b")  # tie resolved by passage id
         assert all(math.isclose(s, 1.0 + 1.3 * 3.0) for _, s in fused.entries)
@@ -379,9 +379,9 @@ class TestFuseRuns:
             )
 
     def test_monotone_in_sparse_score(self):
-        dense = RankedList("q", (("a", 1.0), ("b", 1.0)), "dense")
-        low = RankedList("q", (("a", 1.0), ("b", 0.5)), "sparse")
-        high = RankedList("q", (("b", 2.0), ("a", 1.0)), "sparse")
+        dense = RankedList("q", (("a", 1.0), ("b", 1.0)))
+        low = RankedList("q", (("a", 1.0), ("b", 0.5)))
+        high = RankedList("q", (("b", 2.0), ("a", 1.0)))
         assert fuse_runs(dense, low, FusionConfig(1.3)).passage_ids()[0] == "a"
         assert fuse_runs(dense, high, FusionConfig(1.3)).passage_ids()[0] == "b"
 

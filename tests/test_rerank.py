@@ -69,6 +69,10 @@ class TestBuildAugmentedInput:
         item = build_augmented_input(q, expansion(""), p)
         assert item == build_input(q, p)
 
+    def test_no_expansion_gives_plain(self):
+        q, p = Query("q1", "who am i"), Passage("d1", None, "a passage")
+        assert build_augmented_input(q, None, p) == build_input(q, p)
+
     def test_full_expansion_embedded(self):
         text = " ".join(f"w{i}" for i in range(64))
         item = build_augmented_input(Query("q1", "q"), expansion(text), Passage("d1", None, "d"))
@@ -559,7 +563,7 @@ def corpus(n=4):
 
 
 def initial_list(n=4):
-    return RankedList("q1", tuple((f"d{i}", float(n - i)) for i in range(n)), "init")
+    return RankedList("q1", tuple((f"d{i}", float(n - i)) for i in range(n)))
 
 
 class TestRerankTopk:
