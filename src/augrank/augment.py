@@ -23,7 +23,6 @@ frequency terms suppress themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -31,7 +30,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
 
-from .corpus_io import Query, Snippet, SnippetKind, SnippetSource, _iter_lines, _parse_record
+from .corpus_io import (
+    Query,
+    Snippet,
+    SnippetKind,
+    SnippetSource,
+    _iter_lines,
+    _parse_record,
+    encode_json_string,
+)
 from .errors import ParseError, ValidationError
 from .index import CorpusLanguageModel, tokenize
 
@@ -183,10 +190,14 @@ def augment_query(
 
 
 def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:
-    """One JSON record per line: {"query_id", "mode", "text"}."""
+    """One JSON record per line: {"query_id", "mode", "text"}, the line
+    `json.dumps(record, ensure_ascii=False)` gives."""
     for item in expansions:
-        record = {"query_id": item.query_id, "mode": item.mode.value, "text": item.text}
-        out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        out.write(
+            f'{{"query_id": {encode_json_string(item.query_id)}, '
+            f'"mode": {encode_json_string(item.mode.value)}, '
+            f'"text": {encode_json_string(item.text)}}}\n'
+        )
 
 
 def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:

@@ -56,6 +56,7 @@ from .corpus_io import (
     _holds_lone_surrogate,
     _iter_lines,
     check_run_token,
+    encode_json_string,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -443,8 +444,10 @@ def _rerank(
 ) -> list[RankedList]:
     """Rerank the top k of each query's initial list, in query order, and
     write the run with `tag` to `out_path` (stdout when None). With
-    `inputs_out`, each query's scorer inputs are also written there, once
-    it has been reranked, as one rendered JSON record each."""
+    `inputs_out`, each query's scorer inputs are also written there, in
+    one write once it has been reranked, as one JSON record
+    {"query_id", "passage_id", "sequence"} per line, the line
+    `json.dumps(record, ensure_ascii=False)` gives."""
     reranked = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -454,10 +457,15 @@ def _rerank(
         expansion = expansions.get(query.id)
         reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth))
         if inputs_out is not None:
+            qid = encode_json_string(query.id)
+            lines = []
             for pid, _ in ranked.entries[:depth]:
-                item = build_augmented_input(query, expansion, corpus[pid])
-                record = {"query_id": query.id, "passage_id": pid, "sequence": item.sequence}
-                inputs_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                sequence = build_augmented_input(query, expansion, corpus[pid]).sequence
+                lines.append(
+                    f'{{"query_id": {qid}, "passage_id": {encode_json_string(pid)}, '
+                    f'"sequence": {encode_json_string(sequence)}}}\n'
+                )
+            inputs_out.write("".join(lines))
     with _open_out(out_path) as out:
         write_run(reranked, tag, out)
     return reranked

@@ -16,7 +16,9 @@ File formats:
   a ParseError naming the line and the field.
 - Run files are TREC 6-column text: `qid Q0 docid rank score tag`. The tag
   names the run and is the same on every line: `write_run` takes it once
-  and writes it on each line, and `parse_run` does not read it.
+  and writes it on each line, and `parse_run` does not read it. The qid,
+  docid and tag are each one token without whitespace, so `load_queries`
+  and `load_corpus` reject an id that a run could not hold.
 - Qrels are TREC 4-column text: `qid 0 docid grade`.
 
 Duplicate judgments, duplicate docids within a query, and duplicate record
@@ -55,8 +57,9 @@ class TrainingLabel(str, Enum):
 class Query:
     """A query string with its identifier.
 
-    Ids must be non-empty and unique within a query set; text must be
-    non-empty after whitespace trim. Enforced by `load_queries`.
+    Ids must be single non-empty tokens (they fill a run file's qid
+    column) and unique within a query set; text must be non-empty after
+    whitespace trim. Enforced by `load_queries`.
     """
 
     id: str
@@ -229,23 +232,37 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
 
 def check_run_token(value: str, what: str) -> None:
     """A run file column that must be one non-empty token, such as a run
-    tag or a docid; `what` names it in the ValidationError."""
-    if not value or any(ch.isspace() for ch in value):
+    tag, a query id or a docid; `what` names it in the ValidationError.
+    A token holds no character for which `str.isspace` is true: `split()`
+    cuts at exactly those, so it returns `[value]` only for such a token."""
+    if value.split() != [value]:
         raise ValidationError(f"{what} {value!r} is not a single non-empty token")
 
 
 def write_run(lists: Sequence[RankedList], tag: str, out: TextIO) -> None:
     """Write TREC 6-column format with fixed 4-decimal scores and `tag` on
-    every line; the tag is checked before anything is written.
+    every line, one write per ranked list. The tag is checked before
+    anything is written, and each list's query id and docids before its
+    lines are written.
 
     Rank column numbers entries 1..n in list order.
     """
     check_run_token(tag, "run tag")
     for ranked in lists:
-        for rank, (pid, score) in enumerate(ranked.entries, start=1):
+        qid = ranked.query_id
+        check_run_token(qid, "query id")
+        for pid, _ in ranked.entries:
             check_run_token(pid, "docid")
-            out.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.4f} {tag}\n")
+        out.write("".join([
+            f"{qid} Q0 {pid} {rank} {score:.4f} {tag}\n"
+            for rank, (pid, score) in enumerate(ranked.entries, start=1)
+        ]))
 
+
+# A string as the JSON string literal `json.dumps(value, ensure_ascii=False)`
+# gives, for the JSONL writers. json.dumps builds a new encoder on every
+# call that sets an option; this one is built once.
+encode_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 # The JSON types each JSONL field may hold. A field that may be null may
 # also be missing; `type` is exact, so a boolean is not an integer.
@@ -301,16 +318,24 @@ def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
     return record
 
 
+def _check_id(value: str, what: str, line_no: int) -> None:
+    """A passage or query id must fit a run file's docid or qid column, as
+    `check_run_token` checks; a ParseError naming the line if not."""
+    try:
+        check_run_token(value, what)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
 def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
     """Load a JSONL passage corpus, preserving file order and checking
-    id uniqueness and non-empty text."""
+    that ids are unique single tokens and texts non-empty."""
     passages: list[Passage] = []
     seen: set[str] = set()
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("id", "title", "text"))
         pid, text = record["id"], record["text"]
-        if not pid:
-            raise ParseError("empty passage id", line_no)
+        _check_id(pid, "passage id", line_no)
         if not text:
             raise ParseError(f"empty text for passage {pid!r}", line_no)
         if pid in seen:
@@ -321,14 +346,14 @@ def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
 
 
 def load_queries(stream: Iterable[str] | str) -> list[Query]:
-    """Load a JSONL query set; ids unique, text non-empty after trim."""
+    """Load a JSONL query set; ids unique single tokens, text non-empty
+    after trim."""
     queries: list[Query] = []
     seen: set[str] = set()
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("id", "text"))
         qid, text = record["id"], record["text"]
-        if not qid:
-            raise ParseError("empty query id", line_no)
+        _check_id(qid, "query id", line_no)
         if not text.strip():
             raise ParseError(f"empty text for query {qid!r}", line_no)
         if qid in seen:

@@ -30,8 +30,12 @@ INDEX_MAGIC = "augrank-index/2"
 # Runs of Unicode letters/digits; underscore and punctuation are boundaries.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-# Every ASCII code point that is not a letter or digit, mapped to a space.
-_ASCII_BOUNDARIES = str.maketrans({c: " " for c in range(128) if not chr(c).isalnum()})
+# One byte table for ASCII text: each letter or digit to its lowercase form,
+# every other ASCII code point to a space. Bytes 128-255 map to themselves;
+# ASCII-encoded text holds none.
+_ASCII_TABLE = bytes(
+    ord(chr(c).lower()) if chr(c).isalnum() else ord(" ") for c in range(128)
+) + bytes(range(128, 256))
 
 TokenStream = list[str]
 
@@ -42,16 +46,17 @@ def tokenize(text: str) -> TokenStream:
 
     "T5-xl re-ranker" -> ["t5", "xl", "re", "ranker"]
 
-    Two paths give the same tokens. ASCII text is lowercased, every
-    non-alphanumeric character becomes a space, and the result is split:
-    in ASCII `[^\W_]` is exactly `[A-Za-z0-9]`, and lowercasing maps only
-    A-Z to a-z, so it moves no boundary and `split()` returns the maximal
-    runs. Other text is matched first and each match lowercased, since
-    there lowercasing can move a boundary: "İ".lower() appends a combining
-    dot, which the pattern treats as a boundary.
+    Two paths give the same tokens. ASCII text goes through one 256-byte
+    translation table, which lowercases A-Z and turns every other
+    non-alphanumeric byte into a space, and the result is decoded and
+    split: in ASCII `[^\W_]` is exactly `[A-Za-z0-9]`, and lowercasing
+    maps only A-Z to a-z, so it moves no boundary and `split()` returns the
+    maximal runs. Other text is matched first and each match lowercased,
+    since there lowercasing can move a boundary: "İ".lower() appends a
+    combining dot, which the pattern treats as a boundary.
     """
     if text.isascii():
-        return text.lower().translate(_ASCII_BOUNDARIES).split()
+        return text.encode("ascii").translate(_ASCII_TABLE).decode("ascii").split()
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 

@@ -176,16 +176,20 @@ def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
         for term in counts.keys() & query_terms:
             df[term] += 1
     idf = {term: math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5)) for term, n in df.items()}
+    k1_plus_1 = BM25_K1 + 1.0
     scores = []
     for item in inputs:
         counts, length = documents[item.passage_id]
         raw = 0.0
-        for term in streams[(item.query, item.description)]:
-            # get, not [], which would call Counter.__missing__ for every miss.
-            tf = counts.get(term, 0)
-            if tf:
-                norm = 1.0 - BM25_B + BM25_B * length / avg_doc_length
-                raw += idf[term] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
+        # An empty document has no hits and scores 0.0; skipping it also
+        # keeps a batch of empty documents (average length 0) from dividing.
+        if length:
+            k1_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg_doc_length)
+            for term in streams[(item.query, item.description)]:
+                # get, not [], which would call Counter.__missing__ for every miss.
+                tf = counts.get(term, 0)
+                if tf:
+                    raw += idf[term] * (tf * k1_plus_1 / (tf + k1_norm))
         scores.append(raw / (raw + 1.0))
     return scores
 

@@ -289,6 +289,21 @@ class TestExpansionFile:
         assert loaded["q2"].text == ""
         assert loaded["q2"].fallback
 
+    @given(st.lists(st.tuples(
+        st.text(st.sampled_from('"\\\x00\x7f\U0001f600q1'), min_size=1),
+        st.sampled_from(list(ExpansionMode)),
+        st.lists(st.sampled_from(['"', "\\", "\x1f", "\x85", "\u2028", "\u2029", "é", " ",
+                                  "Document:"]) | st.characters(blacklist_categories=("Cs",)))
+        .map("".join),
+    )))
+    def test_every_line_is_json_dumps_of_its_record(self, drawn):
+        buffer = io.StringIO()
+        write_expansions([Expansion(*fields) for fields in drawn], buffer)
+        assert buffer.getvalue() == "".join(
+            json.dumps({"query_id": qid, "mode": mode.value, "text": text}, ensure_ascii=False) + "\n"
+            for qid, mode, text in drawn
+        )
+
     @pytest.mark.parametrize("field, value", [("text", None), ("query_id", None), ("mode", 1)])
     def test_field_of_wrong_json_type_rejected(self, field, value):
         record = dict({"query_id": "q1", "mode": "natural_language", "text": "a"}, **{field: value})

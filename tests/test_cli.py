@@ -1,21 +1,28 @@
 import dataclasses
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from augrank.augment import Expansion, ExpansionMode
 from augrank.cli import (
     _CONFIG_TYPES,
     ExperimentConfig,
+    _rerank,
     load_experiment_config,
     load_per_query_report,
     main,
     run_pipeline,
 )
-from augrank.corpus_io import parse_run
+from augrank.corpus_io import Passage, Query, RankedList, parse_run
 from augrank.errors import ValidationError
 from augrank.evaluation import MetricConfig
+from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input
 
 
 def write_jsonl(path: Path, records):
@@ -373,6 +380,68 @@ class TestEvalAndCompareCommands:
         assert repr(token) in captured.err and "Traceback" not in captured.err
 
 
+# Characters JSON must escape or that are whitespace only outside ASCII:
+# quote, backslash, control characters, DEL, NEL, U+2028/U+2029, and a
+# non-BMP character; ids take those that a run column can hold.
+_ID_PIECES = ['"', "\\", "\x00", "\x01", "\x7f", "\U0001f600", "é", "Document:", "d", "1"]
+_TEXT_PIECES = _ID_PIECES + [
+    "\x1f", "\x85", "\u2028", "\u2029", "\t", "\n", " ", "Query:", " Description: ", "Relevant:"
+]
+_ids = st.lists(st.sampled_from(_ID_PIECES), min_size=1, max_size=4).map("".join)
+_texts = st.lists(
+    st.sampled_from(_TEXT_PIECES) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    max_size=8,
+).map("".join)
+
+
+class CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestRerankInputsFile:
+    BASELINE = ScorerEndpoint(ScorerKind.LEXICAL_BASELINE)
+
+    @given(
+        _ids, _texts, st.one_of(st.none(), _texts),
+        st.lists(st.tuples(_ids, _texts), min_size=1, max_size=4, unique_by=lambda p: p[0]),
+        st.integers(1, 4),
+    )
+    def test_every_line_is_json_dumps_of_its_record(self, qid, text, description, passages, k):
+        query = Query(qid, text)
+        corpus = {pid: Passage(pid, None, doc) for pid, doc in passages}
+        initial = RankedList(qid, tuple((pid, -float(i)) for i, pid in enumerate(corpus)))
+        expansions = {}
+        if description is not None:
+            expansions[qid] = Expansion(qid, ExpansionMode.NATURAL_LANGUAGE, description)
+        inputs_out = io.StringIO()
+        _rerank([query], {qid: initial}, corpus, expansions, self.BASELINE, k, "t", os.devnull,
+                inputs_out)
+        assert inputs_out.getvalue() == "".join(
+            json.dumps(
+                {"query_id": qid, "passage_id": pid,
+                 "sequence": build_augmented_input(query, expansions.get(qid), corpus[pid]).sequence},
+                ensure_ascii=False,
+            ) + "\n"
+            for pid, _ in initial.entries[:k]
+        )
+
+    def test_one_write_per_reranked_query(self):
+        queries = [Query("q1", "apple"), Query("q2", "no run"), Query("q3", "pie")]
+        corpus = {pid: Passage(pid, None, f"apple pie {pid}") for pid in ("d1", "d2", "d3")}
+        entries = (("d1", 3.0), ("d2", 2.0), ("d3", 1.0))
+        initial = {qid: RankedList(qid, entries) for qid in ("q1", "q3")}
+        inputs_out = CountingStream()
+        _rerank(queries, initial, corpus, {}, self.BASELINE, 3, "t", os.devnull, inputs_out)
+        assert inputs_out.writes == 2
+        assert len(inputs_out.getvalue().splitlines()) == 6
+
+
 class TestPipeline:
     def test_mode_none_matches_direct_rerank(self, workspace, capsys):
         config = make_config(workspace, "out_none")
@@ -665,6 +734,22 @@ class TestExitCodes:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, record, line, what",
+        [("queries", {"id": "q 1", "text": "shared topic1"}, 4, "query id"),
+         ("corpus", {"id": "d 1", "text": "shared topic1 marker1"}, 10, "passage id")],
+    )
+    def test_id_a_run_cannot_hold_names_the_file_and_line(
+        self, workspace, capsys, name, record, line, what
+    ):
+        path = workspace / f"{name}.jsonl"
+        path.write_text(path.read_text() + json.dumps(record) + "\n")
+        config = make_config(workspace, "out_ids", mode="nl")
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {line}: {what} {record['id']!r} is not a single non-empty token" in err
+        assert not any((workspace / "out_ids").iterdir())
 
     def test_undecodable_input_names_the_file_and_line(self, workspace, capsys):
         corpus = workspace / "raw_ff_corpus.jsonl"

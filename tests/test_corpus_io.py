@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from augrank.corpus_io import (
     SnippetKind,
     SnippetSource,
     TrainingLabel,
+    check_run_token,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -22,6 +24,10 @@ from augrank.corpus_io import (
     write_run,
 )
 from augrank.errors import ConflictError, ParseError, ValidationError
+
+# Every code point for which str.isspace() is true, among them the
+# separators \x1c-\x1f, NEL, NBSP and the line/paragraph separators.
+UNICODE_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 
 
 class TestParseQrels:
@@ -169,6 +175,37 @@ class TestWriteRun:
             write_run([RankedList("q1", (("d1", 1.0),))], "a\tb", out)
         assert out.getvalue() == ""
 
+    def test_whitespace_query_id_rejected_before_its_lines(self):
+        lists = [RankedList("q1", (("d1", 1.0),)), RankedList("q 2", (("d1", 1.0),))]
+        out = io.StringIO()
+        with pytest.raises(ValidationError, match="query id 'q 2'"):
+            write_run(lists, "t", out)
+        assert out.getvalue() == "q1 Q0 d1 1 1.0000 t\n"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                         min_size=1),
+                st.lists(st.floats(allow_nan=False), max_size=6),
+            ),
+            max_size=4,
+        ),
+        st.from_regex(r"[a-z0-9_-]{1,6}", fullmatch=True),
+    )
+    def test_output_equals_one_f_string_per_line(self, drawn, tag):
+        lists = [
+            RankedList(qid, tuple((f"d{i}", s) for i, s in enumerate(sorted(scores, reverse=True))))
+            for qid, scores in drawn
+        ]
+        out = io.StringIO()
+        write_run(lists, tag, out)
+        assert out.getvalue() == "".join(
+            f"{ranked.query_id} Q0 {pid} {rank} {score:.4f} {tag}\n"
+            for ranked in lists
+            for rank, (pid, score) in enumerate(ranked.entries, start=1)
+        )
+
     @given(
         st.lists(
             st.tuples(
@@ -208,6 +245,28 @@ class TestWriteRun:
         out = io.StringIO()
         write_run(lists, tag, out)
         assert parse_run(out.getvalue()) == lists
+
+
+class TestCheckRunToken:
+    @pytest.mark.parametrize("space", UNICODE_WHITESPACE)
+    def test_every_unicode_whitespace_character_rejected(self, space):
+        for value in (space, f"a{space}b", f"{space}ab", f"ab{space}"):
+            with pytest.raises(ValidationError, match="not a single non-empty token"):
+                check_run_token(value, "docid")
+
+    def test_empty_string_rejected(self):
+        with pytest.raises(ValidationError, match="docid '' is not"):
+            check_run_token("", "docid")
+
+    @given(st.text(st.one_of(st.sampled_from(UNICODE_WHITESPACE), st.characters())))
+    def test_agrees_with_isspace(self, value):
+        bad = not value or any(c.isspace() for c in value)
+        try:
+            check_run_token(value, "docid")
+        except ValidationError:
+            assert bad
+        else:
+            assert not bad
 
 
 class TestRankedListInvariants:
@@ -253,6 +312,12 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 1"):
             load_corpus("not json\n")
 
+    @pytest.mark.parametrize("pid", ["", "d 1", "d\t1", "\u3000d1", "d1\x85"])
+    def test_id_a_run_cannot_hold_rejected_naming_the_line(self, pid):
+        lines = [json.dumps({"id": "d0", "text": "a"}), json.dumps({"id": pid, "text": "b"})]
+        with pytest.raises(ParseError, match="^" + re.escape(f"line 2: passage id {pid!r} is not a single")):
+            load_corpus(lines)
+
     def test_hundred_records_order_preserved(self):
         lines = [json.dumps({"id": f"d{i}", "text": f"passage number {i}"}) for i in range(100)]
         random.Random(7).shuffle(lines)
@@ -274,6 +339,12 @@ class TestLoadQueries:
     def test_duplicate_id(self):
         with pytest.raises(ConflictError):
             load_queries('{"id": "q1", "text": "a"}\n{"id": "q1", "text": "b"}\n')
+
+    @pytest.mark.parametrize("qid", ["", "q 1", "q1\n", "\xa0q1", "q\u20281"])
+    def test_id_a_run_cannot_hold_rejected_naming_the_line(self, qid):
+        lines = [json.dumps({"id": "q0", "text": "a"}), json.dumps({"id": qid, "text": "b"})]
+        with pytest.raises(ParseError, match="^" + re.escape(f"line 2: query id {qid!r} is not a single")):
+            load_queries(lines)
 
 
 def snippet_record(qid="q1", rank=1, kind="organic", text="some text", source="web_serp"):

@@ -251,6 +251,18 @@ class TestLexicalBaselineBitExact:
         got = score_batch(batch, BASELINE)
         assert [s.hex() for s in got] == [s.hex() for s in lexical_baseline_scores_oracle(batch)]
 
+    def test_empty_documents_score_zero_beside_non_empty_ones(self):
+        # Empty and punctuation-only documents lower the batch's average
+        # length but score 0.0; the others score as the oracle does.
+        batch = [
+            RerankInput("q1", pid, "apple pie", desc, doc)
+            for pid, desc, doc in (("p0", None, "!"), ("p1", None, "apple tart"),
+                                   ("p2", "pie", ""), ("p3", "pie", "pie pie apple"))
+        ]
+        got = score_batch(batch, BASELINE)
+        assert got[0] == got[2] == 0.0 and min(got[1], got[3]) > 0.0
+        assert [s.hex() for s in got] == [s.hex() for s in lexical_baseline_scores_oracle(batch)]
+
     def test_each_passage_and_query_stream_tokenized_once(self, monkeypatch):
         calls = []
 
