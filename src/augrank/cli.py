@@ -85,7 +85,14 @@ from .index import (
     load_index,
     save_index,
 )
-from .rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
+from .rerank import (
+    RELEVANT_LABEL,
+    ScorerEndpoint,
+    ScorerKind,
+    build_augmented_input,
+    rerank_topk,
+    template_head,
+)
 from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .trainset import balance_upsample, make_pairs, render_training_sequences
 
@@ -431,6 +438,11 @@ def _expand(
     return {expansion.query_id: expansion for expansion in expansions}
 
 
+# The escaped end of an inputs.jsonl record: the sequence's last segment,
+# its closing quote and the record's closing brace.
+_SEQUENCE_TAIL = encode_json_string(f" {RELEVANT_LABEL}")[1:] + "}\n"
+
+
 def _rerank(
     queries: Iterable[Query],
     initial: Mapping[str, RankedList],
@@ -447,7 +459,10 @@ def _rerank(
     `inputs_out`, each query's scorer inputs are also written there, in
     one write once it has been reranked, as one JSON record
     {"query_id", "passage_id", "sequence"} per line, the line
-    `json.dumps(record, ensure_ascii=False)` gives."""
+    `json.dumps(record, ensure_ascii=False)` gives. The query's template
+    head is rendered and escaped once and each record is joined from
+    escaped pieces, which gives the same bytes: JSON escapes a string one
+    character at a time."""
     reranked = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -457,15 +472,15 @@ def _rerank(
         expansion = expansions.get(query.id)
         reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth))
         if inputs_out is not None:
-            qid = encode_json_string(query.id)
-            lines = []
-            for pid, _ in ranked.entries[:depth]:
-                sequence = build_augmented_input(query, expansion, corpus[pid]).sequence
-                lines.append(
-                    f'{{"query_id": {qid}, "passage_id": {encode_json_string(pid)}, '
-                    f'"sequence": {encode_json_string(sequence)}}}\n'
-                )
-            inputs_out.write("".join(lines))
+            candidates = ranked.entries[:depth]
+            first = build_augmented_input(query, expansion, corpus[candidates[0][0]])
+            prefix = f'{{"query_id": {encode_json_string(query.id)}, "passage_id": '
+            head = encode_json_string(template_head(first.query, first.description))[:-1]
+            inputs_out.write("".join([
+                f'{prefix}{encode_json_string(pid)}, "sequence": {head}'
+                f"{encode_json_string(corpus[pid].text)[1:-1]}{_SEQUENCE_TAIL}"
+                for pid, _ in candidates
+            ]))
     with _open_out(out_path) as out:
         write_run(reranked, tag, out)
     return reranked

@@ -8,6 +8,10 @@ space after each label colon, single space between segments):
     plain:     "Query: <q> Document: <d> Relevant:"          (description None)
     augmented: "Query: <q> Description: <expansion> Document: <d> Relevant:"
 
+The templates are written once: `template_head` gives everything up to the
+document, which every candidate of one query shares, and `sequence` adds
+the document and " Relevant:".
+
 `build_augmented_input` is the one place that picks the template: no
 expansion, or the empty fallback one, gives the plain form. Training
 sequences append " true" / " false" after "Relevant:". Strings are
@@ -22,7 +26,12 @@ in [0, 1], higher means more relevant:
   are computed over the batch's distinct passage ids (a repeated id keeps
   its first document), so the scorer is self-contained (in the pipeline a
   batch is one query's candidate list). Each distinct passage and each
-  distinct query + description stream is tokenized once per batch.
+  distinct query + description stream is tokenized once per batch. A
+  passage keeps counts of the batch's query terms only, and a candidate's
+  score sums the BM25 weights of its hit terms in stream order, a repeated
+  query term once per occurrence: the additions a walk over the whole
+  stream makes, in the same order, so the scores are bit for bit those of
+  that walk. A candidate with no hit scores 0.0.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. The address needs a host, and a
@@ -44,7 +53,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -120,12 +128,16 @@ class RerankInput:
     def sequence(self) -> str:
         """The inference-form template; the label slot after "Relevant:" is
         left for the scorer."""
-        if self.description is None:
-            return f"{QUERY_LABEL} {self.query} {DOCUMENT_LABEL} {self.document} {RELEVANT_LABEL}"
-        return (
-            f"{QUERY_LABEL} {self.query} {DESCRIPTION_LABEL} {self.description} "
-            f"{DOCUMENT_LABEL} {self.document} {RELEVANT_LABEL}"
-        )
+        return f"{template_head(self.query, self.description)}{self.document} {RELEVANT_LABEL}"
+
+
+def template_head(query: str, description: str | None) -> str:
+    """The template up to the document: "Query: <q> Document: " (description
+    None) or "Query: <q> Description: <expansion> Document: ". Every
+    candidate of one query shares it."""
+    if description is None:
+        return f"{QUERY_LABEL} {query} {DOCUMENT_LABEL} "
+    return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
 
 
 def build_input(query: Query, passage: Passage) -> RerankInput:
@@ -152,44 +164,59 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
-    # Each distinct passage id and each distinct (query, description) stream
-    # is tokenized once; each term's idf is computed once. The arithmetic
-    # follows index.py's `_idf` and `_tf_weight` operation for operation,
-    # over the batch's distinct passages, summed in query-term order.
-    documents: dict[str, tuple[Counter[str], int]] = {}
-    streams: dict[tuple[str, str | None], list[str]] = {}
+    # Each distinct (query, description) stream and each distinct passage id
+    # is tokenized once. The arithmetic follows index.py's `_idf` and
+    # `_tf_weight` operation for operation, over the batch's distinct
+    # passages. Hit weights are added in stream position order, the order in
+    # which a walk over the whole stream adds them, so the float sum is the same.
+    streams: dict[tuple[str, str | None], dict[str, list[int]]] = {}
     for item in inputs:
-        if item.passage_id not in documents:
-            tokens = tokenize(item.document)
-            documents[item.passage_id] = (Counter(tokens), len(tokens))
         key = (item.query, item.description)
         if key not in streams:
             terms = tokenize(item.query)
             if item.description is not None:
                 terms += tokenize(item.description)
-            streams[key] = terms
+            positions: dict[str, list[int]] = {}
+            for position, term in enumerate(terms):
+                positions.setdefault(term, []).append(position)
+            streams[key] = positions
+    query_terms = set().union(*streams.values())
+    documents: dict[str, tuple[dict[str, int], int]] = {}
+    for item in inputs:
+        if item.passage_id not in documents:
+            tokens = tokenize(item.document)
+            counts: dict[str, int] = {}
+            for term in filter(query_terms.__contains__, tokens):
+                counts[term] = counts.get(term, 0) + 1
+            documents[item.passage_id] = (counts, len(tokens))
     doc_count = len(documents)
     avg_doc_length = sum(length for _, length in documents.values()) / doc_count
-    query_terms = {term for terms in streams.values() for term in terms}
-    df = dict.fromkeys(query_terms, 0)
+    df: dict[str, int] = {}
     for counts, _ in documents.values():
-        for term in counts.keys() & query_terms:
-            df[term] += 1
+        for term in counts:
+            df[term] = df.get(term, 0) + 1
     idf = {term: math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5)) for term, n in df.items()}
     k1_plus_1 = BM25_K1 + 1.0
     scores = []
     for item in inputs:
         counts, length = documents[item.passage_id]
+        positions = streams[(item.query, item.description)]
+        hits = [term for term in counts if term in positions]
+        if not hits:
+            scores.append(0.0)
+            continue
+        # Only a non-empty document holds a term, so the average is not 0.
+        k1_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg_doc_length)
+        weights = []
+        for term in hits:
+            tf = counts[term]
+            weight = idf[term] * (tf * k1_plus_1 / (tf + k1_norm))
+            for position in positions[term]:
+                weights.append((position, weight))
+        weights.sort()
         raw = 0.0
-        # An empty document has no hits and scores 0.0; skipping it also
-        # keeps a batch of empty documents (average length 0) from dividing.
-        if length:
-            k1_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg_doc_length)
-            for term in streams[(item.query, item.description)]:
-                # get, not [], which would call Counter.__missing__ for every miss.
-                tf = counts.get(term, 0)
-                if tf:
-                    raw += idf[term] * (tf * k1_plus_1 / (tf + k1_norm))
+        for _, weight in weights:
+            raw += weight
         scores.append(raw / (raw + 1.0))
     return scores
 

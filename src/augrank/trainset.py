@@ -80,7 +80,8 @@ def render_training_sequences(
     """One training string per example, ending in " true" / " false".
 
     Examples whose query has an expansion get the augmented template (empty
-    fallback expansions revert to the plain one).
+    fallback expansions revert to the plain one). A sequence that holds a
+    line break is a ValidationError, since each is written as one line.
     """
     sequences = []
     for example in training_set.examples:
@@ -92,5 +93,13 @@ def render_training_sequences(
             raise UnknownIdError(f"unknown passage {example.passage_id!r}")
         expansion = expansions.get(example.query_id) if expansions else None
         rerank_input = build_augmented_input(query, expansion, passage)
-        sequences.append(training_sequence(rerank_input, example.label))
+        sequence = training_sequence(rerank_input, example.label)
+        # One example is one line of the output; str.splitlines also breaks
+        # at \r, \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029.
+        if sequence.splitlines() != [sequence]:
+            raise ValidationError(
+                f"training sequence for query {example.query_id!r} and passage "
+                f"{example.passage_id!r} holds a line break"
+            )
+        sequences.append(sequence)
     return sequences

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import augrank.cli as cli_module
 from augrank.augment import Expansion, ExpansionMode
 from augrank.cli import (
     _CONFIG_TYPES,
@@ -276,6 +277,21 @@ class TestTrainsetCommand:
         assert sum(line.endswith("Relevant: true") for line in lines) == 3
         assert all(line.startswith("Query: ") for line in lines)
 
+    @pytest.mark.parametrize("text", ["first line\nsecond line", "first line\r\nsecond line",
+                                      "first line\u2028second line"])
+    def test_line_break_in_a_sequence_is_a_data_error(self, workspace, capsys, text):
+        corpus = workspace / "broken_corpus.jsonl"
+        write_jsonl(corpus, [{"id": "d1", "text": text}, {"id": "d2", "text": "one line"}])
+        triples = workspace / "triples.jsonl"
+        write_jsonl(triples, [{"query_id": "q1", "passage_id": "d2", "label": "relevant"},
+                              {"query_id": "q1", "passage_id": "d1", "label": "not_relevant"}])
+        out = workspace / "train.txt"
+        assert main(["trainset", "build", "--triples", str(triples), "--corpus", str(corpus),
+                     "--queries", str(workspace / "queries.jsonl"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'q1'" in err and "'d1'" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEvalAndCompareCommands:
     def test_eval_reports_values(self, workspace, capsys):
@@ -407,29 +423,58 @@ class CountingStream(io.StringIO):
 class TestRerankInputsFile:
     BASELINE = ScorerEndpoint(ScorerKind.LEXICAL_BASELINE)
 
+    # Each query has its own template head: no expansion, the empty
+    # fallback (both the plain head) or a description.
+    _queries = st.lists(
+        st.tuples(_ids, _texts, st.one_of(st.none(), st.just(""), _texts)),
+        min_size=1, max_size=3, unique_by=lambda q: q[0],
+    )
+
     @given(
-        _ids, _texts, st.one_of(st.none(), _texts),
+        _queries,
         st.lists(st.tuples(_ids, _texts), min_size=1, max_size=4, unique_by=lambda p: p[0]),
         st.integers(1, 4),
     )
-    def test_every_line_is_json_dumps_of_its_record(self, qid, text, description, passages, k):
-        query = Query(qid, text)
+    def test_every_line_is_json_dumps_of_its_record(self, drawn, passages, k):
+        queries = [Query(qid, text) for qid, text, _ in drawn]
         corpus = {pid: Passage(pid, None, doc) for pid, doc in passages}
-        initial = RankedList(qid, tuple((pid, -float(i)) for i, pid in enumerate(corpus)))
-        expansions = {}
-        if description is not None:
-            expansions[qid] = Expansion(qid, ExpansionMode.NATURAL_LANGUAGE, description)
+        initial = {
+            q.id: RankedList(q.id, tuple((pid, -float(i)) for i, pid in enumerate(corpus)))
+            for q in queries
+        }
+        expansions = {
+            qid: Expansion(qid, ExpansionMode.NATURAL_LANGUAGE, description)
+            for qid, _, description in drawn if description is not None
+        }
         inputs_out = io.StringIO()
-        _rerank([query], {qid: initial}, corpus, expansions, self.BASELINE, k, "t", os.devnull,
+        _rerank(queries, initial, corpus, expansions, self.BASELINE, k, "t", os.devnull,
                 inputs_out)
         assert inputs_out.getvalue() == "".join(
             json.dumps(
-                {"query_id": qid, "passage_id": pid,
-                 "sequence": build_augmented_input(query, expansions.get(qid), corpus[pid]).sequence},
+                {"query_id": q.id, "passage_id": pid,
+                 "sequence": build_augmented_input(q, expansions.get(q.id), corpus[pid]).sequence},
                 ensure_ascii=False,
             ) + "\n"
-            for pid, _ in initial.entries[:k]
+            for q in queries
+            for pid, _ in initial[q.id].entries[:k]
         )
+
+    def test_template_built_once_per_reranked_query(self, monkeypatch):
+        calls = []
+
+        def counting_build(query, expansion, passage):
+            calls.append(query.id)
+            return build_augmented_input(query, expansion, passage)
+
+        monkeypatch.setattr(cli_module, "build_augmented_input", counting_build)
+        queries = [Query("q1", "apple"), Query("q2", "no run"), Query("q3", "pie")]
+        corpus = {pid: Passage(pid, None, f"apple pie {pid}") for pid in ("d1", "d2", "d3")}
+        entries = (("d1", 3.0), ("d2", 2.0), ("d3", 1.0))
+        initial = {qid: RankedList(qid, entries) for qid in ("q1", "q3")}
+        expansions = {"q3": Expansion("q3", ExpansionMode.NATURAL_LANGUAGE, "tart")}
+        _rerank(queries, initial, corpus, expansions, self.BASELINE, 3, "t", os.devnull,
+                io.StringIO())
+        assert calls == ["q1", "q3"]
 
     def test_one_write_per_reranked_query(self):
         queries = [Query("q1", "apple"), Query("q2", "no run"), Query("q3", "pie")]

@@ -15,6 +15,7 @@ from augrank.corpus_io import Passage, Query, RankedList, TrainingLabel
 from augrank.errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from augrank.index import tokenize
 from augrank.rerank import (
+    RELEVANT_LABEL,
     RerankInput,
     ScorerEndpoint,
     ScorerKind,
@@ -22,6 +23,7 @@ from augrank.rerank import (
     build_input,
     rerank_topk,
     score_batch,
+    template_head,
     training_sequence,
 )
 from oracles import bm25_oracle, lexical_baseline_scores_oracle
@@ -115,6 +117,20 @@ class TestStructuredInput:
         min_size=1,
         max_size=8,
     ).map(" ".join)
+
+    escaped_text = st.lists(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x85", "\u2028", "\u2029", "é",
+                         "Query:", " Description: ", "Document:", "Relevant:", " ", "x1"])
+        | st.text(max_size=3),
+        max_size=8,
+    ).map("".join)
+
+    @given(escaped_text, st.one_of(st.none(), escaped_text), escaped_text)
+    def test_template_head_plus_document_is_the_sequence(self, q_text, description, doc):
+        item = RerankInput("q1", "d1", q_text, description, doc)
+        assert template_head(q_text, description) + doc + " " + RELEVANT_LABEL == item.sequence
+        middle = "" if description is None else f" Description: {description}"
+        assert item.sequence == f"Query: {q_text}{middle} Document: {doc} Relevant:"
 
     @given(labelled_text, labelled_text, labelled_text)
     def test_fields_bit_exact_and_scored_as_given(self, q_text, e_text, d_text):
@@ -246,6 +262,20 @@ class TestLexicalBaselineBitExact:
         ("p0", "straße apple pie apple straße"),
         ("p1", "apple pie"),
         ("p2", "x_1 straße x_1 pie"),
+    )])
+    # "apple" is hit at stream positions 0 and 2, around "pie" at 1: adding
+    # apple's two weights together, not in stream order, changes p1's last bit.
+    @example([RerankInput("q1", pid, "apple pie apple", None, doc) for pid, doc in (
+        ("p0", "apple tart zest pie tart"),
+        ("p1", "apple crumb pie tart tart crumb"),
+        ("p2", "plum pie"),
+    )])
+    # p0 and p2 hold no stream term, p1 and p3 do, and no passage holds "plum".
+    @example([RerankInput("q1", pid, "apple plum", "zest pie", doc) for pid, doc in (
+        ("p0", "tart crumb"),
+        ("p1", "apple pie apple"),
+        ("p2", "crumb"),
+        ("p3", "zest tart tart"),
     )])
     def test_scores_match_index_oracle_bit_for_bit(self, batch):
         got = score_batch(batch, BASELINE)

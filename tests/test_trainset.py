@@ -138,3 +138,25 @@ class TestRenderTrainingSequences:
         ts = TrainingSet((TrainingExample("q0", "d99", POS),))
         with pytest.raises(UnknownIdError):
             render_training_sequences(ts, queries(), corpus())
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    @pytest.mark.parametrize("where", ["query", "passage", "expansion"])
+    def test_every_line_break_is_rejected(self, brk, where):
+        qs, docs = queries(1), corpus(1)
+        expansions = {"q0": Expansion("q0", ExpansionMode.NATURAL_LANGUAGE, "extra context")}
+        if where == "query":
+            qs["q0"] = Query("q0", f"question{brk}0")
+        elif where == "passage":
+            docs["d0"] = Passage("d0", None, f"passage{brk}0")
+        else:
+            expansions["q0"] = Expansion("q0", ExpansionMode.NATURAL_LANGUAGE, f"extra{brk}context")
+        ts = make_pairs(triples(POS), docs, qs)
+        with pytest.raises(ValidationError, match="'q0' and passage 'd0'"):
+            render_training_sequences(ts, qs, docs, expansions)
+
+    def test_tab_and_other_controls_stay_on_one_line(self):
+        docs = {"d0": Passage("d0", None, "tab\there \x1f unit \x07 bell")}
+        ts = make_pairs(triples(POS), docs, queries(1))
+        (sequence,) = render_training_sequences(ts, queries(1), docs)
+        assert "tab\there \x1f unit \x07 bell" in sequence
