@@ -80,11 +80,11 @@ from .index import (
     bm25_search,
     build_index,
     corpus_lm,
-    estimate_corpus_lm,
     fuse_runs,
     load_index,
     save_index,
 )
+from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .rerank import (
     RELEVANT_LABEL,
     ScorerEndpoint,
@@ -146,15 +146,22 @@ def write_per_query_report(report: MetricReport, out: TextIO) -> None:
 
 
 def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
-    """Read a per-query TSV back into a MetricReport (means recomputed)."""
+    """Read a per-query TSV back into a MetricReport (means recomputed).
+    The header's metric tokens are read as `MetricConfig` reads them, so a
+    repeated, unknown or blank token is a ParseError at the header line."""
     rows = _iter_lines(stream)
     first = next(rows, None)
     if first is None:
         raise ParseError("empty per-query report")
     header = first[1].split("\t")
-    if header[:1] != ["query_id"] or len(header) < 2:
+    if header[0] != "query_id":
         raise ParseError(f"bad per-query report header: {first[1]!r}", first[0])
-    tokens = header[1:]
+    try:
+        tokens = MetricConfig(header[1:]).tokens
+    except ValidationError as exc:
+        raise ParseError(f"per-query report header: {exc}", first[0]) from None
+    if len(tokens) != len(header) - 1:
+        raise ParseError(f"blank metric token in per-query report header: {first[1]!r}", first[0])
     per_query: dict[str, dict[str, float]] = {}
     for line_no, row in rows:
         cells = row.split("\t")
@@ -611,12 +618,9 @@ def _cmd_expand(args) -> None:
     mode = ExpansionMode(_MODE_ALIASES[args.mode])
     lm = None
     if mode is ExpansionMode.TOPICAL_TERMS:
-        if args.corpus:
-            lm = corpus_lm(_load(load_corpus, args.corpus))
-        elif args.index:
-            lm = estimate_corpus_lm(_load(load_index, args.index))
-        else:
-            raise ValidationError("--mode terms requires --corpus or --index")
+        if not args.corpus:
+            raise ValidationError("--mode terms requires --corpus")
+        lm = corpus_lm(_load(load_corpus, args.corpus))
     retriever_cfg = RetrieverConfig(
         args.max_snippets, _SOURCE_ALIASES[args.source], not args.keep_direct_answers
     )
@@ -735,7 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     expand_parser.add_argument("--keep-direct-answers", action="store_true")
     expand_parser.add_argument("--corpus", help="corpus for the language model (terms mode)")
-    expand_parser.add_argument("--index", help="index artifact alternative to --corpus")
     expand_parser.add_argument("--out")
     expand_parser.set_defaults(handler=_cmd_expand)
 

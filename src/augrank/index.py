@@ -62,11 +62,11 @@ def tokenize(text: str) -> TokenStream:
 
 @dataclass
 class InvertedIndex:
-    """Term -> {passage id: tf} postings, each term's passages in corpus
+    """Term -> {passage id: tf} postings, each term's passages in insertion
     order, and each passage's token count. Every other statistic is
     derived: the totals once at construction (BM25 reads them per posting),
     `collection_frequency` on demand, and each term's BM25 impacts the first
-    time `bm25_search` meets the term, as floats aligned with the term's
+    time `bm25_scores` meets the term, as floats aligned with the term's
     postings. The impacts are a cache: never saved, not compared, and not
     shown."""
 
@@ -163,27 +163,36 @@ def _term_impacts(index: InvertedIndex, term: str) -> list[float]:
     return impacts
 
 
-def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
-    """Top-k passages by BM25, score descending, ties by ascending passage id.
+def bm25_scores(index: InvertedIndex, terms: Iterable[str]) -> dict[str, float]:
+    """BM25 of every passage holding at least one of `terms`.
 
-    Only passages containing at least one query term are returned, so the
-    result may be shorter than k. Each term's per-passage contributions are
-    computed once per index and reused by later queries; scores add them up
-    in query-term order, so repeated query terms contribute repeatedly. With
-    more than k scored passages, the k-th largest score is the floor: only
-    passages scoring at least the floor, ties at it included, are sorted,
-    and the first k kept.
+    Each term's per-passage contributions are computed once per index and
+    reused by later calls; a passage's score adds them up in `terms` order,
+    so a repeated term contributes once per occurrence.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     scores: dict[str, float] = {}
     get = scores.get
-    for term in tokenize(query.text):
+    for term in terms:
         postings = index.postings.get(term)
         if postings is None:
             continue
         for pid, impact in zip(postings, _term_impacts(index, term)):
             scores[pid] = get(pid, 0.0) + impact
+    return scores
+
+
+def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
+    """Top-k passages by BM25, score descending, ties by ascending passage id.
+
+    Scores are `bm25_scores` of the query's tokens, so only passages
+    containing at least one query term are returned and the result may be
+    shorter than k. With more than k scored passages, the k-th largest score
+    is the floor: only passages scoring at least the floor, ties at it
+    included, are sorted, and the first k kept.
+    """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    scores = bm25_scores(index, tokenize(query.text))
     items = scores.items()
     if len(scores) > k:
         floor = heapq.nlargest(k, scores.values())[-1]

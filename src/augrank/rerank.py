@@ -22,16 +22,10 @@ a rendered sequence back, so text that contains a label literal such as
 in [0, 1], higher means more relevant:
 
 - lexical_baseline: BM25 of the document against the tokenized query +
-  description terms, squashed to [0, 1] via s/(s+1). Collection statistics
-  are computed over the batch's distinct passage ids (a repeated id keeps
-  its first document), so the scorer is self-contained (in the pipeline a
-  batch is one query's candidate list). Each distinct passage and each
-  distinct query + description stream is tokenized once per batch. A
-  passage keeps counts of the batch's query terms only, and a candidate's
-  score sums the BM25 weights of its hit terms in stream order, a repeated
-  query term once per occurrence: the additions a walk over the whole
-  stream makes, in the same order, so the scores are bit for bit those of
-  that walk. A candidate with no hit scores 0.0.
+  description terms, exactly as `bm25_search` computes it, over an index
+  of the batch's distinct passages (a repeated id keeps its first document)
+  holding only the batch's query terms, squashed to [0, 1] via s/(s+1); a
+  candidate with no hit scores 0.0.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. The address needs a host, and a
@@ -61,7 +55,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel
 from .errors import ProtocolError, TransportError, UnknownIdError, ValidationError
-from .index import BM25_B, BM25_K1, tokenize
+from .index import InvertedIndex, bm25_scores, tokenize
 
 QUERY_LABEL = "Query:"
 DESCRIPTION_LABEL = "Description:"
@@ -165,59 +159,33 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
     # Each distinct (query, description) stream and each distinct passage id
-    # is tokenized once. The arithmetic follows index.py's `_idf` and
-    # `_tf_weight` operation for operation, over the batch's distinct
-    # passages. Hit weights are added in stream position order, the order in
-    # which a walk over the whole stream adds them, so the float sum is the same.
-    streams: dict[tuple[str, str | None], dict[str, list[int]]] = {}
+    # is tokenized once. The index keeps postings of the batch's query terms
+    # only: bm25_scores reads no others, and the lengths count every token.
+    streams: dict[tuple[str, str | None], list[str]] = {}
     for item in inputs:
         key = (item.query, item.description)
         if key not in streams:
             terms = tokenize(item.query)
             if item.description is not None:
                 terms += tokenize(item.description)
-            positions: dict[str, list[int]] = {}
-            for position, term in enumerate(terms):
-                positions.setdefault(term, []).append(position)
-            streams[key] = positions
+            streams[key] = terms
     query_terms = set().union(*streams.values())
-    documents: dict[str, tuple[dict[str, int], int]] = {}
+    postings: dict[str, dict[str, int]] = {}
+    doc_lengths: dict[str, int] = {}
     for item in inputs:
-        if item.passage_id not in documents:
+        pid = item.passage_id
+        if pid not in doc_lengths:
             tokens = tokenize(item.document)
-            counts: dict[str, int] = {}
+            doc_lengths[pid] = len(tokens)
             for term in filter(query_terms.__contains__, tokens):
-                counts[term] = counts.get(term, 0) + 1
-            documents[item.passage_id] = (counts, len(tokens))
-    doc_count = len(documents)
-    avg_doc_length = sum(length for _, length in documents.values()) / doc_count
-    df: dict[str, int] = {}
-    for counts, _ in documents.values():
-        for term in counts:
-            df[term] = df.get(term, 0) + 1
-    idf = {term: math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5)) for term, n in df.items()}
-    k1_plus_1 = BM25_K1 + 1.0
+                tfs = postings.setdefault(term, {})
+                tfs[pid] = tfs.get(pid, 0) + 1
+    index = InvertedIndex(postings, doc_lengths)
+    raw = {key: bm25_scores(index, terms) for key, terms in streams.items()}
     scores = []
     for item in inputs:
-        counts, length = documents[item.passage_id]
-        positions = streams[(item.query, item.description)]
-        hits = [term for term in counts if term in positions]
-        if not hits:
-            scores.append(0.0)
-            continue
-        # Only a non-empty document holds a term, so the average is not 0.
-        k1_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg_doc_length)
-        weights = []
-        for term in hits:
-            tf = counts[term]
-            weight = idf[term] * (tf * k1_plus_1 / (tf + k1_norm))
-            for position in positions[term]:
-                weights.append((position, weight))
-        weights.sort()
-        raw = 0.0
-        for _, weight in weights:
-            raw += weight
-        scores.append(raw / (raw + 1.0))
+        s = raw[(item.query, item.description)].get(item.passage_id, 0.0)
+        scores.append(s / (s + 1.0))
     return scores
 
 

@@ -41,6 +41,18 @@ def test_every_required_wrapped_name_exists():
     assert missing == []
 
 
+def test_no_optional_wrapped_name_exists():
+    # An optional wrap switches on silently when its name appears: a
+    # `build_index` in rerank would replace the tracer's built index with
+    # the last batch's and inflate index.postings, with no exit 4.
+    present = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _, required in load_tracer().WRAPS
+        if not required and hasattr(module, attr)
+    ]
+    assert present == []
+
+
 def test_rerank_topk_arguments_sit_where_the_tracer_reads_them():
     # _QUERY_ARG reads `query` at position 2; _after_rerank_rerank_topk reads
     # `endpoint` at 4 and `k` at 5.

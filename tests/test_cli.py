@@ -209,11 +209,18 @@ class TestExpandCommand:
         assert main(["expand", "--queries", str(workspace / "queries.jsonl"),
                      "--snippets", str(workspace / "snippets.jsonl"), "--mode", "none"]) == 1
 
-    def test_terms_requires_corpus(self, workspace):
+    def test_terms_requires_corpus(self, workspace, capsys):
         code = main(["expand", "--queries", str(workspace / "queries.jsonl"),
                      "--snippets", str(workspace / "snippets.jsonl"),
                      "--mode", "terms"])
         assert code == 2
+        assert capsys.readouterr().err == "error: --mode terms requires --corpus\n"
+
+    def test_index_flag_is_a_usage_error(self, workspace):
+        # The terms-mode LM comes from --corpus only; there is no --index.
+        assert main(["expand", "--queries", str(workspace / "queries.jsonl"),
+                     "--snippets", str(workspace / "snippets.jsonl"),
+                     "--mode", "terms", "--index", str(workspace / "corpus.idx")]) == 1
 
     def test_terms_with_corpus(self, workspace, monkeypatch):
         monkeypatch.setattr("augrank.cli.build_index", no_index)  # counted from tokens
@@ -779,6 +786,24 @@ class TestExitCodes:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header, named", [("query_id\ts@1\ts@1", "'s@1'"), ("query_id\ts@1\tbogus", "'bogus'")]
+    )
+    def test_bad_per_query_report_header_names_the_file_and_token(
+        self, workspace, capsys, header, named
+    ):
+        # A repeated column would otherwise be read last-wins.
+        bad = workspace / "bad_header_pq.tsv"
+        bad.write_text(f"{header}\nq1\t1.0\t0.0\nq2\t0.0\t1.0\n")
+        good = workspace / "good_pq.tsv"
+        good.write_text("query_id\ts@1\nq1\t1.0\nq2\t0.0\n")
+        assert main(["compare", "--baseline", str(bad), "--treatment", str(good),
+                     "--metric", "s@1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: line 1: " in captured.err and named in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "name, record, line, what",

@@ -277,6 +277,16 @@ class TestLexicalBaselineBitExact:
         ("p2", "crumb"),
         ("p3", "zest tart tart"),
     )])
+    # A punctuation-only query stream has no terms: every score is 0.0.
+    @example([RerankInput("q1", "p0", "?! --", None, "apple pie"),
+              RerankInput("q1", "p1", "?! --", None, "")])
+    # Every document is empty or punctuation-only, so the average length is
+    # 0; no passage holds a term, and every score is 0.0.
+    @example([RerankInput("q1", pid, "apple pie", desc, doc) for pid, desc, doc in (
+        ("p0", None, ""),
+        ("p1", "tart", "?!"),
+        ("p2", None, "... --"),
+    )])
     def test_scores_match_index_oracle_bit_for_bit(self, batch):
         got = score_batch(batch, BASELINE)
         assert [s.hex() for s in got] == [s.hex() for s in lexical_baseline_scores_oracle(batch)]
