@@ -174,8 +174,8 @@ def _iter_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
 def parse_qrels(stream: Iterable[str] | str) -> Qrels:
     """Parse TREC qrels: `qid <ignored> docid grade`, one judgment per line.
 
-    Raises ParseError on malformed lines (naming the line number) and
-    ConflictError when a (qid, docid) pair appears twice.
+    Raises ParseError on malformed lines and ConflictError when a
+    (qid, docid) pair appears twice, both naming the line number.
     """
     qrels = Qrels()
     for line_no, line in _iter_lines(stream):
@@ -189,7 +189,10 @@ def parse_qrels(stream: Iterable[str] | str) -> Qrels:
             raise ParseError(f"non-integer grade {grade_str!r}", line_no) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line_no)
-        qrels.add_judgment(qid, docid, grade)
+        try:
+            qrels.add_judgment(qid, docid, grade)
+        except ConflictError as exc:
+            raise ConflictError(f"line {line_no}: {exc}") from None
     return qrels
 
 
@@ -199,7 +202,8 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
     Entries are grouped by qid (lists emitted in order of first appearance)
     and re-sorted by score descending with ties broken by the given rank
     ascending, so write_run -> parse_run round-trips preserve ordering. The
-    tag column must be present but is not read.
+    tag column must be present but is not read. A score that is NaN or
+    infinite, or that overflows a float (such as `1e999`), is a ParseError.
     """
     groups: dict[str, list[tuple[str, int, float]]] = {}
     seen: dict[str, set[str]] = {}
@@ -216,8 +220,8 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
             score = float(score_str)
         except ValueError:
             raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
-        if math.isnan(score):
-            raise ParseError(f"NaN score for docid {docid!r}", line_no)
+        if not math.isfinite(score):
+            raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
         if docid in seen.setdefault(qid, set()):
             raise ConflictError(f"line {line_no}: duplicate docid {docid!r} for query {qid!r}")
         seen[qid].add(docid)

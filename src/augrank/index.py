@@ -2,10 +2,14 @@
 sparse/dense run fusion.
 
 BM25 uses k1=0.9, b=0.4 with idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)),
-the common passage-ranking defaults. The corpus language model applies
-add-one smoothing over the observed vocabulary so that any term, including
-unseen ones, has strictly positive probability. Ties everywhere break by
-ascending passage id so results are reproducible across platforms.
+the common passage-ranking defaults. `bm25_scores` scores every passage
+holding a query term; `bm25_search` finds the same top k from fewer
+postings by exact MaxScore pruning and rescores its survivors, so their
+scores are the ones `bm25_scores` gives, bit for bit. The corpus language
+model applies add-one smoothing over the observed vocabulary so that any
+term, including unseen ones, has strictly positive probability. Ties
+everywhere break by ascending passage id so results are reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -66,16 +70,17 @@ class InvertedIndex:
     order, and each passage's token count. Every other statistic is
     derived: the totals once at construction (BM25 reads them per posting),
     `collection_frequency` on demand, and each term's BM25 impacts the first
-    time `bm25_scores` meets the term, as floats aligned with the term's
-    postings. The impacts are a cache: never saved, not compared, and not
-    shown."""
+    time `bm25_scores` or `bm25_search` meets the term, as floats aligned
+    with the term's postings, together with the largest of them (the
+    term's MaxScore bound). The impacts are a cache: never saved, not
+    compared, and not shown."""
 
     postings: dict[str, dict[str, int]]
     doc_lengths: dict[str, int]
     doc_count: int = field(init=False)
     total_tokens: int = field(init=False)
     avg_doc_length: float = field(init=False)
-    _impacts: dict[str, list[float]] = field(
+    _impacts: dict[str, tuple[list[float], float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -149,18 +154,19 @@ def _tf_weight(index: InvertedIndex, tf: int, doc_length: int) -> float:
     return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
 
 
-def _term_impacts(index: InvertedIndex, term: str) -> list[float]:
+def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[float], float]:
     """The BM25 contribution of each posting of `term`, aligned with
-    `index.postings[term]`; computed on first use and cached on the index."""
-    impacts = index._impacts.get(term)
-    if impacts is None:
+    `index.postings[term]`, and the largest of them; computed on first use
+    and cached on the index."""
+    cached = index._impacts.get(term)
+    if cached is None:
         idf = _idf(index, term)
         impacts = [
             idf * _tf_weight(index, tf, index.doc_lengths[pid])
             for pid, tf in index.postings[term].items()
         ]
-        index._impacts[term] = impacts
-    return impacts
+        cached = index._impacts[term] = (impacts, max(impacts))
+    return cached
 
 
 def bm25_scores(index: InvertedIndex, terms: Iterable[str]) -> dict[str, float]:
@@ -176,29 +182,94 @@ def bm25_scores(index: InvertedIndex, terms: Iterable[str]) -> dict[str, float]:
         postings = index.postings.get(term)
         if postings is None:
             continue
-        for pid, impact in zip(postings, _term_impacts(index, term)):
+        for pid, impact in zip(postings, _term_impacts(index, term)[0]):
             scores[pid] = get(pid, 0.0) + impact
     return scores
+
+
+def _add_impacts(index: InvertedIndex, term: str, times: int, scores: dict[str, float]) -> None:
+    """Add `times` times the impact of `term` to the score of each passage
+    in `scores` that holds it. The impact is `idf * _tf_weight(...)`, the
+    expression `_term_impacts` caches, so it is the same float."""
+    tfs, idf, doc_lengths = index.postings[term], _idf(index, term), index.doc_lengths
+    for pid in [pid for pid in scores if pid in tfs]:
+        scores[pid] += times * (idf * _tf_weight(index, tfs[pid], doc_lengths[pid]))
+
+
+# Pruning compares partial scores, added in another order than the exact
+# ones, with a threshold this much below the k-th partial score, so that
+# their last-bit differences cannot drop a passage that reaches the top k.
+_PRUNE_MARGIN = 1.0 - 1e-9
 
 
 def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     """Top-k passages by BM25, score descending, ties by ascending passage id.
 
-    Scores are `bm25_scores` of the query's tokens, so only passages
-    containing at least one query term are returned and the result may be
-    shorter than k. With more than k scored passages, the k-th largest score
-    is the floor: only passages scoring at least the floor, ties at it
-    included, are sorted, and the first k kept.
+    A passage's score is the one `bm25_scores` gives it for the query's
+    tokens, added in the same order, so only passages containing at least
+    one query term are returned and the result may be shorter than k.
+
+    The search is exact MaxScore (Turtle & Flood 1995). Each distinct query
+    term's bound is its multiplicity times its largest impact. The terms
+    are visited from the largest bound down, each adding its whole postings
+    list to the passages' partial scores, until k passages are held and the
+    bounds of the terms not yet visited sum to less than the threshold, the
+    k-th partial score less a relative margin: from then on no passage not
+    held can reach the top k. Each remaining term only updates the passages
+    held, the threshold follows their k-th partial score, and a passage is
+    dropped once its partial score plus the bounds still to come is below
+    the threshold. The survivors are rescored exactly. With more than k of them, the k-th largest score is the floor:
+    only passages scoring at least the floor, ties at it included, are
+    sorted, and the first k kept.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    scores = bm25_scores(index, tokenize(query.text))
-    items = scores.items()
+    postings = index.postings
+    tokens = [term for term in tokenize(query.text) if term in postings]
+    terms = sorted(
+        ((m * _term_impacts(index, term)[1], term, m) for term, m in Counter(tokens).items()),
+        key=lambda bound_term_m: bound_term_m[0],
+        reverse=True,
+    )
+    # rests[i]: the sum of the bounds of the terms after terms[i].
+    rests = [0.0] * len(terms)
+    for i in range(len(terms) - 1, 0, -1):
+        rests[i - 1] = rests[i] + terms[i][0]
+
+    partial: dict[str, float] = {}
+    get = partial.get
+    admitting = True
+    seen = 0.0
+    for (bound, term, m), rest in zip(terms, rests):
+        seen += bound
+        if admitting:
+            impacts = _term_impacts(index, term)[0]
+            if m > 1:
+                impacts = [m * impact for impact in impacts]
+            for pid, impact in zip(postings[term], impacts):
+                partial[pid] = get(pid, 0.0) + impact
+            # The k-th partial score is at most `seen`, the bounds of the
+            # terms visited, so the stop test cannot pass while rest >= seen.
+            if len(partial) < k or rest >= seen:
+                continue
+        else:
+            _add_impacts(index, term, m, partial)
+        # The k passages with the largest partial scores are never dropped,
+        # so the threshold only rises.
+        threshold = heapq.nlargest(k, partial.values())[-1] * _PRUNE_MARGIN
+        if rest < threshold:
+            admitting = False
+            partial = {pid: s for pid, s in partial.items() if s + rest >= threshold}
+
+    exact = dict.fromkeys(partial, 0.0)
+    for term in tokens:
+        _add_impacts(index, term, 1, exact)
+    scores = list(exact.items())
     if len(scores) > k:
-        floor = heapq.nlargest(k, scores.values())[-1]
-        items = [(pid, score) for pid, score in items if score >= floor]
-    ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:k]
-    return RankedList(query.id, tuple(ranked))
+        floor = heapq.nlargest(k, [score for _, score in scores])[-1]
+        scores = [(pid, score) for pid, score in scores if score >= floor]
+    scores.sort(key=lambda kv: (-kv[1], kv[0]))
+    return RankedList(query.id, tuple(scores[:k]))
 
 
 def estimate_corpus_lm(index: InvertedIndex) -> CorpusLanguageModel:

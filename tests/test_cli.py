@@ -763,6 +763,12 @@ class TestExitCodes:
         queries.write_text('{"id": "q1", "text": "a"}\n{"id": "q1", "text": "b"}\n')
         run = workspace / "bad_score.run"
         run.write_text("q1 Q0 d1 1 x t\n")
+        inf_run = workspace / "inf_score.run"
+        inf_run.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 -inf t\n")
+        good_run = workspace / "good.run"
+        good_run.write_text("q1 Q0 d1rel 1 1.0 t\n")
+        dup_qrels = workspace / "dup.qrels"
+        dup_qrels.write_text("q1 0 d1rel 1\nq1 0 d1rel 1\n")
         nan_report = workspace / "nan_pq.tsv"
         nan_report.write_text("query_id\ts@1\n\nq1\t1.0\nq2\tnan\n")  # a blank line 2
         inf_report = workspace / "inf_pq.tsv"
@@ -775,6 +781,10 @@ class TestExitCodes:
              f"{queries}: line 2: duplicate query id 'q1'"),
             (["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt")],
              f"{run}: line 1: non-numeric score 'x'"),
+            (["eval", "--run", str(inf_run), "--qrels", str(workspace / "qrels.txt")],
+             f"{inf_run}: line 2: NaN or infinite score '-inf'"),
+            (["eval", "--run", str(good_run), "--qrels", str(dup_qrels)],
+             f"{dup_qrels}: line 2: duplicate judgment for (q1, d1rel)"),
             (["compare", "--baseline", str(nan_report), "--treatment", str(inf_report),
               "--metric", "s@1"],
              f"{nan_report}: line 4: non-finite metric value"),

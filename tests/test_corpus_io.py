@@ -39,8 +39,8 @@ class TestParseQrels:
         assert parse_qrels("").judgments == {}
 
     def test_duplicate_judgment_is_conflict(self):
-        with pytest.raises(ConflictError):
-            parse_qrels("q1 0 d7 2\nq1 0 d7 1\n")
+        with pytest.raises(ConflictError, match=r"^line 3: duplicate judgment for \(q1, d7\)$"):
+            parse_qrels("q1 0 d7 2\n\nq1 0 d7 1\n")
 
     def test_wrong_field_count_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -115,6 +115,11 @@ class TestParseRun:
     def test_nan_score_rejected(self):
         with pytest.raises(ParseError, match="NaN"):
             parse_run("q1 Q0 d1 1 nan t\n")
+
+    @pytest.mark.parametrize("score", ["inf", "-inf", "1e999", "-Infinity"])
+    def test_infinite_score_rejected_at_its_line(self, score):
+        with pytest.raises(ParseError, match=rf"^line 2: NaN or infinite score '{score}'"):
+            parse_run(f"q1 Q0 d1 1 9.0 t\nq1 Q0 d2 2 {score} t\n")
 
     def test_duplicate_docid_is_conflict(self):
         with pytest.raises(ConflictError):

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augrank.corpus_io import Passage, Query, RankedList
@@ -13,6 +13,7 @@ from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.index import (
     _TOKEN_RE,
     INDEX_MAGIC,
+    _term_impacts,
     CorpusLanguageModel,
     FusionConfig,
     bm25_search,
@@ -279,6 +280,75 @@ class TestBm25SearchTies:
             assert [(pid, s.hex()) for pid, s in got.entries] == [
                 (pid, s.hex()) for pid, s in expected.entries
             ]
+
+
+@st.composite
+def skewed_corpus_and_queries(draw):
+    """30-150 passages over 20-40 words whose frequencies fall off as
+    1/rank, up to a third of the texts repeated, and queries holding
+    repeated and hitless terms: a shape on which bm25_search stops
+    admitting passages after a few terms."""
+    # A plain seeded Random: texts drawn word by word through Hypothesis
+    # would cost about 0.1 s an example.
+    rng = draw(st.randoms(use_true_random=True))
+    vocab = [f"w{i}" for i in range(draw(st.integers(20, 40)))]
+    weights = [1.0 / rank for rank in range(1, len(vocab) + 1)]
+    n = draw(st.integers(30, 150))
+    texts = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 12))) for _ in range(n)]
+    for i in rng.sample(range(n), draw(st.integers(0, n // 3))):
+        texts[i] = rng.choice(texts)  # duplicate texts tie
+    pids = [f"p{i:03d}" for i in range(n)]
+    rng.shuffle(pids)
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = rng.sample(vocab, rng.randint(1, 5))
+        words += rng.choices(words, k=draw(st.integers(0, 2)))  # repeated terms
+        words += ["zebra"] * draw(st.integers(0, 1))  # a term without postings
+        rng.shuffle(words)
+        queries.append(" ".join(words))
+    return [Passage(pid, None, text) for pid, text in zip(pids, texts)], queries
+
+
+class TestBm25SearchPruning:
+    @settings(max_examples=120, deadline=None)
+    @given(skewed_corpus_and_queries(), st.data())
+    def test_entries_bit_identical_to_uncached_search(self, drawn, data):
+        passages, query_texts = drawn
+        index = build_index(passages)
+        ks = [1, 2, 3, 5, 10, len(passages) + 1]
+        calls = [(Query(f"q{i}", text), k) for i, text in enumerate(query_texts) for k in ks]
+        # Queries share terms, so interleaving reads impacts cold and warm.
+        for query, k in data.draw(st.permutations(calls)):
+            got = bm25_search(index, query, k)
+            expected = bm25_search_oracle(index, query, k)
+            assert [(pid, s.hex()) for pid, s in got.entries] == [
+                (pid, s.hex()) for pid, s in expected.entries
+            ]
+
+    def test_tie_reached_after_the_stop_is_kept_by_passage_id(self):
+        # "a1" and "a2" each occur once, in passages of the same length, so
+        # they have the same impact a. "b1" is in d1, d2 (impact b) and x
+        # (tf 4, impact above a), so the terms are visited b1, a1, a2. After
+        # a1, d2's partial score a + b is the largest and the bound of a2
+        # alone is a, below it: the search stops admitting passages. d1
+        # then holds only b, and ties d2 at a + b through a2 alone, which is
+        # visited after the stop. With the smaller id, d1 is the top 1.
+        passages = [
+            Passage("d1", None, "a2 b1 f g"),
+            Passage("d2", None, "a1 b1 f g"),
+            Passage("x", None, "b1 b1 b1 b1"),
+        ] + [Passage(f"z{i:02d}", None, "f g h i") for i in range(17)]
+        index = build_index(passages)
+        query = Query("q", "a1 a2 b1")
+        bound = {term: _term_impacts(index, term)[1] for term in ("a1", "a2", "b1")}
+        assert bound["a1"] == bound["a2"] < bound["b1"]
+        full = bm25_search_oracle(index, query, len(passages)).entries
+        assert [pid for pid, _ in full] == ["d1", "d2", "x"] and full[0][1] == full[1][1]
+        for k in range(1, 4):
+            got = bm25_search(index, query, k)
+            assert got == bm25_search_oracle(index, query, k)
+            assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in full[:k]]
+        assert bm25_search(index, query, 1).passage_ids() == ("d1",)
 
 
 class TestCorpusLanguageModel:
