@@ -1,7 +1,8 @@
 """Command-line entry point and the end-to-end experiment pipeline.
 
-Subcommands: `index build|search`, `fuse`, `expand`, `rerank`,
-`trainset build`, `eval`, `compare`, and `pipeline run --config <file>`.
+Subcommands: `index search`, `fuse`, `expand`, `rerank`, `trainset build`,
+`eval`, `compare`, and `pipeline run --config <file>`; a stage run alone
+takes the pipeline's code path (`index search` builds from `--corpus`).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
 
 `pipeline run` is driven by a flat JSON key-value config, checked in full
@@ -13,10 +14,11 @@ and compare.tsv when a baseline run is configured. The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
 byte-for-byte with the baseline scorer. Judged queries that got no
 candidates are left out of the run and the means, and queries of a
-supplied initial or dense run that the query file lacks are left out of
-the run; `pipeline run` names each kind in one stderr line, as `index
-search` does queries without hits and `eval` judged queries that the run
-does not hold.
+supplied run that the query file lacks are left out of the run, as in
+`rerank`; each kind is named in one stderr line, as `index search` names
+queries without hits and `eval` judged queries missing from the run. A
+supplied run's passage that the corpus lacks is a data error naming the
+run file, raised when the run is read.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -65,7 +67,8 @@ from .corpus_io import (
     parse_run,
     write_run,
 )
-from .errors import ConflictError, ParseError, ToolkitError, TransportError, ValidationError
+from .errors import ConflictError, ParseError, ToolkitError, TransportError
+from .errors import UnknownIdError, ValidationError
 from .evaluation import (
     MetricConfig,
     MetricReport,
@@ -81,8 +84,6 @@ from .index import (
     build_index,
     corpus_lm,
     fuse_runs,
-    load_index,
-    save_index,
 )
 from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .rerank import (
@@ -394,8 +395,17 @@ def _by_id(items):
     return {item.id: item for item in items}
 
 
-def _read_run(path: str) -> dict[str, RankedList]:
-    return {ranked.query_id: ranked for ranked in _load(parse_run, path)}
+def _read_run(path: str, corpus: Mapping[str, Passage] | None = None) -> dict[str, RankedList]:
+    """The run at `path` by query id. Given `corpus`, a passage that the
+    corpus lacks is a data error naming the file, the query and the passage."""
+    run = {ranked.query_id: ranked for ranked in _load(parse_run, path)}
+    for ranked in run.values() if corpus is not None else ():
+        for pid, _ in ranked.entries:
+            if pid not in corpus:
+                raise UnknownIdError(
+                    f"{path}: passage {pid!r} of query {ranked.query_id!r} is not in the corpus"
+                )
+    return run
 
 
 def _search(index: InvertedIndex, queries: Iterable[Query], k: int) -> dict[str, RankedList]:
@@ -413,6 +423,14 @@ def _warn_queries(query_ids: Sequence[str], what: str) -> None:
     if query_ids:
         shown = ", ".join(query_ids[:5]) + (", ..." if len(query_ids) > 5 else "")
         print(f"warning: {what}: {len(query_ids)} ({shown})", file=sys.stderr)
+
+
+def _warn_run_queries_missing(run: Mapping[str, RankedList], queries: Sequence[Query]) -> None:
+    """Name the run's queries that the query file lacks: `_rerank` walks
+    the query file, so it leaves them out."""
+    query_ids = {q.id for q in queries}
+    missing = [qid for qid in run if qid not in query_ids]
+    _warn_queries(missing, "run queries missing from the query file, left out of the run")
 
 
 def _fuse(
@@ -533,18 +551,14 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
 
     with _stage("initial"):
         if cfg.initial_run:
-            initial = _read_run(cfg.initial_run)
+            initial = _read_run(cfg.initial_run, corpus)
         else:
             initial = _search(index, queries, cfg.rerank_depth)
 
     with _stage("fuse"):
         if cfg.dense_run:
-            initial = _fuse(_read_run(cfg.dense_run), initial, cfg.fusion)
-    query_ids = {q.id for q in queries}
-    _warn_queries(
-        [qid for qid in initial if qid not in query_ids],
-        "run queries missing from the query file, left out of the run",
-    )
+            initial = _fuse(_read_run(cfg.dense_run, corpus), initial, cfg.fusion)
+    _warn_run_queries_missing(initial, queries)
 
     with _stage("expand"):
         expansions: dict[str, Expansion] = {}
@@ -589,15 +603,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _cmd_index_build(args) -> None:
-    index = build_index(_load(load_corpus, args.corpus))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        save_index(index, handle)
-    print(f"indexed {index.doc_count} passages, {index.total_tokens} tokens -> {args.out}")
-
-
 def _cmd_index_search(args) -> None:
-    index = _load(load_index, args.index)
+    index = build_index(_load(load_corpus, args.corpus))
     queries = _load(load_queries, args.queries)
     lists = _search(index, queries, args.k)
     with _open_out(args.out) as out:
@@ -606,8 +613,7 @@ def _cmd_index_search(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
-    fusion = FusionConfig(args.alpha)
-    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), fusion)
+    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), FusionConfig(args.alpha))
     with _open_out(args.out) as out:
         write_run(list(fused.values()), args.tag, out)
 
@@ -629,21 +635,17 @@ def _cmd_expand(args) -> None:
 
 
 def _cmd_rerank(args) -> None:
-    run = _read_run(args.run)
     corpus = _by_id(_load(load_corpus, args.corpus))
-    queries = _by_id(_load(load_queries, args.queries))
+    run = _read_run(args.run, corpus)
+    queries = _load(load_queries, args.queries)
     expansions: dict[str, Expansion] = {}
     if args.expansions and args.expansions != "none":
         expansions = _load(load_expansions, args.expansions)
     endpoint = ScorerEndpoint(
         _SCORER_ALIASES[args.scorer], args.address, args.batch_size, args.timeout
     )
-    for qid in run:
-        if qid not in queries:
-            raise ValidationError(f"run query {qid!r} missing from the query file")
-    _rerank(
-        [queries[qid] for qid in run], run, corpus, expansions, endpoint, args.k, args.tag, args.out
-    )
+    _warn_run_queries_missing(run, queries)
+    _rerank(queries, run, corpus, expansions, endpoint, args.k, args.tag, args.out)
 
 
 def _cmd_trainset_build(args) -> None:
@@ -696,16 +698,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="augrank", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    index_parser = commands.add_parser("index", help="build or query a BM25 index")
+    index_parser = commands.add_parser("index", help="BM25 search over a corpus")
     index_commands = index_parser.add_subparsers(
         dest="index_command", required=True, parser_class=_Parser
     )
-    build_parser_ = index_commands.add_parser("build", help="build an index artifact")
-    build_parser_.add_argument("--corpus", required=True)
-    build_parser_.add_argument("--out", required=True)
-    build_parser_.set_defaults(handler=_cmd_index_build)
     search_parser = index_commands.add_parser("search", help="BM25 top-k search")
-    search_parser.add_argument("--index", required=True)
+    search_parser.add_argument("--corpus", required=True)
     search_parser.add_argument("--queries", required=True)
     search_parser.add_argument("--k", type=int, default=ExperimentConfig.rerank_depth)
     search_parser.add_argument("--tag", default="bm25")

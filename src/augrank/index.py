@@ -310,6 +310,7 @@ def fuse_runs(dense: RankedList, sparse: RankedList, cfg: FusionConfig) -> Ranke
     return RankedList(dense.query_id, tuple(fused))
 
 
+# No command reads or writes the artifact; bench/traced_pipeline.py still times both calls.
 def save_index(index: InvertedIndex, out: TextIO) -> None:
     """Persist an index as a magic header line followed by one JSON payload."""
     payload = {
@@ -330,7 +331,7 @@ def load_index(stream: TextIO) -> InvertedIndex:
     if header != INDEX_MAGIC:
         raise ParseError(
             f"not an augrank index artifact (expected {INDEX_MAGIC!r} header, got {header!r}); "
-            "rebuild it with `augrank index build`"
+            "write it again with `save_index`"
         )
     try:
         payload = json.load(stream)

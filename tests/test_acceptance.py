@@ -32,7 +32,7 @@ from augrank.index import (
     FusionConfig,
     bm25_search,
     build_index,
-    estimate_corpus_lm,
+    corpus_lm,
     fuse_runs,
     tokenize,
 )
@@ -70,9 +70,7 @@ def test_criterion_1_kl_weight_oracle_suite():
             " ".join(rng.choices(VOCAB, k=rng.randint(1, 30)))
             for _ in range(rng.randint(1, 4))
         ]
-        lm = estimate_corpus_lm(build_index(
-            [Passage(f"d{i}", None, t) for i, t in enumerate(corpus_texts)]
-        ))
+        lm = corpus_lm(Passage(f"d{i}", None, t) for i, t in enumerate(corpus_texts))
         # snippets draw from the vocab plus out-of-corpus terms to exercise
         # the smoothed denominator
         snippet_vocab = VOCAB + ["novel1", "novel2", "novel3"]
@@ -215,9 +213,7 @@ def test_criterion_4_truncation_contract():
     rng = random.Random(404)
     nl_cfg = ExpansionConfig(ExpansionMode.NATURAL_LANGUAGE)  # 64-word default
     terms_cfg = ExpansionConfig(ExpansionMode.TOPICAL_TERMS)  # 64-term default
-    lm = estimate_corpus_lm(build_index(
-        [Passage("d", None, " ".join(rng.choices(VOCAB, k=120)))]
-    ))
+    lm = corpus_lm([Passage("d", None, " ".join(rng.choices(VOCAB, k=120)))])
     big_vocab = [f"w{i:03d}" for i in range(200)]
     for _ in range(300):
         snippets = [

@@ -21,7 +21,7 @@ from augrank.augment import (
 )
 from augrank.corpus_io import Passage, Query, Snippet, SnippetKind, SnippetSource
 from augrank.errors import ParseError, ValidationError
-from augrank.index import build_index, estimate_corpus_lm, tokenize
+from augrank.index import corpus_lm, tokenize
 from oracles import kl_weights_oracle
 
 import io
@@ -37,7 +37,7 @@ def snip(rank, text, kind=ORGANIC, source=SERP, qid="q1"):
 
 
 def lm_from(*texts):
-    return estimate_corpus_lm(build_index([Passage(f"d{i}", None, t) for i, t in enumerate(texts)]))
+    return corpus_lm(Passage(f"d{i}", None, t) for i, t in enumerate(texts))
 
 
 NL_CFG = ExpansionConfig(ExpansionMode.NATURAL_LANGUAGE)

@@ -23,6 +23,7 @@ from augrank.cli import (
 from augrank.corpus_io import Passage, Query, RankedList, parse_run
 from augrank.errors import ValidationError
 from augrank.evaluation import MetricConfig
+from augrank.index import build_index
 from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input
 
 
@@ -117,55 +118,37 @@ class TestMetricTokens:
 
 
 class TestIndexCommands:
-    def test_build_then_search(self, workspace, capsys):
-        index_path = workspace / "corpus.idx"
-        assert main(["index", "build", "--corpus", str(workspace / "corpus.jsonl"),
-                     "--out", str(index_path)]) == 0
+    def test_build_then_search(self, workspace, monkeypatch):
+        built = []
+        monkeypatch.setattr("augrank.cli.build_index", lambda p: built.append(p) or build_index(p))
         run_path = workspace / "bm25.run"
-        assert main(["index", "search", "--index", str(index_path),
+        assert main(["index", "search", "--corpus", str(workspace / "corpus.jsonl"),
                      "--queries", str(workspace / "queries.jsonl"),
                      "--k", "10", "--out", str(run_path)]) == 0
+        assert [len(passages) for passages in built] == [9]  # in process, from the corpus
         lists = parse_run(run_path.read_text())
         assert {r.query_id for r in lists} == {"q1", "q2", "q3"}
         assert set(run_tags(run_path.read_text())) == {"bm25"}
 
     def test_search_names_queries_without_hits_on_stderr(self, workspace, capsys):
-        index_path = workspace / "corpus.idx"
-        assert main(["index", "build", "--corpus", str(workspace / "corpus.jsonl"),
-                     "--out", str(index_path)]) == 0
         queries = [{"id": f"q{i}", "text": "zebra"} for i in range(7)]
         write_jsonl(workspace / "queries.jsonl", queries + [{"id": "q7", "text": "shared"}])
-        capsys.readouterr()
-        assert main(["index", "search", "--index", str(index_path),
+        assert main(["index", "search", "--corpus", str(workspace / "corpus.jsonl"),
                      "--queries", str(workspace / "queries.jsonl")]) == 0
         captured = capsys.readouterr()
         assert captured.err == "warning: queries without hits: 7 (q0, q1, q2, q3, q4, ...)\n"
         assert {r.query_id for r in parse_run(captured.out)} == {"q7"}
 
     @pytest.mark.parametrize(
-        "artifact, named",
-        [
-            ('augrank-index/1\n{"postings": {}, "doc_lengths": {}, "doc_count": 7}',
-             "augrank-index/1"),
-            ('augrank-index/2\n{"postings": {"a": [["d9", 1]]}, "doc_lengths": {"d1": 1}}',
-             "'d9'"),
-            ('augrank-index/2\n{"postings": {"a": [["d1", 2]]}, "doc_lengths": {"d1": 3}}',
-             "length 3"),
-            ('augrank-index/2\n{"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": true}}',
-             "passage 'd1' has length True"),
-            ('augrank-index/2\n{"postings": {"a": [["d\\ud800", 1]]}, '
-             '"doc_lengths": {"d\\ud800": 1}}',
-             "passage 'd\\ud800' holds a lone surrogate"),
-        ],
+        "argv, named",
+        [(["index", "build", "--corpus", "c.jsonl", "--out", "c.idx"], "invalid choice: 'build'"),
+         (["index", "search", "--corpus", "c.jsonl", "--index", "c.idx", "--queries", "q.jsonl"],
+          "unrecognized arguments: --index c.idx")],
+        ids=["build", "search --index"],
     )
-    def test_search_rejects_old_or_inconsistent_artifact(self, workspace, capsys, artifact, named):
-        index_path = workspace / "bad.idx"
-        index_path.write_text(artifact)
-        assert main(["index", "search", "--index", str(index_path),
-                     "--queries", str(workspace / "queries.jsonl")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert named in captured.err and "Traceback" not in captured.err
+    def test_index_artifact_commands_are_gone(self, argv, named, capsys):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
 
 
 class TestFuseCommand:
@@ -254,6 +237,27 @@ class TestRerankCommand:
     def test_default_tag_on_every_line(self, workspace, capsys):
         assert main(self.argv(workspace)) == 0
         assert run_tags(capsys.readouterr().out) == ["rerank", "rerank"]
+
+    def test_reranks_in_query_file_order(self, workspace, capsys):
+        argv = self.argv(workspace)
+        (workspace / "initial.run").write_text("q2 Q0 d2a 1 2.0 init\nq1 Q0 d1a 1 2.0 init\n")
+        assert main(argv) == 0
+        assert [ranked.query_id for ranked in parse_run(capsys.readouterr().out)] == ["q1", "q2"]
+
+    def test_run_queries_missing_from_query_file_left_out_as_the_pipeline_does(
+        self, workspace, capsys
+    ):
+        argv = self.argv(workspace)
+        assert main(argv) == 0
+        clean = capsys.readouterr()
+        run = workspace / "initial.run"
+        run.write_text("q9 Q0 d1a 1 5.0 init\n" + run.read_text() + "q8 Q0 d2a 1 1.0 init\n")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == clean.out
+        assert captured.err == (
+            "warning: run queries missing from the query file, left out of the run: 2 (q9, q8)\n"
+        )
 
     def test_unparseable_address_is_a_data_error(self, workspace, capsys):
         assert main(self.argv(workspace) + ["--scorer", "remote", "--address", "http://[::1"]) == 2
@@ -774,7 +778,8 @@ class TestExitCodes:
         inf_report = workspace / "inf_pq.tsv"
         inf_report.write_text("query_id\ts@1\tmap\nq1\t-inf\t0.5\nq2\t1.0\t0.5\n")
         cases = [
-            (["index", "build", "--corpus", str(corpus), "--out", str(workspace / "x.idx")],
+            (["index", "search", "--corpus", str(corpus),
+              "--queries", str(workspace / "queries.jsonl")],
              f"{corpus}: line 1: field 'text' must be a string"),
             (["pipeline", "run", "--config",
               str(make_config(workspace, "out_dup", queries=str(queries)))],
@@ -878,6 +883,31 @@ class TestExitCodes:
         assert not (workspace / "out_raw_config").exists()
         assert not (workspace / "out_surrogate_config").exists()
         assert not (workspace / "surrogate_expansions.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, depth",
+        [("pipeline", "initial_run", 5), ("pipeline", "initial_run", 1),
+         ("pipeline", "dense_run", 1), ("rerank", None, 1)],
+    )
+    def test_run_passage_missing_from_corpus_names_the_run_file(
+        self, workspace, capsys, command, key, depth
+    ):
+        # At depth 1 the unknown passage lies below the reranked head.
+        run = workspace / "init.run"
+        run.write_text("q1 Q0 d1a 1 2.0 x\nq1 Q0 d3 2 1.0 x\n")
+        out = workspace / "out_unknown"
+        if command == "pipeline":
+            argv = ["pipeline", "run", "--k", str(depth), "--config",
+                    str(make_config(workspace, "out_unknown", mode="nl", **{key: str(run)}))]
+        else:
+            argv = ["rerank", "--run", str(run), "--corpus", str(workspace / "corpus.jsonl"),
+                    "--queries", str(workspace / "queries.jsonl"), "--k", str(depth),
+                    "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{run}: passage 'd3' of query 'q1' is not in the corpus" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_transport_error_is_three(self, workspace):
         config = make_config(

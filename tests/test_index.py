@@ -500,7 +500,7 @@ class TestIndexPersistence:
         )
 
     def test_magic_header_checked(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ParseError, match="header.*; write it again with `save_index`$"):
             load_index(io.StringIO("something else\n{}"))
 
     @given(
@@ -536,6 +536,8 @@ class TestIndexPersistence:
              "passage 'd1' has length True"),
             (INDEX_MAGIC, {"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": 1.0}},
              "passage 'd1' has length 1.0"),
+            (INDEX_MAGIC, {"postings": {"a": [["d\ud800", 1]]}, "doc_lengths": {"d\ud800": 1}},
+             r"passage 'd\\ud800' holds a lone surrogate"),
         ],
     )
     def test_inconsistent_artifact_rejected(self, header, payload, match):
