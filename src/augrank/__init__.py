@@ -73,6 +73,6 @@ from .rerank import (
     rerank_topk,
     score_batch,
 )
-from .trainset import TrainingSet, balance_upsample, make_pairs, render_training_sequences
+from .trainset import balance_upsample, render_training_sequences
 
 __version__ = "0.1.0"

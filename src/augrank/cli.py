@@ -18,7 +18,7 @@ supplied run that the query file lacks are left out of the run, as in
 `rerank`; each kind is named in one stderr line, as `index search` names
 queries without hits and `eval` judged queries missing from the run. A
 supplied run's passage that the corpus lacks is a data error naming the
-run file, raised when the run is read.
+run file and the line, raised when the run is read.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -95,7 +95,7 @@ from .rerank import (
     template_head,
 )
 from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
-from .trainset import balance_upsample, make_pairs, render_training_sequences
+from .trainset import balance_upsample, render_training_sequences
 
 T = TypeVar("T")
 
@@ -397,15 +397,28 @@ def _by_id(items):
 
 def _read_run(path: str, corpus: Mapping[str, Passage] | None = None) -> dict[str, RankedList]:
     """The run at `path` by query id. Given `corpus`, a passage that the
-    corpus lacks is a data error naming the file, the query and the passage."""
+    corpus lacks is a data error naming the file, the line, the query and
+    the passage."""
     run = {ranked.query_id: ranked for ranked in _load(parse_run, path)}
     for ranked in run.values() if corpus is not None else ():
         for pid, _ in ranked.entries:
             if pid not in corpus:
                 raise UnknownIdError(
-                    f"{path}: passage {pid!r} of query {ranked.query_id!r} is not in the corpus"
+                    f"{path}: {_run_line(path, ranked.query_id, pid)}passage {pid!r} "
+                    f"of query {ranked.query_id!r} is not in the corpus"
                 )
     return run
+
+
+def _run_line(path: str, qid: str, pid: str) -> str:
+    """`line N: ` for the line of the run at `path` that ranks `pid` for
+    `qid`. Reads the file again, so call it only on an error path."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in _iter_lines(handle):
+            fields = line.split()
+            if fields[0] == qid and fields[2] == pid:
+                return f"line {line_no}: "
+    return ""
 
 
 def _search(index: InvertedIndex, queries: Iterable[Query], k: int) -> dict[str, RankedList]:
@@ -652,11 +665,9 @@ def _cmd_trainset_build(args) -> None:
     triples = _load(load_triples, args.triples)
     corpus = _by_id(_load(load_corpus, args.corpus))
     queries = _by_id(_load(load_queries, args.queries))
-    training_set = make_pairs(triples, corpus, queries)
-    if args.balance:
-        training_set = balance_upsample(training_set)
+    examples = balance_upsample(triples) if args.balance else triples
     expansions = _load(load_expansions, args.expansions) if args.expansions else None
-    sequences = render_training_sequences(training_set, queries, corpus, expansions)
+    sequences = render_training_sequences(examples, queries, corpus, expansions)
     with _open_out(args.out) as out:
         for sequence in sequences:
             out.write(sequence + "\n")

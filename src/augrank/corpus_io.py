@@ -21,6 +21,11 @@ File formats:
   and `load_corpus` reject an id that a run could not hold.
 - Qrels are TREC 4-column text: `qid 0 docid grade`.
 
+Every reader takes an open text file, any iterable of lines, or a whole
+string. A string is read as a text-mode file would be: its lines end at
+`\\n`, `\\r` and `\\r\\n` only, so U+2028 or `\\x0c` inside a record is
+part of it.
+
 Duplicate judgments, duplicate docids within a query, and duplicate record
 ids are hard errors, never last-wins. All parsers are pure functions over
 their input lines and are safe to call concurrently on distinct streams.
@@ -28,6 +33,7 @@ their input lines and are safe to call concurrently on distinct streams.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -162,9 +168,11 @@ class RankedList:
 def _iter_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) pairs, skipping blank lines.
 
-    Accepts an open text file, any iterable of lines, or a whole string.
+    Accepts an open text file, any iterable of lines, or a whole string. A
+    string is read as a text-mode file reads its bytes: lines end only at
+    `\\n`, `\\r` and `\\r\\n`, not at the other breaks `str.splitlines` knows.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:

@@ -37,7 +37,7 @@ from augrank.index import (
     tokenize,
 )
 from augrank.rerank import build_augmented_input, build_input
-from augrank.trainset import TrainingSet, balance_upsample
+from augrank.trainset import balance_upsample
 from augrank.corpus_io import TrainingExample, TrainingLabel
 from oracles import (
     ap_oracle,
@@ -401,7 +401,7 @@ def test_criterion_7_end_to_end_augmentation_uplift(tmp_path):
                f"over {N_QUERIES} queries, p <= 0.05, in {elapsed:.2f}s")
 
 
-def _training_set(positives, negatives):
+def _examples(positives, negatives):
     examples = [
         TrainingExample(f"q{i}", f"d{i}", TrainingLabel.RELEVANT) for i in range(positives)
     ]
@@ -409,23 +409,19 @@ def _training_set(positives, negatives):
         TrainingExample(f"q{positives + i}", f"d{positives + i}", TrainingLabel.NOT_RELEVANT)
         for i in range(negatives)
     ]
-    return TrainingSet(tuple(examples))
+    return tuple(examples)
 
 
 def test_criterion_8_upsampling_contract():
     """(2 pos, 6 neg) -> multiplicities (3,3); (3 pos, 7 neg) -> (3,2,2)."""
-    balanced = balance_upsample(_training_set(2, 6))
-    assert len(balanced.examples) == 12
-    multiplicities = Counter(
-        e.query_id for e in balanced.examples if e.label is TrainingLabel.RELEVANT
-    )
+    balanced = balance_upsample(_examples(2, 6))
+    assert len(balanced) == 12
+    multiplicities = Counter(e.query_id for e in balanced if e.label is TrainingLabel.RELEVANT)
     assert sorted(multiplicities.values()) == [3, 3]
 
-    balanced = balance_upsample(_training_set(3, 7))
-    assert len(balanced.examples) == 14
-    multiplicities = Counter(
-        e.query_id for e in balanced.examples if e.label is TrainingLabel.RELEVANT
-    )
+    balanced = balance_upsample(_examples(3, 7))
+    assert len(balanced) == 14
+    multiplicities = Counter(e.query_id for e in balanced if e.label is TrainingLabel.RELEVANT)
     assert multiplicities == {"q0": 3, "q1": 2, "q2": 2}
     _report(8, "upsampling multiplicities (3,3) and (3,2,2) exact")
 

@@ -5,6 +5,10 @@ catch a rename or a moved argument in the test suite instead."""
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from augrank.augment import augment_query
@@ -88,3 +92,61 @@ def test_index_counters_match_counts_from_the_tokens():
     assert (distinct_terms, offered) == (7, 6)
     assert tracer.counters["index.postings"] == distinct_terms
     assert tracer.counters["index.bm25_search.postings_offered"] == offered
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def test_every_wrapped_name_records_a_span(tmp_path):
+    # The tracer wraps names on augrank.cli's module globals; if a stage
+    # stopped calling through them, its spans would read 0 and the traced
+    # run would still exit 0. q3 has no snippets, so its expansion is the
+    # empty fallback and rerank's build_input is called.
+    corpus = write_lines(tmp_path / "corpus.jsonl", [
+        json.dumps({"id": f"d{i}{kind}", "text": f"shared topic{i} {kind} words"})
+        for i in (1, 2, 3) for kind in ("rel", "a", "b")
+    ])
+    inputs = {
+        "corpus": corpus,
+        "queries": write_lines(tmp_path / "queries.jsonl", [
+            json.dumps({"id": f"q{i}", "text": f"shared topic{i}"}) for i in (1, 2, 3)
+        ]),
+        "qrels": write_lines(tmp_path / "qrels.txt", [f"q{i} 0 d{i}rel 1" for i in (1, 2, 3)]),
+        "snippet_cache": write_lines(tmp_path / "snippets.jsonl", [
+            json.dumps({"query_id": f"q{i}", "rank": 1, "kind": "organic",
+                        "text": f"topic{i} rel explanation", "source": "web_serp"})
+            for i in (1, 2)
+        ]),
+    }
+    dense = write_lines(tmp_path / "dense.run", [
+        f"q{i} Q0 d{i}{kind} {rank} {1.0 / rank} dense"
+        for i in (1, 2, 3) for rank, kind in enumerate(("a", "rel"), start=1)
+    ])
+    baseline = write_lines(tmp_path / "baseline.run", [
+        f"q{i} Q0 d{i}a 1 1.0 base" for i in (1, 2, 3)
+    ])
+    configs = {
+        "nl": dict(inputs, mode="nl", dense_run=dense, baseline_run=baseline),
+        "terms": dict(inputs, mode="terms"),
+    }
+    recorded, wrapped = set(), set()
+    for name, config in configs.items():
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / name))))
+        spans_path = tmp_path / f"{name}_spans.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        completed = subprocess.run(
+            [sys.executable, str(BENCH / "traced_pipeline.py"), "--config", str(config_path),
+             "--output-dir", str(tmp_path / name), "--trace-out", str(spans_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        trace = json.loads(spans_path.read_text())
+        wrapped.update(trace["names"])
+        recorded.update(trace["names"][span[0]] for span in trace["spans"])
+    # The dead wraps: nothing in the pipeline calls these names.
+    assert wrapped - recorded == {"index.estimate_corpus_lm", "rerank.build_input@cli"}

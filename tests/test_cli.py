@@ -905,7 +905,7 @@ class TestExitCodes:
                     "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{run}: passage 'd3' of query 'q1' is not in the corpus" in err
+        assert f"{run}: line 2: passage 'd3' of query 'q1' is not in the corpus" in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 

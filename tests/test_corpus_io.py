@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from augrank.augment import load_expansions
+from augrank.cli import load_per_query_report
 from augrank.corpus_io import (
     Passage,
     RankedList,
@@ -444,3 +446,49 @@ class TestLoadTriples:
     def test_unknown_label(self):
         with pytest.raises(ParseError, match="label"):
             load_triples([json.dumps({"query_id": "q", "passage_id": "d", "label": "maybe"})])
+
+
+# Each reader's three lines, the second holding the character that replaces
+# `<c>`; the lines end in \r\n, \r and \n in turn.
+_READER_LINES = {
+    parse_qrels: ["q1 0 d1 1", "q2 0 d2<c>2", "q3 0 d3 0"],
+    parse_run: ["q1 Q0 d1 1 2.0 t", "q1 Q0 d2 2 1.0<c>t", "q2 Q0 d1 1 0.5 t"],
+    load_corpus: ['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "a<c>b"}',
+                  '{"id": "d3", "text": "c"}'],
+    load_queries: ['{"id": "q1", "text": "a"}', '{"id": "q2", "text": "a<c>b"}',
+                   '{"id": "q3", "text": "c"}'],
+    load_snippet_cache: [
+        f'{{"query_id": "q1", "rank": {rank}, "kind": "organic", "text": "a{text}b", '
+        '"source": "wiki"}'
+        for rank, text in ((1, ""), (2, "<c>"), (3, ""))
+    ],
+    load_triples: [
+        f'{{"query_id": "q{mark}1", "passage_id": "d1", "label": "relevant"}}'
+        for mark in ("", "<c>", "")
+    ],
+    load_expansions: [
+        f'{{"query_id": "q{n}", "mode": "natural_language", "text": "a{text}b"}}'
+        for n, text in ((1, ""), (2, "<c>"), (3, ""))
+    ],
+    load_per_query_report: ["query_id\ts@1", "q1\t1.0", "q2<c>x\t0.5"],
+}
+
+
+def _outcome(reader, source):
+    try:
+        return reader(source)
+    except (ParseError, ConflictError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("reader", list(_READER_LINES), ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("c", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                               "\u2029"])
+def test_a_string_reads_as_the_same_text_in_a_file(tmp_path, reader, c):
+    first, second, third = (line.replace("<c>", c) for line in _READER_LINES[reader])
+    text = f"{first}\r\n{second}\r{third}\n"
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        from_file = _outcome(reader, handle)
+    assert _outcome(reader, text) == from_file
