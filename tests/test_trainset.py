@@ -114,6 +114,10 @@ class TestRenderTrainingSequences:
             render_training_sequences([TrainingExample("q99", "d1", POS)], queries(), corpus())
 
     def test_missing_passage_raises(self):
+        with pytest.raises(UnknownIdError):
+            render_training_sequences([TrainingExample("q0", "d99", POS)], queries(), corpus())
+
+    def test_missing_passage_message_names_id(self):
         with pytest.raises(
             UnknownIdError, match="^training triple references unknown passage 'd99'$"
         ):
