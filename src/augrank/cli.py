@@ -65,6 +65,7 @@ from .corpus_io import (
     load_triples,
     parse_qrels,
     parse_run,
+    plain_number,
     write_run,
 )
 from .errors import ConflictError, ParseError, ToolkitError, TransportError
@@ -149,7 +150,8 @@ def write_per_query_report(report: MetricReport, out: TextIO) -> None:
 def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
     """Read a per-query TSV back into a MetricReport (means recomputed).
     The header's metric tokens are read as `MetricConfig` reads them, so a
-    repeated, unknown or blank token is a ParseError at the header line."""
+    repeated, unknown or blank token is a ParseError at the header line.
+    Each value is read by `plain_number`, as run scores are."""
     rows = _iter_lines(stream)
     first = next(rows, None)
     if first is None:
@@ -172,7 +174,7 @@ def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
         if qid in per_query:
             raise ParseError(f"duplicate query id {qid!r}", line_no)
         try:
-            values = [float(v) for v in cells[1:]]
+            values = [plain_number(float, v) for v in cells[1:]]
         except ValueError:
             raise ParseError(f"non-numeric metric value in row {row!r}", line_no) from None
         if not all(map(math.isfinite, values)):
@@ -589,7 +591,7 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
 
     ranked_ids = {ranked.query_id for ranked in reranked}
     _warn_queries(
-        [q.id for q in queries if qrels.has_query(q.id) and q.id not in ranked_ids],
+        [q.id for q in queries if q.id in qrels and q.id not in ranked_ids],
         "judged queries without candidates, left out of the metrics",
     )
     with _stage("eval"):
@@ -679,7 +681,7 @@ def _cmd_eval(args) -> None:
     qrels = _load(parse_qrels, args.qrels)
     run_ids = {ranked.query_id for ranked in lists}
     _warn_queries(
-        [qid for qid in qrels.judgments if qid not in run_ids],
+        [qid for qid in qrels if qid not in run_ids],
         "judged queries missing from the run, left out of the metrics",
     )
     _evaluate(lists, qrels, metrics, args.out, args.per_query)

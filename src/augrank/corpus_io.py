@@ -19,7 +19,10 @@ File formats:
   and writes it on each line, and `parse_run` does not read it. The qid,
   docid and tag are each one token without whitespace, so `load_queries`
   and `load_corpus` reject an id that a run could not hold.
-- Qrels are TREC 4-column text: `qid 0 docid grade`.
+- Qrels are TREC 4-column text: `qid 0 docid grade`. `parse_qrels`
+  returns {query_id: {passage_id: grade}}, the mapping the metrics take.
+- Grades, ranks and scores are plain ASCII numbers without `_`, as
+  trec_eval reads them (`plain_number`).
 
 Every reader takes an open text file, any iterable of lines, or a whole
 string. A string is read as a text-mode file would be: its lines end at
@@ -36,12 +39,14 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
+from typing import TextIO, TypeVar
 
 from .errors import ConflictError, ParseError, ValidationError
+
+T = TypeVar("T")
 
 
 class SnippetKind(str, Enum):
@@ -103,38 +108,10 @@ class TrainingExample:
     label: TrainingLabel
 
 
-@dataclass
-class Qrels:
-    """Graded relevance judgments keyed by (query_id, passage_id).
-
-    Grades are non-negative integers; each pair appears at most once.
-    """
-
-    judgments: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def add_judgment(self, query_id: str, passage_id: str, grade: int) -> None:
-        if grade < 0:
-            raise ValidationError(f"negative grade {grade} for ({query_id}, {passage_id})")
-        per_query = self.judgments.setdefault(query_id, {})
-        if passage_id in per_query:
-            raise ConflictError(f"duplicate judgment for ({query_id}, {passage_id})")
-        per_query[passage_id] = grade
-
-    def grade(self, query_id: str, passage_id: str) -> int:
-        """Grade of a pair; unjudged pairs count as grade 0."""
-        return self.judgments.get(query_id, {}).get(passage_id, 0)
-
-    def has_query(self, query_id: str) -> bool:
-        return query_id in self.judgments
-
-    def grades_for(self, query_id: str) -> dict[str, int]:
-        return self.judgments.get(query_id, {})
-
-    def count_relevant(self, query_id: str, threshold: int) -> int:
-        return sum(1 for g in self.judgments.get(query_id, {}).values() if g >= threshold)
-
-    def max_grade(self) -> int:
-        return max((g for per in self.judgments.values() for g in per.values()), default=0)
+# Graded relevance judgments: query id -> passage id -> grade, as
+# `parse_qrels` returns them. Grades are non-negative integers; a query
+# absent from the mapping is unjudged, and an unjudged pair counts as 0.
+Qrels = dict[str, dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -179,28 +156,39 @@ def _iter_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
             yield i, line
 
 
+def plain_number(cast: Callable[[str], T], text: str) -> T:
+    """`cast(text)` for a number column, or ValueError unless the text is
+    plain ASCII without `_`. Python's int() and float() also read `1_0`
+    and non-ASCII digits such as `２`, which C's atoi and atof (and so
+    trec_eval) do not; `+1` and `1e3` stay legal."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return cast(text)
+
+
 def parse_qrels(stream: Iterable[str] | str) -> Qrels:
-    """Parse TREC qrels: `qid <ignored> docid grade`, one judgment per line.
+    """Parse TREC qrels: `qid <ignored> docid grade`, one judgment per line,
+    into {query_id: {passage_id: grade}}.
 
     Raises ParseError on malformed lines and ConflictError when a
     (qid, docid) pair appears twice, both naming the line number.
     """
-    qrels = Qrels()
+    qrels: Qrels = {}
     for line_no, line in _iter_lines(stream):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}: {line!r}", line_no)
         qid, _, docid, grade_str = parts
         try:
-            grade = int(grade_str)
+            grade = plain_number(int, grade_str)
         except ValueError:
             raise ParseError(f"non-integer grade {grade_str!r}", line_no) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line_no)
-        try:
-            qrels.add_judgment(qid, docid, grade)
-        except ConflictError as exc:
-            raise ConflictError(f"line {line_no}: {exc}") from None
+        judged = qrels.setdefault(qid, {})
+        if docid in judged:
+            raise ConflictError(f"duplicate judgment for ({qid}, {docid})", line_no)
+        judged[docid] = grade
     return qrels
 
 
@@ -221,17 +209,17 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
             raise ParseError(f"expected 6 fields, got {len(parts)}: {line!r}", line_no)
         qid, _, docid, rank_str, score_str, _ = parts
         try:
-            rank = int(rank_str)
+            rank = plain_number(int, rank_str)
         except ValueError:
             raise ParseError(f"non-integer rank {rank_str!r}", line_no) from None
         try:
-            score = float(score_str)
+            score = plain_number(float, score_str)
         except ValueError:
             raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
         if not math.isfinite(score):
             raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
         if docid in seen.setdefault(qid, set()):
-            raise ConflictError(f"line {line_no}: duplicate docid {docid!r} for query {qid!r}")
+            raise ConflictError(f"duplicate docid {docid!r} for query {qid!r}", line_no)
         seen[qid].add(docid)
         groups.setdefault(qid, []).append((docid, rank, score))
 
@@ -351,7 +339,7 @@ def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
         if not text:
             raise ParseError(f"empty text for passage {pid!r}", line_no)
         if pid in seen:
-            raise ConflictError(f"line {line_no}: duplicate passage id {pid!r}")
+            raise ConflictError(f"duplicate passage id {pid!r}", line_no)
         seen.add(pid)
         passages.append(Passage(pid, record.get("title"), text))
     return passages
@@ -369,7 +357,7 @@ def load_queries(stream: Iterable[str] | str) -> list[Query]:
         if not text.strip():
             raise ParseError(f"empty text for query {qid!r}", line_no)
         if qid in seen:
-            raise ConflictError(f"line {line_no}: duplicate query id {qid!r}")
+            raise ConflictError(f"duplicate query id {qid!r}", line_no)
         seen.add(qid)
         queries.append(Query(qid, text))
     return queries
@@ -402,8 +390,8 @@ def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:
         key = (qid, source.value, rank)
         if key in seen:
             raise ConflictError(
-                f"line {line_no}: duplicate snippet rank {rank} for query {qid!r}, "
-                f"source {source.value}"
+                f"duplicate snippet rank {rank} for query {qid!r}, source {source.value}",
+                line_no,
             )
         seen.add(key)
         cache.setdefault(qid, []).append(Snippet(qid, rank, kind, text, source))

@@ -13,8 +13,9 @@ class ToolkitError(Exception):
     """Base class for all augrank errors."""
 
 
-class ParseError(ToolkitError):
-    """A line or record in an input file could not be parsed."""
+class _LineError(ToolkitError):
+    """An error that may name the input line it was found at: given
+    `line_no`, the message reads `line N: <message>`."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -23,7 +24,11 @@ class ParseError(ToolkitError):
         self.line_no = line_no
 
 
-class ConflictError(ToolkitError):
+class ParseError(_LineError):
+    """A line or record in an input file could not be parsed."""
+
+
+class ConflictError(_LineError):
     """Duplicate keys where duplicates are forbidden (qrels, run docids, ids)."""
 
 

@@ -6,6 +6,9 @@ Which metrics a report holds is a `MetricConfig`: a tuple of tokens
 reported in the order given; any number of cutoffs of one metric may be
 asked for. `evaluate_run` computes exactly those tokens.
 
+Judgments are the {query_id: {passage_id: grade}} mapping `parse_qrels`
+returns; a passage that a query's grades lack counts as grade 0.
+
 Conventions: nDCG uses linear gain grade/log2(rank+1) with the ideal DCG
 computed from the query's judged grades sorted descending; Success and MRR
 count grade >= 1 as relevant; AP binarizes at grade >= 2 for graded qrels
@@ -107,12 +110,9 @@ def success_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if not qrels.has_query(ranked.query_id):
+    if (judged := qrels.get(ranked.query_id)) is None:
         return None
-    for pid, _ in ranked.entries[:k]:
-        if qrels.grade(ranked.query_id, pid) >= 1:
-            return 1.0
-    return 0.0
+    return 1.0 if any(judged.get(pid, 0) >= 1 for pid, _ in ranked.entries[:k]) else 0.0
 
 
 def mrr_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
@@ -120,10 +120,10 @@ def mrr_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
     k; 0.0 if there is none."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if not qrels.has_query(ranked.query_id):
+    if (judged := qrels.get(ranked.query_id)) is None:
         return None
     for rank, (pid, _) in enumerate(ranked.entries[:k], start=1):
-        if qrels.grade(ranked.query_id, pid) >= 1:
+        if judged.get(pid, 0) >= 1:
             return 1.0 / rank
     return 0.0
 
@@ -136,15 +136,14 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if not qrels.has_query(ranked.query_id):
+    if (judged := qrels.get(ranked.query_id)) is None:
         return None
-    grades = qrels.grades_for(ranked.query_id)
-    ideal = sorted(grades.values(), reverse=True)[:k]
+    ideal = sorted(judged.values(), reverse=True)[:k]
     idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0.0:
         return 0.0
     dcg = sum(
-        grades.get(pid, 0) / math.log2(rank + 1)
+        judged.get(pid, 0) / math.log2(rank + 1)
         for rank, (pid, _) in enumerate(ranked.entries[:k], start=1)
     )
     return dcg / idcg
@@ -156,15 +155,15 @@ def average_precision(ranked: RankedList, qrels: Qrels, threshold: int) -> float
 
     0.0 when R = 0.
     """
-    if not qrels.has_query(ranked.query_id):
+    if (judged := qrels.get(ranked.query_id)) is None:
         return None
-    total_relevant = qrels.count_relevant(ranked.query_id, threshold)
+    total_relevant = sum(1 for g in judged.values() if g >= threshold)
     if total_relevant == 0:
         return 0.0
     hits = 0
     precision_sum = 0.0
     for rank, (pid, _) in enumerate(ranked.entries, start=1):
-        if qrels.grade(ranked.query_id, pid) >= threshold:
+        if judged.get(pid, 0) >= threshold:
             hits += 1
             precision_sum += hits / rank
     return precision_sum / total_relevant
@@ -176,7 +175,7 @@ _CUTOFF_METRICS = {"s": success_at_k, "mrr": mrr_at_k, "ndcg": ndcg_at_k}
 def resolve_map_threshold(qrels: Qrels) -> int:
     """AP's relevance grade: 2 when any judgment is graded (max grade
     >= 2), else 1."""
-    return 2 if qrels.max_grade() >= 2 else 1
+    return 2 if any(g >= 2 for judged in qrels.values() for g in judged.values()) else 1
 
 
 def _metric_value(token: str, ranked: RankedList, qrels: Qrels, map_threshold: int) -> float:
@@ -206,7 +205,7 @@ def evaluate_run(
     per_query: dict[str, dict[str, float]] = {}
     unjudged: list[str] = []
     for ranked in lists:
-        if not qrels.has_query(ranked.query_id):
+        if ranked.query_id not in qrels:
             unjudged.append(ranked.query_id)
             continue
         per_query[ranked.query_id] = {

@@ -19,7 +19,7 @@ from augrank.augment import (
     topical_term_weights,
 )
 from augrank.cli import main
-from augrank.corpus_io import Passage, Qrels, Query, RankedList, Snippet, SnippetKind, SnippetSource
+from augrank.corpus_io import Passage, Query, RankedList, Snippet, SnippetKind, SnippetSource
 from augrank.evaluation import (
     SignificanceMarker,
     average_precision,
@@ -95,7 +95,7 @@ def test_criterion_1_kl_weight_oracle_suite():
 
 def _random_eval_instance(rng):
     n_queries = rng.randint(1, 10)
-    qrels = Qrels()
+    qrels = {}
     lists = []
     truth = {}
     for qi in range(n_queries):
@@ -106,8 +106,7 @@ def _random_eval_instance(rng):
         judged = {}
         for pid in pids[: rng.randint(1, n_docs)]:
             judged[pid] = rng.choice([0, 0, 1, 1, 2, 3])
-        for pid, grade in judged.items():
-            qrels.add_judgment(qid, pid, grade)
+        qrels[qid] = judged
         scores = sorted((rng.random() for _ in pids), reverse=True)
         lists.append(RankedList(qid, tuple(zip(pids, scores))))
         truth[qid] = (pids, judged)
@@ -140,10 +139,10 @@ def test_criterion_2_metric_oracle_suite():
             reverse=True,
         )
         grades[0] = 3  # guarantee a graded-relevant doc
-        qrels = Qrels()
+        qrels = {"q": {}}
         entries = []
         for j, grade in enumerate(grades):
-            qrels.add_judgment("q", f"d{j}", grade)
+            qrels["q"][f"d{j}"] = grade
             entries.append((f"d{j}", float(len(grades) - j)))
         perfect = RankedList("q", tuple(entries))
         k = len(grades)
@@ -153,9 +152,7 @@ def test_criterion_2_metric_oracle_suite():
         assert average_precision(perfect, qrels, 2) == 1.0
 
     # hand-derived nDCG fixture: ranked grades [3, 0, 1]
-    qrels = Qrels()
-    for pid, grade in (("a", 3), ("b", 0), ("c", 1)):
-        qrels.add_judgment("q", pid, grade)
+    qrels = {"q": {"a": 3, "b": 0, "c": 1}}
     fixture = RankedList("q", (("a", 3.0), ("b", 2.0), ("c", 1.0)))
     expected = 3.5 / (3.0 + 1.0 / math.log2(3))
     got = ndcg_at_k(fixture, qrels, 10)

@@ -21,7 +21,7 @@ from augrank.cli import (
     run_pipeline,
 )
 from augrank.corpus_io import Passage, Query, RankedList, parse_run
-from augrank.errors import ValidationError
+from augrank.errors import ParseError, ValidationError
 from augrank.evaluation import MetricConfig
 from augrank.index import build_index
 from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input
@@ -388,6 +388,13 @@ class TestEvalAndCompareCommands:
         assert row[5] == "p01"  # uniform +1 uplift -> zero variance branch
         report = load_per_query_report(base_pq.read_text())
         assert report.query_count == 3
+
+    @pytest.mark.parametrize("value", ["0_0", "\uff10.5", "0.\u0665"])
+    def test_per_query_value_must_be_plain_ascii_at_its_line(self, value):
+        with pytest.raises(ParseError, match=r"^line 3: non-numeric metric value"):
+            load_per_query_report(f"query_id\ts@1\nq1\t1.0\nq2\t{value}\n")
+        report = load_per_query_report("query_id\ts@1\nq1\t+1e0\nq2\t0\n")
+        assert report.per_query == {"q1": {"s@1": 1.0}, "q2": {"s@1": 0.0}}
 
     def test_compare_canonicalizes_the_metric_token(self, workspace, capsys):
         base_pq, treat_pq = self.per_query_reports(workspace)
@@ -777,6 +784,17 @@ class TestExitCodes:
         nan_report.write_text("query_id\ts@1\n\nq1\t1.0\nq2\tnan\n")  # a blank line 2
         inf_report = workspace / "inf_pq.tsv"
         inf_report.write_text("query_id\ts@1\tmap\nq1\t-inf\t0.5\nq2\t1.0\t0.5\n")
+        # Python reads `1_0` as 10 and `４.5` as 4.5; trec_eval reads 1 and 0.
+        wide_qrels = workspace / "wide.qrels"
+        wide_qrels.write_text("q1 0 d1rel 1\nq2 0 d2rel 1_0\n")
+        wide_rank, wide_score, wide_digit = (
+            workspace / f"{name}.run" for name in ("wide_rank", "wide_score", "wide_digit")
+        )
+        wide_rank.write_text("q1 Q0 d1rel 1 2.0 t\nq1 Q0 d1a 1_0 1.0 t\n")
+        wide_score.write_text("q1 Q0 d1rel 1 2.0 t\nq1 Q0 d1a 2 1_000.5 t\n")
+        wide_digit.write_text("q1 Q0 d1rel 1 2.0 t\nq1 Q0 d1a 2 \uff14.5 t\n", encoding="utf-8")
+        wide_report = workspace / "wide_pq.tsv"
+        wide_report.write_text("query_id\ts@1\nq1\t1.0\nq2\t0_0\n")
         cases = [
             (["index", "search", "--corpus", str(corpus),
               "--queries", str(workspace / "queries.jsonl")],
@@ -796,6 +814,17 @@ class TestExitCodes:
             (["compare", "--baseline", str(inf_report), "--treatment", str(nan_report),
               "--metric", "s@1"],
              f"{inf_report}: line 2: non-finite metric value"),
+            (["eval", "--run", str(good_run), "--qrels", str(wide_qrels)],
+             f"{wide_qrels}: line 2: non-integer grade '1_0'"),
+            (["eval", "--run", str(wide_rank), "--qrels", str(workspace / "qrels.txt")],
+             f"{wide_rank}: line 2: non-integer rank '1_0'"),
+            (["eval", "--run", str(wide_score), "--qrels", str(workspace / "qrels.txt")],
+             f"{wide_score}: line 2: non-numeric score '1_000.5'"),
+            (["eval", "--run", str(wide_digit), "--qrels", str(workspace / "qrels.txt")],
+             f"{wide_digit}: line 2: non-numeric score '\uff14.5'"),
+            (["compare", "--baseline", str(wide_report), "--treatment", str(nan_report),
+              "--metric", "s@1"],
+             f"{wide_report}: line 3: non-numeric metric value"),
         ]
         for argv, message in cases:
             assert main(argv) == 2

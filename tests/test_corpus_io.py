@@ -35,10 +35,10 @@ UNICODE_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 class TestParseQrels:
     def test_single_line(self):
         qrels = parse_qrels("q1 0 d7 2\n")
-        assert qrels.judgments == {"q1": {"d7": 2}}
+        assert qrels == {"q1": {"d7": 2}}
 
     def test_empty_input(self):
-        assert parse_qrels("").judgments == {}
+        assert parse_qrels("") == {}
 
     def test_duplicate_judgment_is_conflict(self):
         with pytest.raises(ConflictError, match=r"^line 3: duplicate judgment for \(q1, d7\)$"):
@@ -56,9 +56,16 @@ class TestParseQrels:
         with pytest.raises(ParseError, match="negative"):
             parse_qrels("q1 0 d7 -1\n")
 
+    @pytest.mark.parametrize("grade", ["1_0", "\uff12", "\u0661"])
+    def test_grade_must_be_plain_ascii_at_its_line(self, grade):
+        # int() would read these as 10, 2 and 1; trec_eval's atoi does not.
+        with pytest.raises(ParseError, match=rf"^line 2: non-integer grade '{grade}'$"):
+            parse_qrels(f"q1 0 d1 1\nq1 0 d7 {grade}\n")
+        assert parse_qrels("q1 0 d7 +1\n") == {"q1": {"d7": 1}}
+
     def test_blank_lines_skipped(self):
         qrels = parse_qrels("\nq1 0 d7 2\n\n")
-        assert qrels.grade("q1", "d7") == 2
+        assert qrels["q1"]["d7"] == 2
 
     @given(
         st.dictionaries(
@@ -73,7 +80,7 @@ class TestParseQrels:
         lines = [f"q{q} 0 d{d} {g}" for (q, d), g in judgments.items()]
         shuffled = list(lines)
         rng.shuffle(shuffled)
-        assert parse_qrels(lines).judgments == parse_qrels(shuffled).judgments
+        assert parse_qrels(lines) == parse_qrels(shuffled)
 
 
 class TestParseRun:
@@ -113,6 +120,19 @@ class TestParseRun:
     def test_non_integer_rank(self):
         with pytest.raises(ParseError, match="rank"):
             parse_run("q1 Q0 d1 first 9.0 t\n")
+
+    @pytest.mark.parametrize("rank", ["1_0", "\uff11", "\u0967"])
+    def test_rank_must_be_plain_ascii_at_its_line(self, rank):
+        with pytest.raises(ParseError, match=rf"^line 2: non-integer rank '{rank}'$"):
+            parse_run(f"q1 Q0 d1 1 9.0 t\nq1 Q0 d2 {rank} 8.0 t\n")
+
+    @pytest.mark.parametrize("score", ["1_000.5", "\uff14.5", "4.\u0665", "1e1_0"])
+    def test_score_must_be_plain_ascii_at_its_line(self, score):
+        # float() would read `1_000.5` as 1000.5 and `４.5` as 4.5.
+        with pytest.raises(ParseError, match=rf"^line 2: non-numeric score '{score}'$"):
+            parse_run(f"q1 Q0 d1 1 9.0 t\nq1 Q0 d2 2 {score} t\n")
+        lists = parse_run("q1 Q0 d1 +1 1e3 t\nq1 Q0 d2 2 +4.5 t\n")
+        assert lists[0].entries == (("d1", 1000.0), ("d2", 4.5))
 
     def test_nan_score_rejected(self):
         with pytest.raises(ParseError, match="NaN"):

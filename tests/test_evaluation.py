@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from augrank.corpus_io import Qrels, RankedList, parse_qrels
+from augrank.corpus_io import RankedList, parse_qrels
 from augrank.errors import ConflictError, ValidationError
 from augrank.evaluation import (
     MetricConfig,
@@ -38,10 +38,25 @@ def ranked(*pids, qid="q1"):
 
 
 def judged(qid="q1", **grades):
-    qrels = Qrels()
-    for pid, grade in grades.items():
-        qrels.add_judgment(qid, pid, grade)
-    return qrels
+    return {qid: grades}
+
+
+@st.composite
+def judged_runs(draw):
+    """(run, qrels): up to five judged queries, graded 0-3 or binary 0-1,
+    each ranking a prefix of a shuffled passage pool, so it may hold
+    unjudged passages and miss judged ones, plus one unjudged query at
+    any place in the run."""
+    grade = st.integers(0, draw(st.sampled_from([1, 3])))
+    qrels, lists = {}, []
+    for i in range(draw(st.integers(1, 5))):
+        pool = [f"d{j}" for j in range(draw(st.integers(1, 15)))]
+        judged_pids = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        qrels[f"q{i}"] = {pid: draw(grade) for pid in judged_pids}
+        ranking = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+        lists.append(ranked(*ranking, qid=f"q{i}"))
+    lists.insert(draw(st.integers(0, len(lists))), ranked("d0", "d1", qid="unjudged"))
+    return lists, qrels
 
 
 class TestSuccessAtK:
@@ -150,7 +165,7 @@ class TestEvaluateRun:
 
     def test_ten_query_fixture_matches_oracle(self):
         rng = random.Random(11)
-        qrels = Qrels()
+        qrels = {}
         lists = []
         oracle_pq = {}
         for i in range(10):
@@ -158,8 +173,7 @@ class TestEvaluateRun:
             pids = [f"d{j}" for j in range(rng.randint(3, 12))]
             rng.shuffle(pids)
             grades = {pid: rng.choice([0, 0, 1, 2, 3]) for pid in pids[: rng.randint(1, 5)]}
-            for pid, g in grades.items():
-                qrels.add_judgment(qid, pid, g)
+            qrels[qid] = grades
             lists.append(ranked(*pids, qid=qid))
             oracle_pq[qid] = (pids, grades)
         cfg = MetricConfig()
@@ -174,6 +188,29 @@ class TestEvaluateRun:
             assert got["map"] == pytest.approx(
                 ap_oracle(pids, grades, map_threshold), abs=1e-10
             )
+
+    @given(judged_runs())
+    def test_every_per_query_value_matches_the_oracles(self, drawn):
+        lists, qrels = drawn
+        cfg = MetricConfig(("s@1", "s@5", "mrr@10", "ndcg@3", "ndcg@10", "map"))
+        report = evaluate_run(lists, qrels, cfg)
+        top_grade = max(g for judged in qrels.values() for g in judged.values())
+        map_threshold = 2 if top_grade >= 2 else 1
+        assert resolve_map_threshold(qrels) == map_threshold
+        assert report.unjudged_query_ids == ("unjudged",)
+        assert set(report.per_query) == set(qrels)
+        for run in lists:
+            if run.query_id == "unjudged":
+                continue
+            pids, judged = list(run.passage_ids()), qrels[run.query_id]
+            assert report.per_query[run.query_id] == pytest.approx({
+                "s@1": success_oracle(pids, judged, 1),
+                "s@5": success_oracle(pids, judged, 5),
+                "mrr@10": mrr_oracle(pids, judged, 10),
+                "ndcg@3": ndcg_oracle(pids, judged, 3),
+                "ndcg@10": ndcg_oracle(pids, judged, 10),
+                "map": ap_oracle(pids, judged, map_threshold),
+            }, abs=1e-12)
 
     def test_unjudged_queries_flagged_not_averaged(self):
         qrels = judged(a=1)
@@ -204,9 +241,7 @@ class TestEvaluateRun:
             pids = [f"d{j}" for j in range(10)]
             rng.shuffle(pids)
             grades = {pid: rng.choice([0, 1, 2]) for pid in pids[:4]}
-            qrels = Qrels()
-            for pid, g in grades.items():
-                qrels.add_judgment("q1", pid, g)
+            qrels = {"q1": grades}
             run = ranked(*pids)
             for metric in (success_at_k, mrr_at_k):
                 values = [metric(run, qrels, k) for k in range(1, 12)]
@@ -343,11 +378,11 @@ class TestPairedTTest:
 class TestCompareRuns:
     def reports(self, uplift=0.0, n=20, seed=31):
         rng = random.Random(seed)
-        qrels = Qrels()
+        qrels = {}
         base_lists, treat_lists = [], []
         for i in range(n):
             qid = f"q{i}"
-            qrels.add_judgment(qid, "rel", 1)
+            qrels[qid] = {"rel": 1}
             noise = rng.random()
             base_lists.append(ranked("x", "rel", "y", qid=qid) if noise > uplift else ranked("rel", "x", qid=qid))
             treat_lists.append(ranked("rel", "x", qid=qid))
