@@ -17,8 +17,8 @@ candidates are left out of the run and the means, and queries of a
 supplied run that the query file lacks are left out of the run, as in
 `rerank`; each kind is named in one stderr line, as `index search` names
 queries without hits and `eval` judged queries missing from the run. A
-supplied run's passage that the corpus lacks is a data error naming the
-run file and the line, raised when the run is read.
+supplied run's passage that the corpus lacks is a parse error naming the
+run file and the first such line, raised by `parse_run` as it reads the run.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
@@ -36,7 +36,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import TextIO, TypeVar
 
 from .augment import (
@@ -58,7 +58,6 @@ from .corpus_io import (
     _holds_lone_surrogate,
     _iter_lines,
     check_run_token,
-    encode_json_string,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -68,8 +67,7 @@ from .corpus_io import (
     plain_number,
     write_run,
 )
-from .errors import ConflictError, ParseError, ToolkitError, TransportError
-from .errors import UnknownIdError, ValidationError
+from .errors import ConflictError, ParseError, ToolkitError, TransportError, ValidationError
 from .evaluation import (
     MetricConfig,
     MetricReport,
@@ -88,12 +86,11 @@ from .index import (
 )
 from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .rerank import (
-    RELEVANT_LABEL,
     ScorerEndpoint,
     ScorerKind,
     build_augmented_input,
+    input_records,
     rerank_topk,
-    template_head,
 )
 from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .trainset import balance_upsample, render_training_sequences
@@ -257,8 +254,9 @@ _INPUT_PATHS = (
 
 
 # What each ExperimentConfig field accepts, by its annotation, and how to say
-# it. Numeric keys also take numeric strings but never booleans. The
-# alias-valued keys (mode, source, scorer) are resolved after this check.
+# it. Numeric keys also take numeric strings, read by `plain_number`, but
+# never booleans. The alias-valued keys (mode, source, scorer) are resolved
+# after this check.
 _CONFIG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
     "str": (str, "a string"),
     "str | None": (str, "a string"),
@@ -278,7 +276,7 @@ def _config_value(annotation: str, raw: object) -> object:
         value = math.nan
         if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
             with contextlib.suppress(OverflowError, ValueError):
-                value = float(raw)
+                value = plain_number(float, raw) if isinstance(raw, str) else float(raw)
         if math.isfinite(value) and (kind is float or value.is_integer()):
             return kind(raw) if isinstance(raw, int) else kind(value)
     elif isinstance(raw, kind):
@@ -398,29 +396,10 @@ def _by_id(items):
 
 
 def _read_run(path: str, corpus: Mapping[str, Passage] | None = None) -> dict[str, RankedList]:
-    """The run at `path` by query id. Given `corpus`, a passage that the
-    corpus lacks is a data error naming the file, the line, the query and
-    the passage."""
-    run = {ranked.query_id: ranked for ranked in _load(parse_run, path)}
-    for ranked in run.values() if corpus is not None else ():
-        for pid, _ in ranked.entries:
-            if pid not in corpus:
-                raise UnknownIdError(
-                    f"{path}: {_run_line(path, ranked.query_id, pid)}passage {pid!r} "
-                    f"of query {ranked.query_id!r} is not in the corpus"
-                )
-    return run
-
-
-def _run_line(path: str, qid: str, pid: str) -> str:
-    """`line N: ` for the line of the run at `path` that ranks `pid` for
-    `qid`. Reads the file again, so call it only on an error path."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in _iter_lines(handle):
-            fields = line.split()
-            if fields[0] == qid and fields[2] == pid:
-                return f"line {line_no}: "
-    return ""
+    """The run at `path` by query id; given `corpus`, `parse_run` refuses a
+    passage it lacks. `parse_run` is looked up when the run is read, so a
+    wrapper on this module's name (bench/traced_pipeline.py) sees it."""
+    return {ranked.query_id: ranked for ranked in _load(lambda h: parse_run(h, corpus), path)}
 
 
 def _search(index: InvertedIndex, queries: Iterable[Query], k: int) -> dict[str, RankedList]:
@@ -478,11 +457,6 @@ def _expand(
     return {expansion.query_id: expansion for expansion in expansions}
 
 
-# The escaped end of an inputs.jsonl record: the sequence's last segment,
-# its closing quote and the record's closing brace.
-_SEQUENCE_TAIL = encode_json_string(f" {RELEVANT_LABEL}")[1:] + "}\n"
-
-
 def _rerank(
     queries: Iterable[Query],
     initial: Mapping[str, RankedList],
@@ -497,12 +471,8 @@ def _rerank(
     """Rerank the top k of each query's initial list, in query order, and
     write the run with `tag` to `out_path` (stdout when None). With
     `inputs_out`, each query's scorer inputs are also written there, in
-    one write once it has been reranked, as one JSON record
-    {"query_id", "passage_id", "sequence"} per line, the line
-    `json.dumps(record, ensure_ascii=False)` gives. The query's template
-    head is rendered and escaped once and each record is joined from
-    escaped pieces, which gives the same bytes: JSON escapes a string one
-    character at a time."""
+    one write once it has been reranked, as `input_records` renders them
+    from the query's first input."""
     reranked = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -512,15 +482,9 @@ def _rerank(
         expansion = expansions.get(query.id)
         reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth))
         if inputs_out is not None:
-            candidates = ranked.entries[:depth]
-            first = build_augmented_input(query, expansion, corpus[candidates[0][0]])
-            prefix = f'{{"query_id": {encode_json_string(query.id)}, "passage_id": '
-            head = encode_json_string(template_head(first.query, first.description))[:-1]
-            inputs_out.write("".join([
-                f'{prefix}{encode_json_string(pid)}, "sequence": {head}'
-                f"{encode_json_string(corpus[pid].text)[1:-1]}{_SEQUENCE_TAIL}"
-                for pid, _ in candidates
-            ]))
+            passages = [corpus[pid] for pid, _ in ranked.entries[:depth]]
+            first = build_augmented_input(query, expansion, passages[0])
+            inputs_out.write("".join(input_records(first, passages)))
     with _open_out(out_path) as out:
         write_run(reranked, tag, out)
     return reranked
@@ -618,6 +582,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _number_flag(cast: Callable[[str], T]) -> Callable[[str], T]:
+    """An argparse `type` reading a flag by `plain_number`; it keeps the name
+    of `cast`, which argparse's `invalid int value` message shows."""
+    read = partial(plain_number, cast)
+    read.__name__ = cast.__name__
+    return read
+
+
+_int_flag, _float_flag = _number_flag(int), _number_flag(float)
+
+
 def _cmd_index_search(args) -> None:
     index = build_index(_load(load_corpus, args.corpus))
     queries = _load(load_queries, args.queries)
@@ -707,6 +682,7 @@ def _cmd_pipeline_run(args) -> None:
     print(f"artifacts written to {cfg.output_dir}")
 
 
+@cache  # built once per process; parsing leaves the tree as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="augrank", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -718,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser = index_commands.add_parser("search", help="BM25 top-k search")
     search_parser.add_argument("--corpus", required=True)
     search_parser.add_argument("--queries", required=True)
-    search_parser.add_argument("--k", type=int, default=ExperimentConfig.rerank_depth)
+    search_parser.add_argument("--k", type=_int_flag, default=ExperimentConfig.rerank_depth)
     search_parser.add_argument("--tag", default="bm25")
     search_parser.add_argument("--out")
     search_parser.set_defaults(handler=_cmd_index_search)
@@ -726,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_parser = commands.add_parser("fuse", help="linear sparse/dense run fusion")
     fuse_parser.add_argument("--dense", required=True)
     fuse_parser.add_argument("--sparse", required=True)
-    fuse_parser.add_argument("--alpha", type=float, default=ExperimentConfig.fusion_alpha)
+    fuse_parser.add_argument("--alpha", type=_float_flag, default=ExperimentConfig.fusion_alpha)
     fuse_parser.add_argument("--tag", default="hybrid")
     fuse_parser.add_argument("--out")
     fuse_parser.set_defaults(handler=_cmd_fuse)
@@ -743,10 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
     expand_parser.add_argument(
         "--source", default=RetrieverConfig.source.value, type=str.lower, choices=_SOURCE_ALIASES
     )
-    expand_parser.add_argument("--max-words", type=int, default=ExpansionConfig.max_words)
-    expand_parser.add_argument("--max-terms", type=int, default=ExpansionConfig.max_terms)
+    expand_parser.add_argument("--max-words", type=_int_flag, default=ExpansionConfig.max_words)
+    expand_parser.add_argument("--max-terms", type=_int_flag, default=ExpansionConfig.max_terms)
     expand_parser.add_argument(
-        "--max-snippets", type=int, default=RetrieverConfig.max_snippets
+        "--max-snippets", type=_int_flag, default=RetrieverConfig.max_snippets
     )
     expand_parser.add_argument("--keep-direct-answers", action="store_true")
     expand_parser.add_argument("--corpus", help="corpus for the language model (terms mode)")
@@ -762,9 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scorer", default=ExperimentConfig.scorer.value, type=str.lower, choices=_SCORER_ALIASES
     )
     rerank_parser.add_argument("--address", help="remote scorer base URL")
-    rerank_parser.add_argument("--batch-size", type=int, default=ScorerEndpoint.batch_size)
-    rerank_parser.add_argument("--timeout", type=float, default=ScorerEndpoint.timeout)
-    rerank_parser.add_argument("--k", type=int, default=ExperimentConfig.rerank_depth)
+    rerank_parser.add_argument("--batch-size", type=_int_flag, default=ScorerEndpoint.batch_size)
+    rerank_parser.add_argument("--timeout", type=_float_flag, default=ScorerEndpoint.timeout)
+    rerank_parser.add_argument("--k", type=_int_flag, default=ExperimentConfig.rerank_depth)
     rerank_parser.add_argument("--tag", default="rerank")
     rerank_parser.add_argument("--out")
     rerank_parser.set_defaults(handler=_cmd_rerank)
@@ -806,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--mode", type=str.lower, choices=_MODE_ALIASES)
     prun.add_argument("--scorer", type=str.lower, choices=_SCORER_ALIASES)
     prun.add_argument("--scorer-address")
-    prun.add_argument("--k", type=int, dest="rerank_depth")
+    prun.add_argument("--k", type=_int_flag, dest="rerank_depth")
     prun.add_argument("--output-dir")
     prun.add_argument("--baseline-run")
     prun.set_defaults(handler=_cmd_pipeline_run)

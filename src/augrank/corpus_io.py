@@ -18,7 +18,9 @@ File formats:
   names the run and is the same on every line: `write_run` takes it once
   and writes it on each line, and `parse_run` does not read it. The qid,
   docid and tag are each one token without whitespace, so `load_queries`
-  and `load_corpus` reject an id that a run could not hold.
+  and `load_corpus` reject an id that a run could not hold. Given the
+  corpus, `parse_run` also refuses a docid that the corpus lacks, at the
+  first such line.
 - Qrels are TREC 4-column text: `qid 0 docid grade`. `parse_qrels`
   returns {query_id: {passage_id: grade}}, the mapping the metrics take.
 - Grades, ranks and scores are plain ASCII numbers without `_`, as
@@ -39,7 +41,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO, TypeVar
@@ -192,7 +194,9 @@ def parse_qrels(stream: Iterable[str] | str) -> Qrels:
     return qrels
 
 
-def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
+def parse_run(
+    stream: Iterable[str] | str, passages: Container[str] | None = None
+) -> list[RankedList]:
     """Parse a TREC run file: `qid Q0 docid rank score tag`.
 
     Entries are grouped by qid (lists emitted in order of first appearance)
@@ -200,6 +204,8 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
     ascending, so write_run -> parse_run round-trips preserve ordering. The
     tag column must be present but is not read. A score that is NaN or
     infinite, or that overflows a float (such as `1e999`), is a ParseError.
+    Given `passages`, a docid it lacks is a ParseError at its line, after
+    that line's other checks; the first such line in file order is named.
     """
     groups: dict[str, list[tuple[str, int, float]]] = {}
     seen: dict[str, set[str]] = {}
@@ -221,6 +227,8 @@ def parse_run(stream: Iterable[str] | str) -> list[RankedList]:
         if docid in seen.setdefault(qid, set()):
             raise ConflictError(f"duplicate docid {docid!r} for query {qid!r}", line_no)
         seen[qid].add(docid)
+        if passages is not None and docid not in passages:
+            raise ParseError(f"passage {docid!r} of query {qid!r} is not in the corpus", line_no)
         groups.setdefault(qid, []).append((docid, rank, score))
 
     lists = []

@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .corpus_io import Qrels, RankedList
+from .corpus_io import Qrels, RankedList, plain_number
 from .errors import ConflictError, ValidationError
 
 
@@ -43,10 +43,10 @@ class SignificanceMarker(str, Enum):
 class MetricConfig:
     """The metrics to report, as tokens in report order.
 
-    A token is `s@k` (Success), `mrr@k`, `ndcg@k` or `map`, with k >= 1.
-    Tokens are canonicalized ("S@01" is "s@1") and blank ones dropped; a
-    token may appear once, and one metric may be asked for at any number
-    of cutoffs.
+    A token is `s@k` (Success), `mrr@k`, `ndcg@k` or `map`, with k >= 1
+    read by `plain_number`, as run ranks are. Tokens are canonicalized
+    ("S@01" is "s@1") and blank ones dropped; a token may appear once, and
+    one metric may be asked for at any number of cutoffs.
     """
 
     tokens: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
@@ -62,7 +62,7 @@ class MetricConfig:
                 try:
                     if name not in _CUTOFF_METRICS:
                         raise ValueError
-                    k = int(cutoff)
+                    k = plain_number(int, cutoff)
                 except ValueError:
                     raise ValidationError(f"unknown metric token {raw!r}") from None
                 if k < 1:
@@ -231,25 +231,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and the odd step of the fraction, each one Lentz update.
+        for numerator in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + numerator * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

@@ -10,7 +10,8 @@ space after each label colon, single space between segments):
 
 The templates are written once: `template_head` gives everything up to the
 document, which every candidate of one query shares, and `sequence` adds
-the document and " Relevant:".
+the document and " Relevant:". `input_records` renders one query's
+inputs.jsonl lines from that head, escaped once.
 
 `build_augmented_input` is the one place that picks the template: no
 expansion, or the empty fallback one, gives the plain form. Training
@@ -53,7 +54,7 @@ from enum import Enum
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, RankedList, TrainingLabel
+from .corpus_io import Passage, Query, RankedList, TrainingLabel, encode_json_string
 from .errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from .index import InvertedIndex, bm25_scores, tokenize
 
@@ -61,6 +62,10 @@ QUERY_LABEL = "Query:"
 DESCRIPTION_LABEL = "Description:"
 DOCUMENT_LABEL = "Document:"
 RELEVANT_LABEL = "Relevant:"
+
+# The escaped end of an inputs.jsonl record: the sequence's last segment,
+# its closing quote and the record's closing brace.
+_SEQUENCE_TAIL = encode_json_string(f" {RELEVANT_LABEL}")[1:] + "}\n"
 
 # Score assigned to entries kept below the re-ranked head: each sits this
 # far under the previous one so the output stays sorted.
@@ -132,6 +137,20 @@ def template_head(query: str, description: str | None) -> str:
     if description is None:
         return f"{QUERY_LABEL} {query} {DOCUMENT_LABEL} "
     return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
+
+
+def input_records(first: RerankInput, passages: Sequence[Passage]) -> list[str]:
+    """The inputs.jsonl lines of one query's candidate `passages`: each is
+    json.dumps({"query_id", "passage_id", "sequence"}, ensure_ascii=False)
+    of its input with `first`'s query and description. The head is escaped
+    once and lines joined from escaped pieces; JSON escapes per character."""
+    prefix = f'{{"query_id": {encode_json_string(first.query_id)}, "passage_id": '
+    head = encode_json_string(template_head(first.query, first.description))[:-1]
+    return [
+        f'{prefix}{encode_json_string(passage.id)}, "sequence": {head}'
+        f"{encode_json_string(passage.text)[1:-1]}{_SEQUENCE_TAIL}"
+        for passage in passages
+    ]
 
 
 def build_input(query: Query, passage: Passage) -> RerankInput:

@@ -108,6 +108,12 @@ class TestMetricTokens:
     def test_tokens_canonicalized(self):
         assert MetricConfig(("S@01", "MRR@5", " Map", "")).tokens == ("s@1", "mrr@5", "map")
 
+    @pytest.mark.parametrize("token", ["s@1_0", "ndcg@\uff15", "mrr@\u0661\u0660"])
+    def test_cutoff_must_be_plain_ascii(self, token):
+        # int() would read `1_0` as 10 and `５` as 5.
+        with pytest.raises(ValidationError, match=f"^unknown metric token {token!r}$"):
+            MetricConfig((token,))
+
     @pytest.mark.parametrize(
         "tokens, named",
         [(["s@1", "S@1"], "S@1"), (["s@1", "s@01"], "s@01"), (["map", "map"], "map")],
@@ -357,6 +363,16 @@ class TestEvalAndCompareCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert repr(named) in captured.err
+
+    @pytest.mark.parametrize("metrics", ["s@1_0", "ndcg@\uff15"])
+    def test_eval_rejects_a_cutoff_that_is_not_plain_ascii(self, workspace, capsys, metrics):
+        run = workspace / "toy.run"
+        run.write_text("q1 Q0 d1rel 1 2.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                     "--metrics", metrics]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unknown metric token {metrics!r}\n" == captured.err
 
     def per_query_reports(self, workspace):
         base_run = workspace / "base.run"
@@ -697,7 +713,11 @@ class TestPipeline:
         "key, value",
         [("output_dir", 7), ("run_tag", 5), ("rerank_depth", math.inf), ("corpus", 0),
          ("mode", None), ("rerank_depth", True), ("rerank_depth", 1.7), ("timeout", math.nan),
-         ("fusion_alpha", "much"), ("skip_direct_answers", "yes")],
+         ("fusion_alpha", "much"), ("skip_direct_answers", "yes"),
+         # Numeric strings are plain ASCII: float() would read these as 100,
+         # 3, 1.5 and 10.5.
+         ("rerank_depth", "1_00"), ("max_words", "\uff13"), ("timeout", "\uff11.5"),
+         ("fusion_alpha", "1_0.5")],
     )
     def test_mistyped_config_value_rejected(self, workspace, capsys, key, value):
         config = make_config(workspace, "out_typed", **{key: value})
@@ -756,6 +776,32 @@ class TestPipeline:
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["rerank"]) == 1  # missing required flags
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff12"])
+    @pytest.mark.parametrize(
+        "argv, flag, kind",
+        [(["index", "search", "--corpus", "C", "--queries", "Q"], "--k", "int"),
+         (["fuse", "--dense", "R", "--sparse", "R"], "--alpha", "float"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "nl"], "--max-words", "int"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "nl"], "--max-terms", "int"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "nl"],
+          "--max-snippets", "int"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q"], "--batch-size", "int"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q"], "--timeout", "float"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q"], "--k", "int"),
+         (["pipeline", "run", "--config", "X"], "--k", "int")],
+    )
+    def test_numeric_flag_must_be_plain_ascii(self, workspace, capsys, argv, flag, kind, value):
+        # int() and float() would read `1_0` as 10 and `２` as 2.
+        files = {"C": "corpus.jsonl", "Q": "queries.jsonl", "S": "snippets.jsonl",
+                 "R": "good.run", "X": "config.json"}
+        (workspace / "good.run").write_text("q1 Q0 d1rel 1 1.0 t\n")
+        make_config(workspace, "config")
+        argv = [str(workspace / files[a]) if a in files else a for a in argv]
+        assert main(argv + [flag, value, "--out" if argv[0] != "pipeline" else "--output-dir",
+                            str(workspace / "out_flag")]) == 1
+        assert f"argument {flag}: invalid {kind} value: {value!r}\n" in capsys.readouterr().err
+        assert not (workspace / "out_flag").exists()
 
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1
@@ -937,6 +983,28 @@ class TestExitCodes:
         assert f"{run}: line 2: passage 'd3' of query 'q1' is not in the corpus" in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "text",
+        [  # Two unknown passages: the first in file order, not in score order.
+         "q1 Q0 d1a 1 3.0 x\nq1 Q0 d8 3 1.0 x\nq1 Q0 d9 2 2.0 x\n",
+         # An unknown passage before a malformed line.
+         "q1 Q0 d1a 1 3.0 x\nq1 Q0 d8 2 2.0 x\nq1 Q0 d1b 3 1.0 x\n\nq1 Q0 d2a 4 x x\n"],
+    )
+    @pytest.mark.parametrize("key", ["initial_run", "dense_run", None])
+    def test_first_bad_run_line_in_file_order_is_named(self, workspace, capsys, text, key):
+        run = workspace / "init.run"
+        run.write_text(text)
+        if key is None:
+            argv = ["rerank", "--run", str(run), "--corpus", str(workspace / "corpus.jsonl"),
+                    "--queries", str(workspace / "queries.jsonl"), "--out", os.devnull]
+        else:
+            argv = ["pipeline", "run", "--config",
+                    str(make_config(workspace, "out_order", **{key: str(run)}))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{run}: line 2: passage 'd8' of query 'q1' is not in the corpus\n" in err
+        assert "Traceback" not in err
 
     def test_transport_error_is_three(self, workspace):
         config = make_config(

@@ -157,6 +157,21 @@ class TestParseRun:
         with pytest.raises(ParseError, match="expected 6 fields"):
             parse_run("q1 Q0 d1 1 9.0\n")
 
+    def test_passage_missing_from_given_ids_refused_at_its_line(self):
+        text = "q1 Q0 d1 1 9.0 t\nq1 Q0 d3 2 8.0 t\nq2 Q0 d4 1 7.0 t\n"
+        with pytest.raises(
+            ParseError, match=r"^line 2: passage 'd3' of query 'q1' is not in the corpus$"
+        ):
+            parse_run(text, {"d1", "d2"})
+        # The line's own checks come first.
+        with pytest.raises(ParseError, match=r"^line 2: non-numeric score 'x'$"):
+            parse_run("q1 Q0 d1 1 9.0 t\nq1 Q0 d3 2 x t\n", {"d1"})
+
+    def test_passage_ids_not_checked_without_given_ids(self):
+        text = "q1 Q0 d1 1 9.0 t\nq1 Q0 d3 2 8.0 t\n"
+        assert parse_run(text) == parse_run(text, {"d1", "d3"})
+        assert parse_run(text)[0].passage_ids() == ("d1", "d3")
+
 
 class TestWriteRun:
     def test_single_entry_golden(self):

@@ -307,6 +307,36 @@ class TestIncompleteBeta:
                     t_two_tailed_p_oracle(t, df), abs=1e-12
                 )
 
+    # Seeded (t, df) draws and their p as float.hex. Large |t| evaluates the
+    # continued fraction at (a, b), small |t| at (b, a).
+    PINNED_P = [
+        (0.8113, 533, "0x1.ab93ae5b0e292p-2"),
+        (2.7947, 2000, "0x1.57b1a81509ef3p-8"),
+        (0.8109, 212, "0x1.ac5f5b1ca67ecp-2"),
+        (-0.2048, 5, "0x1.b10d46d9d3464p-1"),
+        (1.003, 876, "0x1.43b9a2c10312ap-2"),
+        (0.1428, 2, "0x1.cc8ffc04b6b5ap-1"),
+        (-0.5873, 390, "0x1.1d5bf14222f7ep-1"),
+        (2.1154, 3, "0x1.fee068da9e511p-4"),
+        (0.2479, 1760, "0x1.9bc56fcf48264p-1"),
+        (-10.6557, 2000, "0x1.8a7b771177be8p-84"),
+        (3.525, 1478, "0x1.c99a4bdc661fbp-12"),
+        (3.3281, 49, "0x1.b482f21c61656p-10"),
+        (-0.6865, 1413, "0x1.f854ac38c4f4ep-2"),
+        (-0.7496, 2, "0x1.10378b8a5da3fp-1"),
+        (0.8136, 353, "0x1.aa6aae4765990p-2"),
+        (0.679, 29, "0x1.014a7a8c6b026p-1"),
+        (-1.0223, 112, "0x1.3c41141c1af4ap-2"),
+        (10.5139, 29, "0x1.6fff92ab45f22p-36"),
+        (0.5906, 527, "0x1.1c2e6b2937610p-1"),
+        (6.7477, 1, "0x1.7fa64a4aa4454p-4"),
+    ]
+
+    @pytest.mark.parametrize("t, df, expected", PINNED_P)
+    def test_p_value_bits_are_pinned(self, t, df, expected):
+        # compare.tsv prints p as `:.6g`; a tolerance would not guard its bytes.
+        assert float.hex(student_t_two_tailed_p(t, df)) == expected
+
 
 class TestPairedTTest:
     def test_all_zero_differences(self):
