@@ -2,12 +2,8 @@
 
 from .augment import (
     Expansion,
-    ExpansionConfig,
     ExpansionMode,
-    RetrieverConfig,
-    TermWeight,
     augment_query,
-    filter_snippets,
     natural_language_expansion,
     retrieve,
     topical_term_expansion,
@@ -55,7 +51,6 @@ from .evaluation import (
 )
 from .index import (
     CorpusLanguageModel,
-    FusionConfig,
     InvertedIndex,
     bm25_search,
     build_index,

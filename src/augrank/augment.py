@@ -11,8 +11,10 @@ Two strategies build the augmenting string for a query:
   and keep the top `max_terms` terms in descending-weight order.
 
 Each strategy returns only the text. `augment_query` retrieves, picks the
-strategy by the configured mode and builds the one `Expansion`, with the
-query's id and that mode, for every query, a fallback included.
+strategy by the given mode and builds the one `Expansion`, with the
+query's id and that mode, for every query, a fallback included. Each
+setting is a plain argument with no default here; the defaults and their
+checks are `cli.ExperimentConfig`'s.
 
 P(t|A) is unsmoothed (only terms occurring in the snippets are candidates);
 P(t|C) comes smoothed from the index module, so the ratio is always
@@ -49,39 +51,6 @@ class ExpansionMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class RetrieverConfig:
-    """How many snippets to retrieve per query, from which source, and
-    whether direct-answer boxes are skipped (they leak answers)."""
-
-    max_snippets: int = 5
-    source: SnippetSource = SnippetSource.WEB_SERP
-    skip_direct_answers: bool = True
-
-    def __post_init__(self):
-        if self.max_snippets < 1:
-            raise ValidationError(f"max_snippets must be >= 1, got {self.max_snippets}")
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    mode: ExpansionMode
-    max_words: int = 64
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if self.max_words < 1:
-            raise ValidationError(f"max_words must be >= 1, got {self.max_words}")
-        if self.max_terms < 1:
-            raise ValidationError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-@dataclass(frozen=True)
-class TermWeight:
-    term: str
-    weight: float
-
-
-@dataclass(frozen=True)
 class Expansion:
     """The augmenting string for one query."""
 
@@ -97,25 +66,25 @@ class Expansion:
         return not self.text
 
 
-def filter_snippets(snippets: Sequence[Snippet], cfg: RetrieverConfig) -> list[Snippet]:
-    """Drop direct-answer snippets when configured; order is preserved."""
-    if not cfg.skip_direct_answers:
-        return list(snippets)
-    return [s for s in snippets if s.kind is not SnippetKind.DIRECT_ANSWER]
-
-
 def retrieve(
-    query: Query, cache: Mapping[str, Sequence[Snippet]], cfg: RetrieverConfig
+    query: Query,
+    cache: Mapping[str, Sequence[Snippet]],
+    source: SnippetSource,
+    max_snippets: int,
+    skip_direct_answers: bool,
 ) -> list[Snippet]:
-    """The retrieval service: up to `max_snippets` cached snippets for the
-    query from the configured source, filtered, in rank order.
+    """The retrieval service: the query's cached snippets from `source` in
+    rank order, without direct-answer snippets when `skip_direct_answers`
+    (they leak answers), then the first `max_snippets` of them.
 
     An uncached query yields an empty list so the caller can fall back to
     the non-augmented sequence.
     """
-    snippets = [s for s in cache.get(query.id, ()) if s.source is cfg.source]
+    snippets = [s for s in cache.get(query.id, ()) if s.source is source]
     snippets.sort(key=lambda s: s.rank)
-    return filter_snippets(snippets, cfg)[: cfg.max_snippets]
+    if skip_direct_answers:
+        snippets = [s for s in snippets if s.kind is not SnippetKind.DIRECT_ANSWER]
+    return snippets[:max_snippets]
 
 
 def natural_language_expansion(snippets: Sequence[Snippet], max_words: int) -> str:
@@ -134,8 +103,8 @@ def natural_language_expansion(snippets: Sequence[Snippet], max_words: int) -> s
 
 def topical_term_weights(
     snippets: Sequence[Snippet], lm: CorpusLanguageModel
-) -> list[TermWeight]:
-    """KL-contribution weight for every distinct term of the snippet text.
+) -> list[tuple[str, float]]:
+    """`(term, weight)` for every distinct term of the snippet text.
 
     A is the concatenation of all snippet token streams; for each term,
     P(t|A) = count(t)/|A| and w(t) = P(t|A) * log2(P(t|A)/P(t|C)). Sorted
@@ -148,8 +117,8 @@ def topical_term_weights(
     weights = []
     for term, count in Counter(tokens).items():
         p_a = count / total
-        weights.append(TermWeight(term, p_a * math.log2(p_a / lm.probability(term))))
-    weights.sort(key=lambda w: (-w.weight, w.term))
+        weights.append((term, p_a * math.log2(p_a / lm.probability(term))))
+    weights.sort(key=lambda term_weight: (-term_weight[1], term_weight[0]))
     return weights
 
 
@@ -164,29 +133,34 @@ def topical_term_expansion(
     if not any(tokenize(s.text) for s in snippets):
         return ""
     weights = topical_term_weights(snippets, lm)
-    return " ".join(w.term for w in weights[:max_terms])
+    return " ".join(term for term, _ in weights[:max_terms])
 
 
 def augment_query(
     query: Query,
     cache: Mapping[str, Sequence[Snippet]],
-    retriever_cfg: RetrieverConfig,
-    expansion_cfg: ExpansionConfig,
-    lm: CorpusLanguageModel | None = None,
+    mode: ExpansionMode,
+    lm: CorpusLanguageModel | None,
+    *,
+    source: SnippetSource,
+    max_snippets: int,
+    skip_direct_answers: bool,
+    max_words: int,
+    max_terms: int,
 ) -> Expansion:
-    """Retrieve then expand; the expansion carries `query.id` and the
-    configured mode. Empty retrieval (or an expansion that comes out
-    empty) returns the empty fallback expansion."""
-    snippets = retrieve(query, cache, retriever_cfg)
+    """Retrieve then expand by `mode` (topical terms need the corpus language
+    model `lm`); the expansion carries `query.id` and `mode`. Empty retrieval
+    (or an expansion that comes out empty) returns the empty fallback."""
+    snippets = retrieve(query, cache, source, max_snippets, skip_direct_answers)
     if not snippets:
         text = ""
-    elif expansion_cfg.mode is ExpansionMode.NATURAL_LANGUAGE:
-        text = natural_language_expansion(snippets, expansion_cfg.max_words)
+    elif mode is ExpansionMode.NATURAL_LANGUAGE:
+        text = natural_language_expansion(snippets, max_words)
     elif lm is None:
         raise ValidationError("topical term expansion requires a corpus language model")
     else:
-        text = topical_term_expansion(snippets, lm, expansion_cfg.max_terms)
-    return Expansion(query.id, expansion_cfg.mode, text)
+        text = topical_term_expansion(snippets, lm, max_terms)
+    return Expansion(query.id, mode, text)
 
 
 def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:

@@ -20,6 +20,10 @@ queries without hits and `eval` judged queries missing from the run. A
 supplied run's passage that the corpus lacks is a parse error naming the
 run file and the first such line, raised by `parse_run` as it reads the run.
 
+`ExperimentConfig` holds every retrieval, expansion, fusion, depth and
+scorer default; the flags take theirs from it, and a subcommand checks its
+settings by the config's rule (`_check_settings`) before it reads input.
+
 `eval --metrics` and the `metrics` config key take the metric tokens that
 `evaluation.MetricConfig` canonicalizes and checks, and default to its
 tokens. A parse or duplicate-key error in an input file names the file.
@@ -41,9 +45,7 @@ from typing import TextIO, TypeVar
 
 from .augment import (
     Expansion,
-    ExpansionConfig,
     ExpansionMode,
-    RetrieverConfig,
     augment_query,
     load_expansions,
     write_expansions,
@@ -53,7 +55,6 @@ from .corpus_io import (
     Qrels,
     Query,
     RankedList,
-    Snippet,
     SnippetSource,
     _holds_lone_surrogate,
     _iter_lines,
@@ -76,8 +77,6 @@ from .evaluation import (
     evaluate_run,
 )
 from .index import (
-    CorpusLanguageModel,
-    FusionConfig,
     InvertedIndex,
     bm25_search,
     build_index,
@@ -191,12 +190,23 @@ def write_comparison(rows: Sequence[tuple[str, TTestResult]], out: TextIO) -> No
         )
 
 
+def _check_settings(**values: float) -> None:
+    """The range rule of the config keys and numeric flags, by name:
+    `fusion_alpha` is finite and >= 0, any other value >= 1."""
+    for name, value in values.items():
+        if name == "fusion_alpha" and not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"fusion alpha must be finite and >= 0, got {value!r}")
+        if name != "fusion_alpha" and value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything `pipeline run` needs, loaded from a flat JSON object whose
-    keys are these field names. A default that a library type also uses is
-    read from that type. Each stage's settings object is built, and so
-    checked, at construction; `expansion` is None in mode none."""
+    keys are these field names. The one place a retrieval, expansion,
+    fusion, depth or scorer default is written; batch size and timeout are
+    `ScorerEndpoint`'s, metrics `MetricConfig`'s. Each value is checked at
+    construction, whatever the mode."""
 
     corpus: str
     queries: str
@@ -208,11 +218,11 @@ class ExperimentConfig:
     baseline_run: str | None = None
     fusion_alpha: float = 1.3
     mode: str = "none"
-    max_snippets: int = RetrieverConfig.max_snippets
-    source: SnippetSource = RetrieverConfig.source
-    skip_direct_answers: bool = RetrieverConfig.skip_direct_answers
-    max_words: int = ExpansionConfig.max_words
-    max_terms: int = ExpansionConfig.max_terms
+    max_snippets: int = 5
+    source: SnippetSource = SnippetSource.WEB_SERP
+    skip_direct_answers: bool = True
+    max_words: int = 64
+    max_terms: int = 64
     scorer: ScorerKind = ScorerKind.LEXICAL_BASELINE
     scorer_address: str | None = None
     batch_size: int = ScorerEndpoint.batch_size
@@ -224,28 +234,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("none", *(m.value for m in ExpansionMode)):
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
-        if self.rerank_depth < 1:
-            raise ValidationError(f"rerank_depth must be >= 1, got {self.rerank_depth}")
+        ints = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "int"}
+        _check_settings(fusion_alpha=self.fusion_alpha, **ints)
         check_run_token(self.run_tag, "run tag")
-        self.retriever, self.expansion, self.endpoint, self.fusion  # built now, so checked now
-
-    @cached_property
-    def retriever(self) -> RetrieverConfig:
-        return RetrieverConfig(self.max_snippets, self.source, self.skip_direct_answers)
-
-    @cached_property
-    def expansion(self) -> ExpansionConfig | None:
-        if self.mode == "none":
-            return None
-        return ExpansionConfig(ExpansionMode(self.mode), self.max_words, self.max_terms)
+        self.endpoint  # built now, so checked now
 
     @cached_property
     def endpoint(self) -> ScorerEndpoint:
         return ScorerEndpoint(self.scorer, self.scorer_address, self.batch_size, self.timeout)
-
-    @cached_property
-    def fusion(self) -> FusionConfig:
-        return FusionConfig(self.fusion_alpha)
 
 
 _INPUT_PATHS = (
@@ -428,30 +424,23 @@ def _warn_run_queries_missing(run: Mapping[str, RankedList], queries: Sequence[Q
 
 
 def _fuse(
-    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], cfg: FusionConfig
+    dense: Mapping[str, RankedList], sparse: Mapping[str, RankedList], alpha: float
 ) -> dict[str, RankedList]:
     """dense + alpha * sparse for every query in either run, by query id."""
     return {
         qid: fuse_runs(
-            dense.get(qid, RankedList(qid, ())), sparse.get(qid, RankedList(qid, ())), cfg
+            dense.get(qid, RankedList(qid, ())), sparse.get(qid, RankedList(qid, ())), alpha
         )
         for qid in sorted(set(dense) | set(sparse))
     }
 
 
 def _expand(
-    queries: Sequence[Query],
-    cache: Mapping[str, Sequence[Snippet]],
-    retriever_cfg: RetrieverConfig,
-    expansion_cfg: ExpansionConfig,
-    lm: CorpusLanguageModel | None,
-    out_path: str | None,
+    queries: Sequence[Query], expand: Callable[[Query], Expansion], out_path: str | None
 ) -> dict[str, Expansion]:
-    """Expand every query, in query order, and write the expansions to
-    `out_path` (stdout when None)."""
-    expansions = [
-        augment_query(query, cache, retriever_cfg, expansion_cfg, lm) for query in queries
-    ]
+    """Expand every query by `expand`, in query order, and write the
+    expansions to `out_path` (stdout when None)."""
+    expansions = [expand(query) for query in queries]
     with _open_out(out_path) as out:
         write_expansions(expansions, out)
     return {expansion.query_id: expansion for expansion in expansions}
@@ -536,15 +525,18 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
 
     with _stage("fuse"):
         if cfg.dense_run:
-            initial = _fuse(_read_run(cfg.dense_run, corpus), initial, cfg.fusion)
+            initial = _fuse(_read_run(cfg.dense_run, corpus), initial, cfg.fusion_alpha)
     _warn_run_queries_missing(initial, queries)
 
     with _stage("expand"):
         expansions: dict[str, Expansion] = {}
-        if cfg.expansion is not None:
-            expansions = _expand(
-                queries, cache, cfg.retriever, cfg.expansion, lm, out_path("expansions.jsonl")
+        if cfg.mode != "none":
+            expand = partial(
+                augment_query, cache=cache, mode=ExpansionMode(cfg.mode), lm=lm, source=cfg.source,
+                max_snippets=cfg.max_snippets, skip_direct_answers=cfg.skip_direct_answers,
+                max_words=cfg.max_words, max_terms=cfg.max_terms,
             )
+            expansions = _expand(queries, expand, out_path("expansions.jsonl"))
 
     with _stage("rerank"):
         with open(out_path("inputs.jsonl"), "w", encoding="utf-8") as inputs_out:
@@ -594,6 +586,7 @@ _int_flag, _float_flag = _number_flag(int), _number_flag(float)
 
 
 def _cmd_index_search(args) -> None:
+    _check_settings(k=args.k)
     index = build_index(_load(load_corpus, args.corpus))
     queries = _load(load_queries, args.queries)
     lists = _search(index, queries, args.k)
@@ -603,37 +596,42 @@ def _cmd_index_search(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
-    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), FusionConfig(args.alpha))
+    _check_settings(fusion_alpha=args.alpha)
+    fused = _fuse(_read_run(args.dense), _read_run(args.sparse), args.alpha)
     with _open_out(args.out) as out:
         write_run(list(fused.values()), args.tag, out)
 
 
 def _cmd_expand(args) -> None:
+    _check_settings(
+        max_snippets=args.max_snippets, max_words=args.max_words, max_terms=args.max_terms
+    )
+    mode = ExpansionMode(_MODE_ALIASES[args.mode])
+    topical = mode is ExpansionMode.TOPICAL_TERMS
+    if topical and not args.corpus:
+        raise ValidationError("--mode terms requires --corpus")
     queries = _load(load_queries, args.queries)
     cache = _load(load_snippet_cache, args.snippets)
-    mode = ExpansionMode(_MODE_ALIASES[args.mode])
-    lm = None
-    if mode is ExpansionMode.TOPICAL_TERMS:
-        if not args.corpus:
-            raise ValidationError("--mode terms requires --corpus")
-        lm = corpus_lm(_load(load_corpus, args.corpus))
-    retriever_cfg = RetrieverConfig(
-        args.max_snippets, _SOURCE_ALIASES[args.source], not args.keep_direct_answers
+    lm = corpus_lm(_load(load_corpus, args.corpus)) if topical else None
+    expand = partial(
+        augment_query, cache=cache, mode=mode, lm=lm, source=_SOURCE_ALIASES[args.source],
+        max_snippets=args.max_snippets, skip_direct_answers=not args.keep_direct_answers,
+        max_words=args.max_words, max_terms=args.max_terms,
     )
-    expansion_cfg = ExpansionConfig(mode, args.max_words, args.max_terms)
-    _expand(queries, cache, retriever_cfg, expansion_cfg, lm, args.out)
+    _expand(queries, expand, args.out)
 
 
 def _cmd_rerank(args) -> None:
+    _check_settings(k=args.k)
+    endpoint = ScorerEndpoint(
+        _SCORER_ALIASES[args.scorer], args.address, args.batch_size, args.timeout
+    )
     corpus = _by_id(_load(load_corpus, args.corpus))
     run = _read_run(args.run, corpus)
     queries = _load(load_queries, args.queries)
     expansions: dict[str, Expansion] = {}
     if args.expansions and args.expansions != "none":
         expansions = _load(load_expansions, args.expansions)
-    endpoint = ScorerEndpoint(
-        _SCORER_ALIASES[args.scorer], args.address, args.batch_size, args.timeout
-    )
     _warn_run_queries_missing(run, queries)
     _rerank(queries, run, corpus, expansions, endpoint, args.k, args.tag, args.out)
 
@@ -717,12 +715,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[name for name, mode in _MODE_ALIASES.items() if mode != "none"],
     )
     expand_parser.add_argument(
-        "--source", default=RetrieverConfig.source.value, type=str.lower, choices=_SOURCE_ALIASES
+        "--source", default=ExperimentConfig.source.value, type=str.lower, choices=_SOURCE_ALIASES
     )
-    expand_parser.add_argument("--max-words", type=_int_flag, default=ExpansionConfig.max_words)
-    expand_parser.add_argument("--max-terms", type=_int_flag, default=ExpansionConfig.max_terms)
+    expand_parser.add_argument("--max-words", type=_int_flag, default=ExperimentConfig.max_words)
+    expand_parser.add_argument("--max-terms", type=_int_flag, default=ExperimentConfig.max_terms)
     expand_parser.add_argument(
-        "--max-snippets", type=_int_flag, default=RetrieverConfig.max_snippets
+        "--max-snippets", type=_int_flag, default=ExperimentConfig.max_snippets
     )
     expand_parser.add_argument("--keep-direct-answers", action="store_true")
     expand_parser.add_argument("--corpus", help="corpus for the language model (terms mode)")

@@ -119,17 +119,6 @@ class CorpusLanguageModel:
         return (cf + 1) / (self.total_tokens + self.vocab_size)
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Weight on the sparse score in dense + alpha * sparse fusion."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValidationError(f"fusion alpha must be finite and >= 0, got {self.alpha!r}")
-
-
 def build_index(passages: Sequence[Passage]) -> InvertedIndex:
     """Build an inverted index over passage texts (titles are not indexed)."""
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
@@ -218,9 +207,9 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     held can reach the top k. Each remaining term only updates the passages
     held, the threshold follows their k-th partial score, and a passage is
     dropped once its partial score plus the bounds still to come is below
-    the threshold. The survivors are rescored exactly. With more than k of them, the k-th largest score is the floor:
-    only passages scoring at least the floor, ties at it included, are
-    sorted, and the first k kept.
+    the threshold. The survivors are rescored exactly. With more than k of
+    them, the k-th largest score is the floor: only passages scoring at
+    least the floor, ties at it included, are sorted, and the first k kept.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -287,13 +276,15 @@ def corpus_lm(passages: Iterable[Passage]) -> CorpusLanguageModel:
     return CorpusLanguageModel(counts)
 
 
-def fuse_runs(dense: RankedList, sparse: RankedList, cfg: FusionConfig) -> RankedList:
+def fuse_runs(dense: RankedList, sparse: RankedList, alpha: float) -> RankedList:
     """Linear fusion over the union of both lists: dense + alpha * sparse.
 
     A passage missing from one list takes that list's minimum score
     (0.0 when the list is empty), so an unseen passage never outranks a
     seen one. Output sorted by fused score descending, ties by passage id.
     """
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValidationError(f"fusion alpha must be finite and >= 0, got {alpha!r}")
     if dense.query_id != sparse.query_id:
         raise ValidationError(
             f"query id mismatch: dense {dense.query_id!r} vs sparse {sparse.query_id!r}"
@@ -303,7 +294,7 @@ def fuse_runs(dense: RankedList, sparse: RankedList, cfg: FusionConfig) -> Ranke
     dense_fill = min(dense_scores.values()) if dense_scores else 0.0
     sparse_fill = min(sparse_scores.values()) if sparse_scores else 0.0
     fused = [
-        (pid, dense_scores.get(pid, dense_fill) + cfg.alpha * sparse_scores.get(pid, sparse_fill))
+        (pid, dense_scores.get(pid, dense_fill) + alpha * sparse_scores.get(pid, sparse_fill))
         for pid in set(dense_scores) | set(sparse_scores)
     ]
     fused.sort(key=lambda e: (-e[1], e[0]))

@@ -12,7 +12,6 @@ import pytest
 
 from augrank.augment import (
     Expansion,
-    ExpansionConfig,
     ExpansionMode,
     natural_language_expansion,
     topical_term_expansion,
@@ -29,7 +28,6 @@ from augrank.evaluation import (
     success_at_k,
 )
 from augrank.index import (
-    FusionConfig,
     bm25_search,
     build_index,
     corpus_lm,
@@ -83,9 +81,9 @@ def test_criterion_1_kl_weight_oracle_suite():
             [tokenize(s.text) for s in snippets],
             [tokenize(t) for t in corpus_texts],
         )
-        assert {w.term for w in weights} == set(oracle)
-        for w in weights:
-            assert math.isclose(w.weight, oracle[w.term], abs_tol=1e-12), w
+        assert {term for term, _ in weights} == set(oracle)
+        for term, weight in weights:
+            assert math.isclose(weight, oracle[term], abs_tol=1e-12), term
             checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -208,8 +206,7 @@ def test_criterion_3_template_golden_suite():
 def test_criterion_4_truncation_contract():
     """Random snippet sets: NL text <= 64 words, topical text <= 64 distinct terms."""
     rng = random.Random(404)
-    nl_cfg = ExpansionConfig(ExpansionMode.NATURAL_LANGUAGE)  # 64-word default
-    terms_cfg = ExpansionConfig(ExpansionMode.TOPICAL_TERMS)  # 64-term default
+    max_words = max_terms = 64  # the pipeline's defaults
     lm = corpus_lm([Passage("d", None, " ".join(rng.choices(VOCAB, k=120)))])
     big_vocab = [f"w{i:03d}" for i in range(200)]
     for _ in range(300):
@@ -217,9 +214,9 @@ def test_criterion_4_truncation_contract():
             organic("q", r + 1, " ".join(rng.choices(big_vocab, k=rng.randint(5, 60))))
             for r in range(rng.randint(1, 5))
         ]
-        nl_text = natural_language_expansion(snippets, nl_cfg.max_words)
+        nl_text = natural_language_expansion(snippets, max_words)
         assert len(nl_text.split()) <= 64
-        term_text = topical_term_expansion(snippets, lm, terms_cfg.max_terms)
+        term_text = topical_term_expansion(snippets, lm, max_terms)
         terms = term_text.split()
         assert len(terms) <= 64
         assert len(set(terms)) == len(terms)
@@ -438,7 +435,7 @@ def test_criterion_9_fusion_contract():
             "q",
             tuple(sorted(((p, rng.random()) for p in sparse_pids), key=lambda e: -e[1])),
         )
-        fused = fuse_runs(dense, sparse, FusionConfig(0.0))
+        fused = fuse_runs(dense, sparse, 0.0)
         dense_set = set(dense.passage_ids())
         restricted = [pid for pid in fused.passage_ids() if pid in dense_set]
         assert restricted == list(dense.passage_ids())
@@ -446,6 +443,6 @@ def test_criterion_9_fusion_contract():
 
     dense = RankedList("q", (("d1", 1.0),))
     sparse = RankedList("q", (("d1", 2.0),))
-    fused = fuse_runs(dense, sparse, FusionConfig(1.3))
+    fused = fuse_runs(dense, sparse, 1.3)
     assert fused.entries[0][1] == pytest.approx(3.6, abs=1e-12)
     _report(9, "alpha=0 preserved dense order on 100 pairs; 1.0 + 1.3*2.0 = 3.6")

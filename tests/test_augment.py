@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from augrank.augment import (
     Expansion,
-    ExpansionConfig,
     ExpansionMode,
-    RetrieverConfig,
     augment_query,
-    filter_snippets,
     load_expansions,
     natural_language_expansion,
     retrieve,
@@ -40,55 +37,61 @@ def lm_from(*texts):
     return corpus_lm(Passage(f"d{i}", None, t) for i, t in enumerate(texts))
 
 
-NL_CFG = ExpansionConfig(ExpansionMode.NATURAL_LANGUAGE)
-TERMS_CFG = ExpansionConfig(ExpansionMode.TOPICAL_TERMS)
+# augment_query's settings at the pipeline's defaults, in each mode; the
+# library functions have no defaults of their own.
+SETTINGS = dict(source=SERP, max_snippets=5, skip_direct_answers=True, max_words=64, max_terms=64)
+NL_CFG = dict(SETTINGS, mode=ExpansionMode.NATURAL_LANGUAGE)
+TERMS_CFG = dict(SETTINGS, mode=ExpansionMode.TOPICAL_TERMS)
+
+
+def retrieved(snippets, skip_direct_answers=True):
+    """`retrieve` over a cache holding `snippets` for q1, keeping up to 10."""
+    return retrieve(Query("q1", "x"), {"q1": snippets}, SERP, 10, skip_direct_answers)
 
 
 class TestFilterSnippets:
     def test_all_organic_unchanged(self):
         snippets = [snip(1, "a"), snip(2, "b")]
-        assert filter_snippets(snippets, RetrieverConfig()) == snippets
+        assert retrieved(snippets) == snippets
 
     def test_all_direct_answers_removed(self):
         snippets = [snip(1, "a", DIRECT), snip(2, "b", DIRECT)]
-        assert filter_snippets(snippets, RetrieverConfig()) == []
+        assert retrieved(snippets) == []
 
     def test_mixed_keeps_organic_subsequence(self):
         snippets = [snip(1, "a"), snip(2, "b", DIRECT), snip(3, "c"), snip(4, "d", DIRECT)]
-        kept = filter_snippets(snippets, RetrieverConfig())
+        kept = retrieved(snippets)
         assert [s.rank for s in kept] == [1, 3]
 
     def test_skip_disabled_keeps_everything(self):
         snippets = [snip(1, "a", DIRECT), snip(2, "b")]
-        cfg = RetrieverConfig(skip_direct_answers=False)
-        assert filter_snippets(snippets, cfg) == snippets
+        assert retrieved(snippets, skip_direct_answers=False) == snippets
 
     def test_idempotent(self):
         snippets = [snip(1, "a"), snip(2, "b", DIRECT), snip(3, "c")]
-        cfg = RetrieverConfig()
-        once = filter_snippets(snippets, cfg)
-        assert filter_snippets(once, cfg) == once
+        once = retrieved(snippets)
+        assert retrieved(once) == once
 
 
 class TestRetrieve:
     def test_seven_cached_truncated_to_five(self):
         cache = {"q1": [snip(r, f"text {r}") for r in range(1, 8)]}
-        result = retrieve(Query("q1", "x"), cache, RetrieverConfig())
+        result = retrieve(Query("q1", "x"), cache, SERP, 5, True)
         assert [s.rank for s in result] == [1, 2, 3, 4, 5]
 
     def test_uncached_query_is_empty(self):
-        assert retrieve(Query("q9", "x"), {}, RetrieverConfig()) == []
+        assert retrieve(Query("q9", "x"), {}, SERP, 5, True) == []
 
     def test_direct_answers_filtered_before_truncation(self):
         cache = {"q1": [snip(1, "da", DIRECT), snip(2, "a"), snip(3, "b"), snip(4, "c")]}
-        result = retrieve(Query("q1", "x"), cache, RetrieverConfig())
+        result = retrieve(Query("q1", "x"), cache, SERP, 5, True)
         assert [s.rank for s in result] == [2, 3, 4]
         assert all(s.kind is ORGANIC for s in result)
 
     def test_source_selected(self):
         cache = {"q1": [snip(1, "serp text"), snip(1, "wiki text", source=WIKI)]}
-        serp = retrieve(Query("q1", "x"), cache, RetrieverConfig(source=SERP))
-        wiki = retrieve(Query("q1", "x"), cache, RetrieverConfig(source=WIKI))
+        serp = retrieve(Query("q1", "x"), cache, SERP, 5, True)
+        wiki = retrieve(Query("q1", "x"), cache, WIKI, 5, True)
         assert [s.text for s in serp] == ["serp text"]
         assert [s.text for s in wiki] == ["wiki text"]
 
@@ -134,14 +137,13 @@ class TestTopicalTermWeights:
         # P(a|A) = 0.5, so both weights are exactly 0
         lm = lm_from("a b")
         weights = topical_term_weights([snip(1, "a b")], lm)
-        assert [w.weight for w in weights] == [0.0, 0.0]
-        assert [w.term for w in weights] == ["a", "b"]  # tie -> ascending term
+        assert weights == [("a", 0.0), ("b", 0.0)]  # tie -> ascending term
 
     def test_hand_evaluated_weight(self):
         # corpus tokens "apple x y z": P(apple|C) = (1+1)/(4+4) = 0.25
         lm = lm_from("apple x y z")
         weights = topical_term_weights([snip(1, "apple apple banana")], lm)
-        by_term = {w.term: w.weight for w in weights}
+        by_term = dict(weights)
         expected_apple = (2 / 3) * math.log2((2 / 3) / 0.25)
         assert math.isclose(by_term["apple"], expected_apple, abs_tol=1e-12)
         assert math.isclose(by_term["apple"], 0.9434, abs_tol=1e-4)
@@ -155,24 +157,25 @@ class TestTopicalTermWeights:
             [tokenize(s.text) for s in snippets],
             [tokenize(t) for t in corpus_texts],
         )
-        assert {w.term for w in weights} == set(oracle)
-        for w in weights:
-            assert math.isclose(w.weight, oracle[w.term], abs_tol=1e-12)
+        assert {term for term, _ in weights} == set(oracle)
+        for term, weight in weights:
+            assert math.isclose(weight, oracle[term], abs_tol=1e-12)
 
     def test_sorted_descending_with_term_tiebreak(self):
         lm = lm_from("filler words here")
         weights = topical_term_weights([snip(1, "zebra yak zebra yak unicorn")], lm)
-        values = [w.weight for w in weights]
+        values = [weight for _, weight in weights]
         assert values == sorted(values, reverse=True)
-        assert weights[0].term < weights[1].term or weights[0].weight > weights[1].weight
+        (first_term, first_weight), (second_term, second_weight) = weights[:2]
+        assert first_term < second_term or first_weight > second_weight
 
     def test_negative_weights_retained(self):
         # "the" flooding the corpus makes P(the|C) > P(the|A)
         lm = lm_from("the the the the the the the the cat")
         weights = topical_term_weights([snip(1, "the rare pangolin")], lm)
-        by_term = {w.term: w.weight for w in weights}
+        by_term = dict(weights)
         assert by_term["the"] < 0
-        assert [w.term for w in weights][-1] == "the"
+        assert [term for term, _ in weights][-1] == "the"
 
     def test_no_tokens_is_an_error(self):
         lm = lm_from("a b c")
@@ -212,8 +215,8 @@ class TestTopicalTermExpansion:
         doubled = snippets + [snip(3, "solar panel output"), snip(4, "panel efficiency")]
         once = topical_term_weights(snippets, lm)
         twice = topical_term_weights(doubled, lm)
-        assert [(w.term, round(w.weight, 12)) for w in once] == [
-            (w.term, round(w.weight, 12)) for w in twice
+        assert [(term, round(weight, 12)) for term, weight in once] == [
+            (term, round(weight, 12)) for term, weight in twice
         ]
         assert topical_term_expansion(snippets, lm, 64) == topical_term_expansion(doubled, lm, 64)
 
@@ -223,15 +226,13 @@ class TestAugmentQuery:
         return {"q1": [snip(r, f"snippet number {r} about topic") for r in range(1, 4)]}
 
     def test_natural_language_end_to_end(self):
-        expansion = augment_query(
-            Query("q1", "topic"), self.make_cache(), RetrieverConfig(), NL_CFG
-        )
+        expansion = augment_query(Query("q1", "topic"), self.make_cache(), lm=None, **NL_CFG)
         assert expansion.query_id == "q1"
         assert 0 < len(expansion.text.split()) <= 64
         assert not expansion.fallback
 
     def test_uncached_query_falls_back(self):
-        expansion = augment_query(Query("q9", "x"), self.make_cache(), RetrieverConfig(), NL_CFG)
+        expansion = augment_query(Query("q9", "x"), self.make_cache(), lm=None, **NL_CFG)
         assert expansion == Expansion("q9", ExpansionMode.NATURAL_LANGUAGE, "")
         assert expansion.fallback
 
@@ -241,23 +242,21 @@ class TestAugmentQuery:
         # still names q1, in both modes.
         cache = {"q1": [snip(1, "alpha beta", qid="other"), snip(2, "gamma", qid="")]}
         lm = lm_from("corpus background text")
-        expansion = augment_query(Query("q1", "topic"), cache, RetrieverConfig(), cfg, lm)
-        assert (expansion.query_id, expansion.mode) == ("q1", cfg.mode)
+        expansion = augment_query(Query("q1", "topic"), cache, lm=lm, **cfg)
+        assert (expansion.query_id, expansion.mode) == ("q1", cfg["mode"])
         assert expansion.text
 
     def test_deterministic(self):
-        args = (Query("q1", "topic"), self.make_cache(), RetrieverConfig(), NL_CFG)
-        assert augment_query(*args) == augment_query(*args)
+        args = (Query("q1", "topic"), self.make_cache(), ExpansionMode.NATURAL_LANGUAGE, None)
+        assert augment_query(*args, **SETTINGS) == augment_query(*args, **SETTINGS)
 
     def test_topical_requires_language_model(self):
         with pytest.raises(ValidationError):
-            augment_query(Query("q1", "x"), self.make_cache(), RetrieverConfig(), TERMS_CFG)
+            augment_query(Query("q1", "x"), self.make_cache(), lm=None, **TERMS_CFG)
 
     def test_topical_end_to_end(self):
         lm = lm_from("corpus background text")
-        expansion = augment_query(
-            Query("q1", "topic"), self.make_cache(), RetrieverConfig(), TERMS_CFG, lm
-        )
+        expansion = augment_query(Query("q1", "topic"), self.make_cache(), lm=lm, **TERMS_CFG)
         assert expansion.mode is ExpansionMode.TOPICAL_TERMS
         assert expansion.text
 
@@ -265,7 +264,7 @@ class TestAugmentQuery:
     def test_topical_punctuation_only_snippets_fall_back(self):
         lm = lm_from("corpus background text")
         cache = {"q1": [snip(1, "!!! ---"), snip(2, "...")]}
-        expansion = augment_query(Query("q1", "topic"), cache, RetrieverConfig(), TERMS_CFG, lm)
+        expansion = augment_query(Query("q1", "topic"), cache, lm=lm, **TERMS_CFG)
         assert expansion == Expansion("q1", ExpansionMode.TOPICAL_TERMS, "")
         assert expansion.fallback
 
@@ -273,13 +272,8 @@ class TestAugmentQuery:
 class TestExpansionFile:
     def test_round_trip(self):
         expansions = [
-            augment_query(
-                Query("q1", "x"),
-                {"q1": [snip(1, "alpha beta")]},
-                RetrieverConfig(),
-                NL_CFG,
-            ),
-            augment_query(Query("q2", "y"), {}, RetrieverConfig(), NL_CFG),
+            augment_query(Query("q1", "x"), {"q1": [snip(1, "alpha beta")]}, lm=None, **NL_CFG),
+            augment_query(Query("q2", "y"), {}, lm=None, **NL_CFG),
         ]
         buffer = io.StringIO()
         write_expansions(expansions, buffer)

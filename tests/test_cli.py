@@ -743,7 +743,9 @@ class TestPipeline:
          ({"scorer": "remote", "scorer_address": "http://[::1"},
           "remote scorer address 'http://[::1': Invalid IPv6 URL"),
          ({"run_tag": "a b"}, "run tag 'a b' is not a single non-empty token"),
-         ({"run_tag": ""}, "run tag '' is not a single non-empty token")],
+         ({"run_tag": ""}, "run tag '' is not a single non-empty token"),
+         # Ranges are checked whatever the mode, although mode none expands nothing.
+         ({"mode": "none", "max_words": 0}, "max_words must be >= 1, got 0")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)
@@ -802,6 +804,47 @@ class TestExitCodes:
                             str(workspace / "out_flag")]) == 1
         assert f"argument {flag}: invalid {kind} value: {value!r}\n" in capsys.readouterr().err
         assert not (workspace / "out_flag").exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["index", "search", "--corpus", "C", "--queries", "Q", "--k", "0"],
+          "k must be >= 1, got 0"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q", "--k", "-3"],
+          "k must be >= 1, got -3"),
+         (["fuse", "--dense", "R", "--sparse", "R", "--alpha", "-1"],
+          "fusion alpha must be finite and >= 0, got -1.0"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "nl", "--max-words", "0"],
+          "max_words must be >= 1, got 0"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "terms", "--max-terms", "0"],
+          "max_terms must be >= 1, got 0"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "nl", "--max-snippets", "0"],
+          "max_snippets must be >= 1, got 0"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q", "--batch-size", "0"],
+          "batch_size must be >= 1, got 0"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q", "--timeout", "0"],
+          "timeout must be finite and positive, got 0.0"),
+         (["expand", "--queries", "Q", "--snippets", "S", "--mode", "terms"],
+          "--mode terms requires --corpus")],
+        ids=["index search --k", "rerank --k", "fuse --alpha", "expand --max-words",
+             "expand --max-terms", "expand --max-snippets", "rerank --batch-size",
+             "rerank --timeout", "expand --mode terms"],
+    )
+    def test_bad_setting_refused_before_any_input_is_read(
+        self, tmp_path, capsys, argv, named
+    ):
+        # No input file exists, so reading any of them would fail first.
+        argv = [str(tmp_path / a) if a in ("C", "Q", "R", "S") else a for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_rerank_k_below_one_refused_when_no_run_query_is_in_the_query_file(
+        self, workspace, capsys
+    ):
+        run = workspace / "other_queries.run"
+        run.write_text("q9 Q0 d1rel 1 1.0 t\n")
+        assert main(["rerank", "--run", str(run), "--corpus", str(workspace / "corpus.jsonl"),
+                     "--queries", str(workspace / "queries.jsonl"), "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1

@@ -15,7 +15,6 @@ from augrank.index import (
     INDEX_MAGIC,
     _term_impacts,
     CorpusLanguageModel,
-    FusionConfig,
     bm25_search,
     build_index,
     corpus_lm,
@@ -422,21 +421,21 @@ class TestFuseRuns:
     def test_alpha_zero_keeps_dense_order(self):
         dense = RankedList("q", (("a", 5.0), ("b", 3.0), ("c", 1.0)))
         sparse = RankedList("q", (("c", 9.0), ("a", 2.0)))
-        fused = fuse_runs(dense, sparse, FusionConfig(0.0))
+        fused = fuse_runs(dense, sparse, 0.0)
         restricted = [pid for pid in fused.passage_ids() if pid in {"a", "b", "c"}]
         assert restricted == ["a", "b", "c"]
 
     def test_single_doc_arithmetic(self):
         dense = RankedList("q", (("d1", 1.0),))
         sparse = RankedList("q", (("d1", 2.0),))
-        fused = fuse_runs(dense, sparse, FusionConfig(1.3))
+        fused = fuse_runs(dense, sparse, 1.3)
         assert math.isclose(fused.entries[0][1], 3.6, abs_tol=1e-12)
 
     def test_disjoint_singletons_fill_with_minimum(self):
         # by hand: a = 1.0 + 1.3*3.0 (sparse fill), b = 1.0 (dense fill) + 1.3*3.0
         dense = RankedList("q", (("a", 1.0),))
         sparse = RankedList("q", (("b", 3.0),))
-        fused = fuse_runs(dense, sparse, FusionConfig(1.3))
+        fused = fuse_runs(dense, sparse, 1.3)
         assert fused.passage_ids() == ("a", "b")  # tie resolved by passage id
         assert all(math.isclose(s, 1.0 + 1.3 * 3.0) for _, s in fused.entries)
 
@@ -445,21 +444,22 @@ class TestFuseRuns:
             fuse_runs(
                 RankedList("q1", (("a", 1.0),)),
                 RankedList("q2", (("a", 1.0),)),
-                FusionConfig(1.0),
+                1.0,
             )
 
     def test_monotone_in_sparse_score(self):
         dense = RankedList("q", (("a", 1.0), ("b", 1.0)))
         low = RankedList("q", (("a", 1.0), ("b", 0.5)))
         high = RankedList("q", (("b", 2.0), ("a", 1.0)))
-        assert fuse_runs(dense, low, FusionConfig(1.3)).passage_ids()[0] == "a"
-        assert fuse_runs(dense, high, FusionConfig(1.3)).passage_ids()[0] == "b"
+        assert fuse_runs(dense, low, 1.3).passage_ids()[0] == "a"
+        assert fuse_runs(dense, high, 1.3).passage_ids()[0] == "b"
 
     def test_negative_alpha_rejected(self):
+        dense = RankedList("q", (("a", 1.0),))
         with pytest.raises(ValidationError):
-            FusionConfig(-0.1)
+            fuse_runs(dense, dense, -0.1)
         with pytest.raises(ValidationError):
-            FusionConfig(float("inf"))
+            fuse_runs(dense, dense, float("inf"))
 
 
 # An artifact as the previous format wrote it: statistics stored beside the

@@ -7,8 +7,13 @@ tokenize or case-fold unusually, template labels inside text, tabs and runs
 of spaces, punctuation-only words, duplicate passage texts, queries without BM25 hits,
 queries whose snippets are missing, empty or punctuation-only, initial and
 dense runs with tied scores, every expansion mode at depths 1, 2, 5 and
-100, and the remote scorer as well as the lexical one."""
+100, and the remote scorer as well as the lexical one.
 
+On the same draws, the stage subcommands chained by their files (`expand`
+-> `rerank` -> `eval`) must write the pipeline's artifacts byte for byte,
+each side taking its own defaults for the keys a draw leaves at theirs."""
+
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +23,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from augrank.cli import StageError, load_experiment_config, run_pipeline
+from augrank.cli import ExperimentConfig, StageError, load_experiment_config, main, run_pipeline
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -182,3 +187,77 @@ def test_pipeline_artifacts_equal_the_reference(scorer_server, experiment):
         for name, text in expected.items():
             with open(os.path.join(out, name), encoding="utf-8", newline="") as handle:
                 assert handle.read() == text, name
+
+
+# The chain takes a supplied initial run and no dense run: the pipeline
+# searches and fuses in memory, where `index search` and `fuse` would hand
+# on a run file of 4-decimal scores. The baseline comparison is left out
+# too: `compare` reads the rounded `per_query.tsv`.
+chain_experiments = experiments().filter(lambda drawn: drawn[0].initial).map(
+    lambda drawn: (dataclasses.replace(drawn[0], dense={}, baseline={}), drawn[1])
+)
+# Each config key a draw may set, by the subcommand and the flag that set
+# it in the chain.
+CHAIN_FLAGS = {
+    "expand": {"max_words": "--max-words", "max_terms": "--max-terms"},
+    "rerank": {"rerank_depth": "--k", "scorer": "--scorer", "scorer_address": "--address",
+               "batch_size": "--batch-size"},
+}
+CHAIN_ARTIFACTS = ("expansions.jsonl", "reranked.run", "metrics.tsv", "per_query.tsv")
+
+
+def chain_flags(command, config):
+    return [arg for key, flag in CHAIN_FLAGS[command].items() if key in config
+            for arg in (flag, str(config[key]))]
+
+
+def read_bytes(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chain_experiments)
+def test_stage_subcommands_chain_to_the_pipeline_artifacts(scorer_server, experiment):
+    inputs, config = experiment
+    scorer_server.score_fn = reference.remote_score
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_experiment(inputs, directory)
+        # A key at its default is left out of the config and its flag off the
+        # chain, so each side reads the default it has of its own.
+        config = {key: value for key, value in config.items()
+                  if value != getattr(ExperimentConfig, key)}
+        if config.get("scorer") == "remote":
+            config["scorer_address"] = scorer_server.address
+        pipeline_out, chain_out = (os.path.join(directory, name) for name in ("pipeline", "chain"))
+        config_path = os.path.join(directory, "config.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(dict(paths, output_dir=pipeline_out, **config), handle)
+
+        os.mkdir(chain_out)
+        chain, expansions = [], "none"
+        if config.get("mode", "none") != "none":
+            expansions = os.path.join(chain_out, "expansions.jsonl")
+            chain.append(["expand", "--queries", paths["queries"],
+                          "--snippets", paths["snippet_cache"], "--mode", config["mode"],
+                          "--corpus", paths["corpus"], "--out", expansions,
+                          *chain_flags("expand", config)])
+        reranked = os.path.join(chain_out, "reranked.run")
+        chain.append(["rerank", "--run", paths["initial_run"], "--corpus", paths["corpus"],
+                      "--queries", paths["queries"], "--expansions", expansions,
+                      "--tag", ExperimentConfig.run_tag, "--out", reranked,
+                      *chain_flags("rerank", config)])
+        chain.append(["eval", "--run", reranked, "--qrels", paths["qrels"],
+                      "--out", os.path.join(chain_out, "metrics.tsv"),
+                      "--per-query", os.path.join(chain_out, "per_query.tsv")])
+        for argv in chain:
+            code = main(argv)
+            if code:
+                break
+        assert code == main(["pipeline", "run", "--config", config_path])
+        for name in CHAIN_ARTIFACTS:
+            chained = read_bytes(os.path.join(chain_out, name))
+            assert chained == read_bytes(os.path.join(pipeline_out, name)), name

@@ -1,5 +1,6 @@
 """README's CLI examples, Defaults table and spelling table agree with the
-parser, `ExperimentConfig` and the alias tables."""
+parser, `ExperimentConfig`, the types the table names and the alias
+tables."""
 
 import argparse
 import dataclasses
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import augrank.cli
 from augrank.cli import (
     _MODE_ALIASES,
     _SCORER_ALIASES,
@@ -94,6 +96,18 @@ def test_defaults_table_matches_parser_and_config(row):
         if key == "skip_direct_answers":  # the flag turns skipping off
             value = "no" if value else "yes"
         assert typed(key, str(value)) == expected, flag
+
+
+@pytest.mark.parametrize("row", DEFAULT_ROWS, ids=lambda row: row[3])
+def test_defaults_table_names_the_type_that_defines_each_default(row):
+    _, default, _, key, defined_in = row
+    owner = getattr(augrank.cli, defined_in, None)
+    assert isinstance(owner, type), defined_in
+    expected = typed(key, default)
+    # A type that is the key's whole value (MetricConfig) defines its
+    # default as its own fresh instance; any other holds it as the
+    # attribute named after the key.
+    assert (owner() if isinstance(expected, owner) else getattr(owner, key)) == expected
 
 
 @pytest.mark.parametrize("row", SPELLING_ROWS, ids=lambda row: row[1])
