@@ -65,8 +65,10 @@ from .rerank import (
     ScorerKind,
     build_augmented_input,
     build_input,
+    head_inputs,
     rerank_topk,
     score_batch,
+    score_heads,
 )
 from .trainset import balance_upsample, render_training_sequences
 

@@ -68,7 +68,14 @@ from .corpus_io import (
     plain_number,
     write_run,
 )
-from .errors import ConflictError, ParseError, ToolkitError, TransportError, ValidationError
+from .errors import (
+    ConflictError,
+    ParseError,
+    ToolkitError,
+    TransportError,
+    ValidationError,
+    count_and_ids,
+)
 from .evaluation import (
     MetricConfig,
     MetricReport,
@@ -88,8 +95,10 @@ from .rerank import (
     ScorerEndpoint,
     ScorerKind,
     build_augmented_input,
+    head_inputs,
     input_records,
     rerank_topk,
+    score_heads,
 )
 from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .trainset import balance_upsample, render_training_sequences
@@ -411,8 +420,7 @@ def _search(index: InvertedIndex, queries: Iterable[Query], k: int) -> dict[str,
 def _warn_queries(query_ids: Sequence[str], what: str) -> None:
     """One stderr line: `what`, then the count and the first few ids."""
     if query_ids:
-        shown = ", ".join(query_ids[:5]) + (", ..." if len(query_ids) > 5 else "")
-        print(f"warning: {what}: {len(query_ids)} ({shown})", file=sys.stderr)
+        print(f"warning: {what}: {count_and_ids(query_ids)}", file=sys.stderr)
 
 
 def _warn_run_queries_missing(run: Mapping[str, RankedList], queries: Sequence[Query]) -> None:
@@ -458,18 +466,30 @@ def _rerank(
     inputs_out: TextIO | None = None,
 ) -> list[RankedList]:
     """Rerank the top k of each query's initial list, in query order, and
-    write the run with `tag` to `out_path` (stdout when None). With
-    `inputs_out`, each query's scorer inputs are also written there, in
-    one write once it has been reranked, as `input_records` renders them
-    from the query's first input."""
-    reranked = []
+    write the run with `tag` to `out_path` (stdout when None). The remote
+    scorer scores every query's head in one `score_heads` call before any
+    query is reranked; the lexical one scores each query's head on its
+    own, since its statistics are those of its batch. With `inputs_out`,
+    each query's scorer inputs are also written there, in one write once
+    it has been reranked, as `input_records` renders them from the query's
+    first input."""
+    heads = []
     for query in queries:
         ranked = initial.get(query.id)
-        if ranked is None or not ranked.entries:
-            continue
-        depth = min(k, len(ranked.entries))
-        expansion = expansions.get(query.id)
-        reranked.append(rerank_topk(ranked, corpus, query, expansion, endpoint, depth))
+        if ranked is not None and ranked.entries:
+            heads.append((query, ranked, expansions.get(query.id), min(k, len(ranked.entries))))
+    scores: list[list[float] | None] = [None] * len(heads)
+    if endpoint.kind is ScorerKind.REMOTE and heads:
+        scores = score_heads(
+            [head_inputs(ranked, corpus, query, expansion, depth)
+             for query, ranked, expansion, depth in heads],
+            endpoint,
+        )
+    reranked = []
+    for (query, ranked, expansion, depth), head_scores in zip(heads, scores):
+        reranked.append(
+            rerank_topk(ranked, corpus, query, expansion, endpoint, depth, head_scores)
+        )
         if inputs_out is not None:
             passages = [corpus[pid] for pid, _ in ranked.entries[:depth]]
             first = build_augmented_input(query, expansion, passages[0])

@@ -2,11 +2,19 @@
 
 The CLI maps these onto exit codes: usage errors exit 1, data errors
 (parse/conflict/lookup/validation) exit 2, transport errors exit 3.
+`count_and_ids` is how errors and warnings name a list of ids.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+
+def count_and_ids(ids: Sequence[str]) -> str:
+    """How a message names a list of ids: the count, then the first five
+    in parentheses, with ", ..." when there are more."""
+    shown = ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
+    return f"{len(ids)} ({shown})"
 
 
 class ToolkitError(Exception):
@@ -44,7 +52,8 @@ class TransportError(ToolkitError):
     """A remote scorer request failed (connection, timeout, non-200 status).
 
     Carries the indices of the inputs in the failed batch so the caller can
-    tell which scores are missing.
+    tell which scores are missing. They index the inputs of the
+    `score_batch` call, which in the pipeline are the whole run's.
     """
 
     def __init__(self, message: str, failed_indices: Sequence[int] = ()):

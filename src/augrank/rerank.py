@@ -29,10 +29,11 @@ in [0, 1], higher means more relevant:
   candidate with no hit scores 0.0.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
-  JSON numbers (not booleans) in [0, 1]. The address needs a host, and a
-  port in 1..65535 if it names one. Each call's batches go over one
-  HTTP/1.1 keep-alive connection from the standard library's http.client,
-  opened at the first batch and closed when the call returns; the HTTP
+  JSON numbers (not booleans) in [0, 1]. The address needs a host, a port
+  in 1..65535 if it names one, and no query string or fragment. Each
+  call's inputs go in `batch_size` chunks, in order, over one HTTP/1.1
+  keep-alive connection from the standard library's http.client, opened
+  at the first batch and closed when the call returns; the HTTP
   modules are imported then, so other commands start without them. A
   request that fails on a reused connection before its reply (the server
   closed it between requests) is sent once more on a new connection.
@@ -41,7 +42,17 @@ in [0, 1], higher means more relevant:
   tunnel, and HTTPS certificates are checked against the system trust
   store. Any other failed request, or any status but 200 (a redirect
   included: it is not followed), is a TransportError naming the batch's
-  input indices; a reply outside the contract is a ProtocolError.
+  indices into the call's inputs; a reply outside the contract is a
+  ProtocolError.
+
+`rerank_topk` re-ranks one query's head. It scores the head's
+`head_inputs` itself, or orders the head by scores it is given:
+`score_heads` scores many heads in one `score_batch` call. The pipeline
+scores the whole run that way on the remote scorer, so a remote batch
+may hold candidates of several queries and the indices of a
+TransportError are the run's; a pointwise scorer rates each sequence on
+its own. The lexical baseline stays one call per query: its collection
+statistics are those of its batch.
 """
 
 from __future__ import annotations
@@ -55,7 +66,13 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, TrainingLabel, encode_json_string
-from .errors import ProtocolError, TransportError, UnknownIdError, ValidationError
+from .errors import (
+    ProtocolError,
+    TransportError,
+    UnknownIdError,
+    ValidationError,
+    count_and_ids,
+)
 from .index import InvertedIndex, bm25_scores, tokenize
 
 QUERY_LABEL = "Query:"
@@ -101,6 +118,13 @@ class ScorerEndpoint:
             if not parts.hostname or not port_ok:
                 raise ValidationError(
                     f"remote scorer address needs a host and a port in 1..65535, "
+                    f"got {self.address!r}"
+                )
+            # "/score" is appended to the address: after a query string or
+            # a fragment it would not extend the path.
+            if "?" in self.address or "#" in self.address:
+                raise ValidationError(
+                    f"remote scorer address must not have a query string or a fragment, "
                     f"got {self.address!r}"
                 )
         if self.batch_size < 1:
@@ -313,6 +337,56 @@ def score_batch(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list
     return _remote_scores(inputs, endpoint)
 
 
+def head_inputs(
+    initial: RankedList,
+    passages: Mapping[str, Passage],
+    query: Query,
+    expansion: Expansion | None,
+    k: int,
+) -> list[RerankInput]:
+    """The scorer inputs of the top-k of the initial list, in its order,
+    each from `build_augmented_input`, so a None or fallback expansion
+    gives the plain form."""
+    _check_depth(initial, k)
+    inputs = []
+    for pid, _ in initial.entries[:k]:
+        passage = passages.get(pid)
+        if passage is None:
+            raise UnknownIdError(f"passage {pid!r} from the initial run is not in the corpus")
+        inputs.append(build_augmented_input(query, expansion, passage))
+    return inputs
+
+
+def score_heads(
+    heads: Sequence[Sequence[RerankInput]], endpoint: ScorerEndpoint
+) -> list[list[float]]:
+    """The scores of every head's inputs, one list per head, from one
+    `score_batch` call over the heads in order. A batch of the remote
+    scorer may then hold inputs of several queries; a TransportError keeps
+    its indices into the concatenated inputs and adds the query ids of
+    the failed batch to its message."""
+    inputs = [item for head in heads for item in head]
+    try:
+        scores = score_batch(inputs, endpoint)
+    except TransportError as exc:
+        query_ids = list(dict.fromkeys(inputs[i].query_id for i in exc.failed_indices))
+        raise TransportError(
+            f"{exc}; queries in the failed batch: {count_and_ids(query_ids)}", exc.failed_indices
+        ) from exc
+    split, start = [], 0
+    for head in heads:
+        split.append(scores[start : start + len(head)])
+        start += len(head)
+    return split
+
+
+def _check_depth(initial: RankedList, k: int) -> None:
+    if not 1 <= k <= len(initial.entries):
+        raise ValidationError(
+            f"k must be in [1, {len(initial.entries)}], got {k} for query {initial.query_id!r}"
+        )
+
+
 def rerank_topk(
     initial: RankedList,
     passages: Mapping[str, Passage],
@@ -320,28 +394,26 @@ def rerank_topk(
     expansion: Expansion | None,
     endpoint: ScorerEndpoint,
     k: int,
+    scores: Sequence[float] | None = None,
 ) -> RankedList:
     """Rescore the top-k of the initial list; ties keep initial order.
 
     Entries beyond k keep their relative order after the re-ranked head and
     are assigned synthetic scores strictly below the head's minimum so the
     output remains a valid descending run. The output is always a
-    permutation of the input entries. Each candidate's input comes from
-    `build_augmented_input`, so a None or fallback expansion scores the
-    plain form.
+    permutation of the input entries. Without `scores`, the head's
+    `head_inputs` are scored by `score_batch`; given the k scores of those
+    inputs (from `score_heads`, say), the head is only ordered by them.
     """
-    if not 1 <= k <= len(initial.entries):
-        raise ValidationError(
-            f"k must be in [1, {len(initial.entries)}], got {k} for query {initial.query_id!r}"
-        )
+    if scores is None:
+        scores = score_batch(head_inputs(initial, passages, query, expansion, k), endpoint)
+    else:
+        _check_depth(initial, k)
+        if len(scores) != k:
+            raise ValidationError(
+                f"expected {k} scores for query {initial.query_id!r}, got {len(scores)}"
+            )
     head = initial.entries[:k]
-    inputs = []
-    for pid, _ in head:
-        passage = passages.get(pid)
-        if passage is None:
-            raise UnknownIdError(f"passage {pid!r} from the initial run is not in the corpus")
-        inputs.append(build_augmented_input(query, expansion, passage))
-    scores = score_batch(inputs, endpoint)
     order = sorted(range(k), key=lambda i: (-scores[i], i))
     entries = [(head[i][0], scores[i]) for i in order]
     floor = entries[-1][1]

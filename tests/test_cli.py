@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import augrank.cli as cli_module
-from augrank.augment import Expansion, ExpansionMode
+from augrank.augment import Expansion, ExpansionMode, load_expansions
 from augrank.cli import (
     _CONFIG_TYPES,
     ExperimentConfig,
@@ -20,11 +20,19 @@ from augrank.cli import (
     main,
     run_pipeline,
 )
-from augrank.corpus_io import Passage, Query, RankedList, parse_run
+from augrank.corpus_io import (
+    Passage,
+    Query,
+    RankedList,
+    load_corpus,
+    load_queries,
+    parse_run,
+    write_run,
+)
 from augrank.errors import ParseError, ValidationError
 from augrank.evaluation import MetricConfig
 from augrank.index import build_index
-from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input
+from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
 
 
 def write_jsonl(path: Path, records):
@@ -745,7 +753,18 @@ class TestPipeline:
          ({"run_tag": "a b"}, "run tag 'a b' is not a single non-empty token"),
          ({"run_tag": ""}, "run tag '' is not a single non-empty token"),
          # Ranges are checked whatever the mode, although mode none expands nothing.
-         ({"mode": "none", "max_words": 0}, "max_words must be >= 1, got 0")],
+         ({"mode": "none", "max_words": 0}, "max_words must be >= 1, got 0"),
+         # "/score" appended after a query string or a fragment would not
+         # extend the path: "/?k=1/score" and "/#frag/score" post to "/".
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:8000/?k=1"},
+          "remote scorer address must not have a query string or a fragment, "
+          "got 'http://127.0.0.1:8000/?k=1'"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:8000/#frag"},
+          "remote scorer address must not have a query string or a fragment, "
+          "got 'http://127.0.0.1:8000/#frag'"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:8000?"},
+          "remote scorer address must not have a query string or a fragment, "
+          "got 'http://127.0.0.1:8000?'")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)
@@ -773,6 +792,94 @@ class TestPipeline:
         report = run_pipeline(cfg)
         assert report.query_count == 3
         assert set(report.aggregate) >= {"s@1", "mrr@10", "ndcg@10", "map"}
+
+
+class TestRemoteRunScoring:
+    """On the remote scorer a run is scored at once: its candidates go in
+    `batch_size` chunks, in run order, over one keep-alive connection."""
+
+    DEPTH, BATCH = 5, 4  # 3 queries x 5 candidates: 4 requests, not 3 x 2
+
+    def initial_run(self, workspace):
+        run = workspace / "initial.run"
+        run.write_text("".join(
+            f"q{i} Q0 {pid} {rank} {10 - rank}.0 init\n"
+            for i in (1, 2, 3)
+            for rank, pid in enumerate(
+                (f"d{i}a", f"d{i}rel", f"d{i}b", f"d{i % 3 + 1}a", f"d{i % 3 + 1}b"), start=1
+            )
+        ))
+        return run
+
+    def run_pipeline(self, workspace, scorer_server):
+        config = make_config(
+            workspace, "out_run", mode="nl", initial_run=str(self.initial_run(workspace)),
+            scorer="remote", scorer_address=scorer_server.address,
+            batch_size=self.BATCH, rerank_depth=self.DEPTH,
+        )
+        return main(["pipeline", "run", "--config", str(config)]), workspace / "out_run"
+
+    def per_query(self, workspace, scorer_server, expansions):
+        """reranked.run and inputs.jsonl from one `rerank_topk` call per
+        query, each scoring its own head."""
+        endpoint = ScorerEndpoint(
+            ScorerKind.REMOTE, scorer_server.address, batch_size=self.BATCH
+        )
+        corpus = {p.id: p for p in load_corpus((workspace / "corpus.jsonl").read_text())}
+        queries = load_queries((workspace / "queries.jsonl").read_text())
+        initial = {r.query_id: r for r in parse_run((workspace / "initial.run").read_text())}
+        lists = [
+            rerank_topk(initial[q.id], corpus, q, expansions.get(q.id), endpoint, self.DEPTH)
+            for q in queries
+        ]
+        run = io.StringIO()
+        write_run(lists, ExperimentConfig.run_tag, run)
+        inputs = "".join(
+            json.dumps(
+                {"query_id": q.id, "passage_id": pid,
+                 "sequence": build_augmented_input(q, expansions.get(q.id), corpus[pid]).sequence},
+                ensure_ascii=False,
+            ) + "\n"
+            for q in queries
+            for pid, _ in initial[q.id].entries[:self.DEPTH]
+        )
+        return run.getvalue(), inputs
+
+    def test_pipeline_scores_the_run_in_batches_on_one_connection(
+        self, workspace, scorer_server
+    ):
+        scorer_server.connection_mode = "keep_alive"
+        code, out = self.run_pipeline(workspace, scorer_server)
+        assert code == 0
+        assert (scorer_server.request_count, scorer_server.connection_count) == (4, 1)
+        expansions = load_expansions((out / "expansions.jsonl").read_text())
+        run, inputs = self.per_query(workspace, scorer_server, expansions)
+        assert (out / "reranked.run").read_text() == run
+        assert (out / "inputs.jsonl").read_text() == inputs
+
+    def test_rerank_subcommand_scores_the_run_in_batches(self, workspace, scorer_server, capsys):
+        scorer_server.connection_mode = "keep_alive"
+        argv = ["rerank", "--run", str(self.initial_run(workspace)),
+                "--corpus", str(workspace / "corpus.jsonl"),
+                "--queries", str(workspace / "queries.jsonl"),
+                "--scorer", "remote", "--address", scorer_server.address,
+                "--batch-size", str(self.BATCH), "--k", str(self.DEPTH),
+                "--tag", ExperimentConfig.run_tag]
+        assert main(argv) == 0
+        assert (scorer_server.request_count, scorer_server.connection_count) == (4, 1)
+        run, _ = self.per_query(workspace, scorer_server, {})
+        assert capsys.readouterr().out == run
+
+    def test_failed_batch_names_the_queries_it_held(self, workspace, scorer_server, capsys):
+        scorer_server.connection_mode = "keep_alive"
+        scorer_server.fail_from_request = 2  # candidates 4-7: q1's last, q2's first three
+        code, out = self.run_pipeline(workspace, scorer_server)
+        assert code == 3
+        assert "scorer returned HTTP 500; queries in the failed batch: 2 (q1, q2)\n" in (
+            capsys.readouterr().err
+        )
+        # The run is scored before any query's inputs are written.
+        assert (out / "inputs.jsonl").read_text() == ""
 
 
 class TestExitCodes:

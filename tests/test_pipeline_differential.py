@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from augrank.cli import ExperimentConfig, StageError, load_experiment_config, main, run_pipeline
@@ -44,8 +44,10 @@ BLANKS = ["\t", " "]  # " " joins its neighbours with three spaces
 VOCABULARY = WORDS + PUNCTUATION + BLANKS
 HITLESS = "zebra"  # a query word that no passage holds
 # Snippets not drawn from the passages: words the corpus lacks, and case
-# and spacing that tokenize folds away.
-EXTRA_SNIPPETS = ["zebra apple", "ZEBRA  Zebra straße", "İSTANBUL\tstrasse x9 x9"]
+# and spacing that tokenize folds away. Each holds four or more distinct
+# terms, so a terms-mode expansion can exceed a small `max_terms`.
+EXTRA_SNIPPETS = ["zebra apple okapi yak", "ZEBRA  Zebra straße ibis emu",
+                  "İSTANBUL\tstrasse x9 x9 gnu kudu"]
 SCORES = ("2.0", "1.5", "1.5", "1.0", "0.25")  # repeats tie
 
 
@@ -218,9 +220,25 @@ def read_bytes(path):
         return handle.read()
 
 
+# Terms mode at every default, with more snippet terms than a drifted
+# `--max-terms` default would keep: the random draws seldom hold one.
+TERMS_AT_DEFAULTS = (
+    gen.Inputs(
+        passages=[("d0", "apple banana"), ("d1", "cherry x9")],
+        queries=[("q0", "apple"), ("q1", "cherry")],
+        qrels={"q0": "d0", "q1": "d1"},
+        snippets={"q0": EXTRA_SNIPPETS[:2], "q1": ["cherry x9"]},
+        initial={"q0": [("d0", "2.0"), ("d1", "1.0")], "q1": [("d1", "1.0")]},
+        dense={}, baseline={}, paths={},
+    ),
+    {"mode": "terms"},
+)
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(chain_experiments)
+@example(TERMS_AT_DEFAULTS)
 def test_stage_subcommands_chain_to_the_pipeline_artifacts(scorer_server, experiment):
     inputs, config = experiment
     scorer_server.score_fn = reference.remote_score

@@ -21,8 +21,10 @@ from augrank.rerank import (
     ScorerKind,
     build_augmented_input,
     build_input,
+    head_inputs,
     rerank_topk,
     score_batch,
+    score_heads,
     template_head,
     training_sequence,
 )
@@ -677,9 +679,69 @@ class TestRerankTopk:
             rerank_topk(initial_list(4), corpus(), Query("q1", "q"), None, BASELINE, 5)
         with pytest.raises(ValidationError):
             rerank_topk(initial_list(4), corpus(), Query("q1", "q"), None, BASELINE, 0)
+        with pytest.raises(ValidationError, match=r"k must be in \[1, 4\], got 5"):
+            rerank_topk(initial_list(4), corpus(), Query("q1", "q"), None, BASELINE, 5, [0.5] * 5)
+
+    def test_given_scores_order_the_head_without_scoring(self, monkeypatch):
+        self.patch_scores(monkeypatch, lambda item: pytest.fail("scored"))
+        result = rerank_topk(
+            initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 2, [0.1, 0.9]
+        )
+        assert result.passage_ids() == ("d1", "d0", "d2", "d3")
+        assert result.entries[:2] == (("d1", 0.9), ("d0", 0.1))
+
+    @pytest.mark.parametrize("scores", [[], [0.5], [0.5, 0.5, 0.5]])
+    def test_scores_of_the_wrong_length_refused(self, scores):
+        with pytest.raises(
+            ValidationError, match=f"expected 2 scores for query 'q1', got {len(scores)}"
+        ):
+            rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 2, scores)
+
+    def test_head_inputs_are_the_inputs_rerank_topk_scores(self, monkeypatch):
+        seen = []
+        self.patch_scores(monkeypatch, lambda item: seen.append(item) or 0.5)
+        query, augmented = Query("q1", "q"), expansion("context")
+        rerank_topk(initial_list(), corpus(), query, augmented, BASELINE, 3)
+        assert head_inputs(initial_list(), corpus(), query, augmented, 3) == seen
+        assert [item.passage_id for item in seen] == ["d0", "d1", "d2"]
 
     def test_remote_scorer_end_to_end(self, scorer_server):
         scorer_server.score_fn = lambda s: (hash(s) % 89) / 88
         endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address)
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, endpoint, 4)
         assert sorted(result.passage_ids()) == ["d0", "d1", "d2", "d3"]
+
+
+class TestScoreHeads:
+    """One `score_batch` call over many heads, as the pipeline scores a run
+    on the remote scorer."""
+
+    pytestmark = no_leaked_sockets
+
+    def heads(self, sizes):
+        return [
+            [build_input(Query(f"q{h}", f"query {h}"), Passage(f"d{i}", None, f"doc {h} {i}"))
+             for i in range(size)]
+            for h, size in enumerate(sizes)
+        ]
+
+    def test_batches_span_heads_on_one_connection(self, scorer_server):
+        scorer_server.connection_mode = "keep_alive"
+        heads = self.heads([3, 1, 4])
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=3)
+        assert score_heads(heads, endpoint) == [
+            [scorer_server.score_fn(item.sequence) for item in head] for head in heads
+        ]
+        # 8 inputs in batches of 3; scored head by head it would be 1 + 1 + 2
+        assert (scorer_server.request_count, scorer_server.connection_count) == (3, 1)
+
+    def test_failed_batch_names_its_queries_and_keeps_run_indices(self, scorer_server):
+        scorer_server.connection_mode = "keep_alive"
+        scorer_server.fail_from_request = 2  # inputs 2 and 3: q0's last, q1's only
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=2)
+        with pytest.raises(
+            TransportError,
+            match=r"^scorer returned HTTP 500; queries in the failed batch: 2 \(q0, q1\)$",
+        ) as exc_info:
+            score_heads(self.heads([3, 1, 4]), endpoint)
+        assert exc_info.value.failed_indices == (2, 3)
