@@ -117,11 +117,7 @@ _SOURCE_ALIASES = {
     "web_serp": SnippetSource.WEB_SERP,
     "wiki": SnippetSource.WIKI,
 }
-_SCORER_ALIASES = {
-    "baseline": ScorerKind.LEXICAL_BASELINE,
-    "lexical_baseline": ScorerKind.LEXICAL_BASELINE,
-    "remote": ScorerKind.REMOTE,
-}
+_SCORER_ALIASES = {"baseline": ScorerKind("lexical_baseline")} | {k.value: k for k in ScorerKind}
 
 
 class UsageError(Exception):
@@ -232,7 +228,7 @@ class ExperimentConfig:
     skip_direct_answers: bool = True
     max_words: int = 64
     max_terms: int = 64
-    scorer: ScorerKind = ScorerKind.LEXICAL_BASELINE
+    scorer: ScorerKind = _SCORER_ALIASES["baseline"]
     scorer_address: str | None = None
     batch_size: int = ScorerEndpoint.batch_size
     timeout: float = ScorerEndpoint.timeout
@@ -466,25 +462,22 @@ def _rerank(
     inputs_out: TextIO | None = None,
 ) -> list[RankedList]:
     """Rerank the top k of each query's initial list, in query order, and
-    write the run with `tag` to `out_path` (stdout when None). The remote
-    scorer scores every query's head in one `score_heads` call before any
-    query is reranked; the lexical one scores each query's head on its
-    own, since its statistics are those of its batch. With `inputs_out`,
-    each query's scorer inputs are also written there, in one write once
-    it has been reranked, as `input_records` renders them from the query's
-    first input."""
+    write the run with `tag` to `out_path` (stdout when None). Every head
+    is scored in one `score_heads` call before any query is reranked; a
+    query's scores depend only on its own candidates in the call. With
+    `inputs_out`, each query's scorer inputs are also written there, in
+    one write once it has been reranked, as `input_records` renders them
+    from the query's first input."""
     heads = []
     for query in queries:
         ranked = initial.get(query.id)
         if ranked is not None and ranked.entries:
             heads.append((query, ranked, expansions.get(query.id), min(k, len(ranked.entries))))
-    scores: list[list[float] | None] = [None] * len(heads)
-    if endpoint.kind is ScorerKind.REMOTE and heads:
-        scores = score_heads(
-            [head_inputs(ranked, corpus, query, expansion, depth)
-             for query, ranked, expansion, depth in heads],
-            endpoint,
-        )
+    scores = score_heads(
+        [head_inputs(ranked, corpus, query, expansion, depth)
+         for query, ranked, expansion, depth in heads],
+        endpoint,
+    )
     reranked = []
     for (query, ranked, expansion, depth), head_scores in zip(heads, scores):
         reranked.append(
@@ -759,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     rerank_parser.add_argument("--batch-size", type=_int_flag, default=ScorerEndpoint.batch_size)
     rerank_parser.add_argument("--timeout", type=_float_flag, default=ScorerEndpoint.timeout)
     rerank_parser.add_argument("--k", type=_int_flag, default=ExperimentConfig.rerank_depth)
-    rerank_parser.add_argument("--tag", default="rerank")
+    rerank_parser.add_argument("--tag", default=ExperimentConfig.run_tag)
     rerank_parser.add_argument("--out")
     rerank_parser.set_defaults(handler=_cmd_rerank)
 

@@ -24,9 +24,9 @@ in [0, 1], higher means more relevant:
 
 - lexical_baseline: BM25 of the document against the tokenized query +
   description terms, exactly as `bm25_search` computes it, over an index
-  of the batch's distinct passages (a repeated id keeps its first document)
-  holding only the batch's query terms, squashed to [0, 1] via s/(s+1); a
-  candidate with no hit scores 0.0.
+  of the distinct passages among its query id's inputs in the call (a
+  repeated id keeps its first document) holding only that query's terms,
+  squashed to [0, 1] via s/(s+1); a candidate with no hit scores 0.0.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. The address needs a host, a port
@@ -45,14 +45,14 @@ in [0, 1], higher means more relevant:
   indices into the call's inputs; a reply outside the contract is a
   ProtocolError.
 
-`rerank_topk` re-ranks one query's head. It scores the head's
-`head_inputs` itself, or orders the head by scores it is given:
-`score_heads` scores many heads in one `score_batch` call. The pipeline
-scores the whole run that way on the remote scorer, so a remote batch
-may hold candidates of several queries and the indices of a
-TransportError are the run's; a pointwise scorer rates each sequence on
-its own. The lexical baseline stays one call per query: its collection
-statistics are those of its batch.
+A call's scores for one query's candidates depend only on that query's
+candidates in the call, so scoring a whole run in one call gives the
+scores of one call per query. `score_heads` is that one call: the
+pipeline scores every query's head with it, and `rerank_topk` orders one
+query's head by the scores it is given or scores the head with it. A
+remote batch may then hold candidates of several queries; a
+TransportError keeps its indices into the call's inputs and names the
+query ids of the failed batch.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
@@ -144,10 +145,6 @@ class RerankInput:
     document: str
 
     @property
-    def augmented(self) -> bool:
-        return self.description is not None
-
-    @property
     def sequence(self) -> str:
         """The inference-form template; the label slot after "Relevant:" is
         left for the scorer."""
@@ -201,9 +198,25 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
-    # Each distinct (query, description) stream and each distinct passage id
-    # is tokenized once. The index keeps postings of the batch's query terms
-    # only: bm25_scores reads no others, and the lengths count every token.
+    # Each query id's inputs are scored over an index of their own, so two
+    # ids that share text and expansion still take their own statistics.
+    groups: dict[str, list[RerankInput]] = {}
+    for item in inputs:
+        groups.setdefault(item.query_id, []).append(item)
+    raw = {query_id: _lexical_raw_scores(group) for query_id, group in groups.items()}
+    scores = []
+    for item in inputs:
+        s = raw[item.query_id][(item.query, item.description)].get(item.passage_id, 0.0)
+        scores.append(s / (s + 1.0))
+    return scores
+
+
+def _lexical_raw_scores(inputs: Sequence[RerankInput]) -> dict[tuple, dict[str, float]]:
+    """(query, description) -> passage id -> BM25 of that stream of `inputs`
+    over an index of their distinct passages, hits only. Each distinct
+    stream and passage id is tokenized once; the index keeps postings of
+    the query terms only (bm25_scores reads no others), and the lengths
+    count every token."""
     streams: dict[tuple[str, str | None], list[str]] = {}
     for item in inputs:
         key = (item.query, item.description)
@@ -224,12 +237,7 @@ def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
                 tfs = postings.setdefault(term, {})
                 tfs[pid] = tfs.get(pid, 0) + 1
     index = InvertedIndex(postings, doc_lengths)
-    raw = {key: bm25_scores(index, terms) for key, terms in streams.items()}
-    scores = []
-    for item in inputs:
-        s = raw[(item.query, item.description)].get(item.passage_id, 0.0)
-        scores.append(s / (s + 1.0))
-    return scores
+    return {key: bm25_scores(index, terms) for key, terms in streams.items()}
 
 
 def _connection(url: str, timeout: float):
@@ -287,6 +295,15 @@ def _post(connection, target: str, body: bytes, headers: Mapping[str, str]) -> t
         return response.status, response.read()
 
 
+def _failed(message: str, batch: Sequence[RerankInput], start: int) -> TransportError:
+    """The error of the batch at `start` of a call's inputs, naming its queries."""
+    query_ids = list(dict.fromkeys(item.query_id for item in batch))
+    return TransportError(
+        f"{message}; queries in the failed batch: {count_and_ids(query_ids)}",
+        range(start, start + len(batch)),
+    )
+
+
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:
     # Imported here: http.client and urllib.request are a large share of
     # importing the CLI, and only this scorer uses them.
@@ -298,16 +315,15 @@ def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> l
     try:
         for start in range(0, len(inputs), endpoint.batch_size):
             batch = inputs[start : start + endpoint.batch_size]
-            indices = range(start, start + len(batch))
             body = json.dumps({"inputs": [item.sequence for item in batch]}).encode()
             try:
                 if connection is None:
                     connection, target, headers = _connection(url, endpoint.timeout)
                 status, data = _post(connection, target, body, headers)
             except (OSError, HTTPException) as exc:
-                raise TransportError(f"scorer request failed: {exc}", indices) from exc
+                raise _failed(f"scorer request failed: {exc}", batch, start) from exc
             if status != 200:
-                raise TransportError(f"scorer returned HTTP {status}", indices)
+                raise _failed(f"scorer returned HTTP {status}", batch, start)
             try:
                 payload = json.loads(data)
             except ValueError:
@@ -361,23 +377,13 @@ def score_heads(
     heads: Sequence[Sequence[RerankInput]], endpoint: ScorerEndpoint
 ) -> list[list[float]]:
     """The scores of every head's inputs, one list per head, from one
-    `score_batch` call over the heads in order. A batch of the remote
-    scorer may then hold inputs of several queries; a TransportError keeps
-    its indices into the concatenated inputs and adds the query ids of
-    the failed batch to its message."""
+    `score_batch` call over the heads in order, or from none when they
+    hold no input. Each query's scores are those of its candidates alone,
+    so they equal the scores of one call per head; a TransportError keeps
+    its indices into the concatenated inputs."""
     inputs = [item for head in heads for item in head]
-    try:
-        scores = score_batch(inputs, endpoint)
-    except TransportError as exc:
-        query_ids = list(dict.fromkeys(inputs[i].query_id for i in exc.failed_indices))
-        raise TransportError(
-            f"{exc}; queries in the failed batch: {count_and_ids(query_ids)}", exc.failed_indices
-        ) from exc
-    split, start = [], 0
-    for head in heads:
-        split.append(scores[start : start + len(head)])
-        start += len(head)
-    return split
+    scores = iter(score_batch(inputs, endpoint) if inputs else ())
+    return [list(islice(scores, len(head))) for head in heads]
 
 
 def _check_depth(initial: RankedList, k: int) -> None:
@@ -402,11 +408,12 @@ def rerank_topk(
     are assigned synthetic scores strictly below the head's minimum so the
     output remains a valid descending run. The output is always a
     permutation of the input entries. Without `scores`, the head's
-    `head_inputs` are scored by `score_batch`; given the k scores of those
-    inputs (from `score_heads`, say), the head is only ordered by them.
+    `head_inputs` are scored by `score_heads`; given the k scores of those
+    inputs (from `score_heads` over many heads, say), the head is only
+    ordered by them.
     """
     if scores is None:
-        scores = score_batch(head_inputs(initial, passages, query, expansion, k), endpoint)
+        (scores,) = score_heads([head_inputs(initial, passages, query, expansion, k)], endpoint)
     else:
         _check_depth(initial, k)
         if len(scores) != k:

@@ -7,8 +7,9 @@ exceptions, each the library's earlier version of a function, kept to pin
 a faster rewrite bit for bit: `bm25_score`, which scored one passage
 against an index; `bm25_search_oracle`, the uncached `bm25_search`; and
 `lexical_baseline_scores_oracle`, the lexical re-ranker that built an
-index over each batch and called `bm25_score` per candidate. All three
-share the per-posting arithmetic and differ in everything around it.
+index over each query's inputs and called `bm25_score` per candidate.
+All three share the per-posting arithmetic and differ in everything
+around it.
 """
 
 import math
@@ -70,20 +71,26 @@ def bm25_search_oracle(index, query, k):
 
 
 def lexical_baseline_scores_oracle(inputs):
-    """Lexical re-ranker scores via an index over the batch's distinct
-    passages (the first document seen for an id wins) and `bm25_score`."""
-    documents = {}
-    for item in inputs:
-        if item.passage_id not in documents:
-            documents[item.passage_id] = Passage(item.passage_id, None, item.document)
-    batch_index = build_index(list(documents.values()))
-    scores = []
-    for item in inputs:
-        terms = tokenize(item.query)
-        if item.description is not None:
-            terms += tokenize(item.description)
-        raw = bm25_score(batch_index, terms, item.passage_id)
-        scores.append(raw / (raw + 1.0))
+    """Lexical re-ranker scores, each query id's inputs on their own: via an
+    index over that query's distinct passages (the first document seen for
+    an id wins) and `bm25_score`."""
+    scores = [None] * len(inputs)
+    for query_id in {item.query_id for item in inputs}:
+        positions = [i for i, item in enumerate(inputs) if item.query_id == query_id]
+        documents = {}
+        for i in positions:
+            if inputs[i].passage_id not in documents:
+                documents[inputs[i].passage_id] = Passage(
+                    inputs[i].passage_id, None, inputs[i].document
+                )
+        batch_index = build_index(list(documents.values()))
+        for i in positions:
+            item = inputs[i]
+            terms = tokenize(item.query)
+            if item.description is not None:
+                terms += tokenize(item.description)
+            raw = bm25_score(batch_index, terms, item.passage_id)
+            scores[i] = raw / (raw + 1.0)
     return scores
 
 

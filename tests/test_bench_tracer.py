@@ -147,6 +147,9 @@ def test_every_wrapped_name_records_a_span(tmp_path):
         assert completed.returncode == 0, completed.stderr
         trace = json.loads(spans_path.read_text())
         wrapped.update(trace["names"])
-        recorded.update(trace["names"][span[0]] for span in trace["spans"])
+        names = [trace["names"][span[0]] for span in trace["spans"]]
+        recorded.update(names)
+        # The run is scored in one call, not one per query.
+        assert names.count("rerank.score_batch") == 1, name
     # The dead wraps: nothing in the pipeline calls these names.
     assert wrapped - recorded == {"index.estimate_corpus_lm", "rerank.build_input@cli"}

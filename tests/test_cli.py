@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import augrank.cli as cli_module
+import augrank.rerank as rerank_module
 from augrank.augment import Expansion, ExpansionMode, load_expansions
 from augrank.cli import (
     _CONFIG_TYPES,
@@ -250,7 +251,15 @@ class TestRerankCommand:
 
     def test_default_tag_on_every_line(self, workspace, capsys):
         assert main(self.argv(workspace)) == 0
-        assert run_tags(capsys.readouterr().out) == ["rerank", "rerank"]
+        assert run_tags(capsys.readouterr().out) == ["augrank", "augrank"]
+
+    def test_run_of_no_listed_query_scores_nothing_and_writes_no_line(
+        self, workspace, capsys
+    ):
+        argv = self.argv(workspace)
+        (workspace / "initial.run").write_text("q9 Q0 d1a 1 2.0 init\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
 
     def test_reranks_in_query_file_order(self, workspace, capsys):
         argv = self.argv(workspace)
@@ -795,8 +804,9 @@ class TestPipeline:
 
 
 class TestRemoteRunScoring:
-    """On the remote scorer a run is scored at once: its candidates go in
-    `batch_size` chunks, in run order, over one keep-alive connection."""
+    """A run is scored in one `score_batch` call, with the scores of one
+    call per query. On the remote scorer its candidates go in `batch_size`
+    chunks, in run order, over one keep-alive connection."""
 
     DEPTH, BATCH = 5, 4  # 3 queries x 5 candidates: 4 requests, not 3 x 2
 
@@ -811,19 +821,19 @@ class TestRemoteRunScoring:
         ))
         return run
 
-    def run_pipeline(self, workspace, scorer_server):
+    def run_pipeline(self, workspace, scorer_server, scorer="remote"):
         config = make_config(
             workspace, "out_run", mode="nl", initial_run=str(self.initial_run(workspace)),
-            scorer="remote", scorer_address=scorer_server.address,
+            scorer=scorer, scorer_address=scorer_server.address,
             batch_size=self.BATCH, rerank_depth=self.DEPTH,
         )
         return main(["pipeline", "run", "--config", str(config)]), workspace / "out_run"
 
-    def per_query(self, workspace, scorer_server, expansions):
+    def per_query(self, workspace, scorer_server, expansions, scorer="remote"):
         """reranked.run and inputs.jsonl from one `rerank_topk` call per
         query, each scoring its own head."""
         endpoint = ScorerEndpoint(
-            ScorerKind.REMOTE, scorer_server.address, batch_size=self.BATCH
+            ScorerKind(scorer), scorer_server.address, batch_size=self.BATCH
         )
         corpus = {p.id: p for p in load_corpus((workspace / "corpus.jsonl").read_text())}
         queries = load_queries((workspace / "queries.jsonl").read_text())
@@ -845,15 +855,26 @@ class TestRemoteRunScoring:
         )
         return run.getvalue(), inputs
 
-    def test_pipeline_scores_the_run_in_batches_on_one_connection(
-        self, workspace, scorer_server
+    # Each d<i>a and d<i>b is in two queries' heads, so lexical statistics
+    # over the whole run would differ from per-query ones.
+    @pytest.mark.parametrize("scorer", ["remote", "lexical_baseline"])
+    def test_pipeline_scores_the_run_in_one_call(
+        self, workspace, scorer_server, monkeypatch, scorer
     ):
         scorer_server.connection_mode = "keep_alive"
-        code, out = self.run_pipeline(workspace, scorer_server)
+        calls = []
+        score_batch = rerank_module.score_batch
+        monkeypatch.setattr(
+            rerank_module, "score_batch",
+            lambda inputs, endpoint: calls.append(len(inputs)) or score_batch(inputs, endpoint),
+        )
+        code, out = self.run_pipeline(workspace, scorer_server, scorer)
         assert code == 0
-        assert (scorer_server.request_count, scorer_server.connection_count) == (4, 1)
+        assert calls == [3 * self.DEPTH]
+        if scorer == "remote":
+            assert (scorer_server.request_count, scorer_server.connection_count) == (4, 1)
         expansions = load_expansions((out / "expansions.jsonl").read_text())
-        run, inputs = self.per_query(workspace, scorer_server, expansions)
+        run, inputs = self.per_query(workspace, scorer_server, expansions, scorer)
         assert (out / "reranked.run").read_text() == run
         assert (out / "inputs.jsonl").read_text() == inputs
 

@@ -266,7 +266,7 @@ def test_stage_subcommands_chain_to_the_pipeline_artifacts(scorer_server, experi
         reranked = os.path.join(chain_out, "reranked.run")
         chain.append(["rerank", "--run", paths["initial_run"], "--corpus", paths["corpus"],
                       "--queries", paths["queries"], "--expansions", expansions,
-                      "--tag", ExperimentConfig.run_tag, "--out", reranked,
+                      "--out", reranked,
                       *chain_flags("rerank", config)])
         chain.append(["eval", "--run", reranked, "--qrels", paths["qrels"],
                       "--out", os.path.join(chain_out, "metrics.tsv"),

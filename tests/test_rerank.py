@@ -43,7 +43,7 @@ class TestBuildInput:
     def test_golden_plain_template(self):
         item = build_input(Query("q1", "who am i"), Passage("d1", None, "a passage"))
         assert item.sequence == "Query: who am i Document: a passage Relevant:"
-        assert not item.augmented
+        assert item.description is None
 
     def test_empty_query_still_templated(self):
         item = build_input(Query("q1", ""), Passage("d1", None, "a passage"))
@@ -66,7 +66,7 @@ class TestBuildAugmentedInput:
         assert item.sequence == (
             "Query: who am i Description: some context Document: a passage Relevant:"
         )
-        assert item.augmented
+        assert item.description is not None
 
     def test_empty_fallback_delegates_to_plain(self):
         q, p = Query("q1", "who am i"), Passage("d1", None, "a passage")
@@ -279,6 +279,11 @@ class TestLexicalBaselineBitExact:
         ("p2", "crumb"),
         ("p3", "zest tart tart"),
     )])
+    # Two query ids with the same text and expansion take statistics of
+    # their own candidates each, not of both ids' candidates together.
+    @example([RerankInput("q1", "p0", "apple pie", "tart", "apple tart"),
+              RerankInput("q2", "p1", "apple pie", "tart", "pie pie crumb"),
+              RerankInput("q2", "p2", "apple pie", "tart", "apple")])
     # A punctuation-only query stream has no terms: every score is 0.0.
     @example([RerankInput("q1", "p0", "?! --", None, "apple pie"),
               RerankInput("q1", "p1", "?! --", None, "")])
@@ -711,10 +716,20 @@ class TestRerankTopk:
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, endpoint, 4)
         assert sorted(result.passage_ids()) == ["d0", "d1", "d2", "d3"]
 
+    def test_failed_remote_batch_names_the_query(self, scorer_server):
+        scorer_server.fail_from_request = 1
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=2)
+        with pytest.raises(
+            TransportError,
+            match=r"^scorer returned HTTP 500; queries in the failed batch: 1 \(q1\)$",
+        ) as exc_info:
+            rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, endpoint, 4)
+        assert exc_info.value.failed_indices == (0, 1)
+
 
 class TestScoreHeads:
-    """One `score_batch` call over many heads, as the pipeline scores a run
-    on the remote scorer."""
+    """One `score_batch` call over many heads, as the pipeline scores a
+    run, gives each head the scores of a call of its own."""
 
     pytestmark = no_leaked_sockets
 
@@ -723,6 +738,15 @@ class TestScoreHeads:
             [build_input(Query(f"q{h}", f"query {h}"), Passage(f"d{i}", None, f"doc {h} {i}"))
              for i in range(size)]
             for h, size in enumerate(sizes)
+        ]
+
+    def test_lexical_heads_score_as_one_call_each(self):
+        # Every head reuses d0.. with documents of its own, and q2's "doc"
+        # and "2" terms hit other heads' documents too.
+        heads = self.heads([3, 1, 4])
+        got = score_heads(heads, BASELINE)
+        assert [[s.hex() for s in scores] for scores in got] == [
+            [s.hex() for s in score_batch(head, BASELINE)] for head in heads
         ]
 
     def test_batches_span_heads_on_one_connection(self, scorer_server):
