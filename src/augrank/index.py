@@ -68,12 +68,13 @@ def tokenize(text: str) -> TokenStream:
 class InvertedIndex:
     """Term -> {passage id: tf} postings, each term's passages in insertion
     order, and each passage's token count. Every other statistic is
-    derived: the totals once at construction (BM25 reads them per posting),
-    `collection_frequency` on demand, and each term's BM25 impacts the first
-    time `bm25_scores` or `bm25_search` meets the term, as floats aligned
-    with the term's postings, together with the largest of them (the
-    term's MaxScore bound). The impacts are a cache: never saved, not
-    compared, and not shown."""
+    derived: the totals once at construction, `collection_frequency` on
+    demand, each passage's BM25 length norm at the first impact computed,
+    and each term's BM25 impacts the first time `bm25_scores` or
+    `bm25_search` meets the term, as floats aligned with the term's
+    postings, together with the largest of them (the term's MaxScore
+    bound). The norms and impacts are a cache: never saved, not compared,
+    and not shown."""
 
     postings: dict[str, dict[str, int]]
     doc_lengths: dict[str, int]
@@ -83,6 +84,7 @@ class InvertedIndex:
     _impacts: dict[str, tuple[list[float], float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _norms: dict[str, float] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.doc_count = len(self.doc_lengths)
@@ -139,8 +141,30 @@ def _idf(index: InvertedIndex, term: str) -> float:
 
 
 def _tf_weight(index: InvertedIndex, tf: int, doc_length: int) -> float:
+    """BM25's tf weight as one formula, which the test oracles score with;
+    `_impact` computes it with the length norm read from a table."""
     norm = 1.0 - BM25_B + BM25_B * doc_length / index.avg_doc_length
     return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
+
+
+def _length_norms(index: InvertedIndex) -> dict[str, float]:
+    """`BM25_K1 * norm` of each passage, the length-only part of
+    `_tf_weight`'s denominator, computed as `_tf_weight` does; built at the
+    first impact, not with the index (a corpus without tokens has an
+    average length of 0), and cached on it."""
+    if index._norms is None:
+        avg = index.avg_doc_length
+        index._norms = {
+            pid: BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
+            for pid, dl in index.doc_lengths.items()
+        }
+    return index._norms
+
+
+def _impact(idf: float, tf: int, norm: float) -> float:
+    """`idf * _tf_weight(...)` for a passage whose `BM25_K1 * norm` is
+    `norm`: the same operations in the same order, so the same float."""
+    return idf * (tf * (BM25_K1 + 1.0) / (tf + norm))
 
 
 def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[float], float]:
@@ -149,9 +173,9 @@ def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[float], float]:
     and cached on the index."""
     cached = index._impacts.get(term)
     if cached is None:
-        idf = _idf(index, term)
+        idf, norms = _idf(index, term), _length_norms(index)
         impacts = [
-            idf * _tf_weight(index, tf, index.doc_lengths[pid])
+            _impact(idf, tf, norms[pid])
             for pid, tf in index.postings[term].items()
         ]
         cached = index._impacts[term] = (impacts, max(impacts))
@@ -178,11 +202,11 @@ def bm25_scores(index: InvertedIndex, terms: Iterable[str]) -> dict[str, float]:
 
 def _add_impacts(index: InvertedIndex, term: str, times: int, scores: dict[str, float]) -> None:
     """Add `times` times the impact of `term` to the score of each passage
-    in `scores` that holds it. The impact is `idf * _tf_weight(...)`, the
-    expression `_term_impacts` caches, so it is the same float."""
-    tfs, idf, doc_lengths = index.postings[term], _idf(index, term), index.doc_lengths
+    in `scores` that holds it. The impact is the one `_term_impacts`
+    caches, so it is the same float."""
+    tfs, idf, norms = index.postings[term], _idf(index, term), _length_norms(index)
     for pid in [pid for pid in scores if pid in tfs]:
-        scores[pid] += times * (idf * _tf_weight(index, tfs[pid], doc_lengths[pid]))
+        scores[pid] += times * _impact(idf, tfs[pid], norms[pid])
 
 
 # Pruning compares partial scores, added in another order than the exact

@@ -27,6 +27,8 @@ in [0, 1], higher means more relevant:
   of the distinct passages among its query id's inputs in the call (a
   repeated id keeps its first document) holding only that query's terms,
   squashed to [0, 1] via s/(s+1); a candidate with no hit scores 0.0.
+  Each distinct document is tokenized once per call, however many
+  queries' inputs hold it.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. The address needs a host, a port
@@ -198,46 +200,55 @@ def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
-    # Each query id's inputs are scored over an index of their own, so two
-    # ids that share text and expansion still take their own statistics.
-    groups: dict[str, list[RerankInput]] = {}
+    """BM25 of each input's stream (query + description terms) over an index
+    of its own query id's inputs: their distinct passages (a repeated id
+    keeps its first document) with postings of that query's stream terms
+    only (bm25_scores reads no others) and lengths counting every token.
+    Two ids that share text and expansion still take their own statistics.
+    Each distinct stream of a query and each distinct document of the call
+    is tokenized once; a document's tokens fill every query that holds it
+    and are dropped before the next document's."""
+    streams: dict[str, dict[tuple[str, str | None], list[str]]] = {}
+    # document -> the (query id, passage id) pairs it is the first document of
+    holders: dict[str, list[tuple[str, str]]] = {}
+    held: set[tuple[str, str]] = set()
     for item in inputs:
-        groups.setdefault(item.query_id, []).append(item)
-    raw = {query_id: _lexical_raw_scores(group) for query_id, group in groups.items()}
+        query_streams = streams.setdefault(item.query_id, {})
+        key = (item.query, item.description)
+        if key not in query_streams:
+            terms = tokenize(item.query)
+            if item.description is not None:
+                terms += tokenize(item.description)
+            query_streams[key] = terms
+        holder = (item.query_id, item.passage_id)
+        if holder not in held:
+            held.add(holder)
+            holders.setdefault(item.document, []).append(holder)
+    # query id -> each of its stream terms -> passage id -> tf
+    postings = {
+        query_id: {term: {} for terms in keyed.values() for term in terms}
+        for query_id, keyed in streams.items()
+    }
+    doc_lengths: dict[str, dict[str, int]] = {query_id: {} for query_id in streams}
+    for document, owners in holders.items():
+        tokens = tokenize(document)
+        for query_id, pid in owners:
+            doc_lengths[query_id][pid] = len(tokens)
+            query_postings = postings[query_id]
+            for term in filter(query_postings.__contains__, tokens):
+                tfs = query_postings[term]
+                tfs[pid] = tfs.get(pid, 0) + 1
+    raw = {}
+    for query_id, query_streams in streams.items():
+        # An index holds no term without postings.
+        hits = {term: tfs for term, tfs in postings[query_id].items() if tfs}
+        index = InvertedIndex(hits, doc_lengths[query_id])
+        raw[query_id] = {key: bm25_scores(index, terms) for key, terms in query_streams.items()}
     scores = []
     for item in inputs:
         s = raw[item.query_id][(item.query, item.description)].get(item.passage_id, 0.0)
         scores.append(s / (s + 1.0))
     return scores
-
-
-def _lexical_raw_scores(inputs: Sequence[RerankInput]) -> dict[tuple, dict[str, float]]:
-    """(query, description) -> passage id -> BM25 of that stream of `inputs`
-    over an index of their distinct passages, hits only. Each distinct
-    stream and passage id is tokenized once; the index keeps postings of
-    the query terms only (bm25_scores reads no others), and the lengths
-    count every token."""
-    streams: dict[tuple[str, str | None], list[str]] = {}
-    for item in inputs:
-        key = (item.query, item.description)
-        if key not in streams:
-            terms = tokenize(item.query)
-            if item.description is not None:
-                terms += tokenize(item.description)
-            streams[key] = terms
-    query_terms = set().union(*streams.values())
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
-    for item in inputs:
-        pid = item.passage_id
-        if pid not in doc_lengths:
-            tokens = tokenize(item.document)
-            doc_lengths[pid] = len(tokens)
-            for term in filter(query_terms.__contains__, tokens):
-                tfs = postings.setdefault(term, {})
-                tfs[pid] = tfs.get(pid, 0) + 1
-    index = InvertedIndex(postings, doc_lengths)
-    return {key: bm25_scores(index, terms) for key, terms in streams.items()}
 
 
 def _connection(url: str, timeout: float):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import augrank.cli as cli_module
+import augrank.index as index_module
 import augrank.rerank as rerank_module
 from augrank.augment import Expansion, ExpansionMode, load_expansions
 from augrank.cli import (
@@ -651,6 +652,27 @@ class TestPipeline:
         records = [json.loads(line) for line in
                    (workspace / "out_terms_initial" / "expansions.jsonl").read_text().splitlines()]
         assert "marker1" in records[0]["text"].split()
+
+    def test_length_norms_built_once_across_every_search(self, workspace, monkeypatch):
+        searched, tables = [], []
+
+        def recording_search(index, query, k):
+            searched.append(index)
+            return search(index, query, k)
+
+        def recording_norms(index):
+            table = length_norms(index)
+            tables.append((index, table))
+            return table
+
+        search, length_norms = cli_module.bm25_search, index_module._length_norms
+        monkeypatch.setattr(cli_module, "bm25_search", recording_search)
+        monkeypatch.setattr(index_module, "_length_norms", recording_norms)
+        config = make_config(workspace, "out_norms")
+        assert main(["pipeline", "run", "--config", str(config)]) == 0
+        assert len(searched) == 3 and all(index is searched[0] for index in searched)
+        read = [table for index, table in tables if index is searched[0]]
+        assert len(read) > 1 and all(table is read[0] for table in read)
 
     def test_run_queries_missing_from_query_file_named_on_stderr(self, workspace, capsys):
         lines = "".join(

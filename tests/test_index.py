@@ -13,7 +13,9 @@ from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.index import (
     _TOKEN_RE,
     INDEX_MAGIC,
+    _idf,
     _term_impacts,
+    _tf_weight,
     CorpusLanguageModel,
     bm25_search,
     build_index,
@@ -348,6 +350,43 @@ class TestBm25SearchPruning:
             assert got == bm25_search_oracle(index, query, k)
             assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in full[:k]]
         assert bm25_search(index, query, 1).passage_ids() == ("d1",)
+
+
+@st.composite
+def varied_length_corpus_and_queries(draw):
+    """Up to 12 passages of 0-20 tokens over three words, so tfs above 1
+    and many (length, average length) pairs occur, with empty and
+    punctuation-only passages among them; queries may repeat a term or
+    name one without postings."""
+    words = st.sampled_from(["a", "b", "c"])
+    text = st.one_of(st.sampled_from(["", "?!", "... --"]),
+                     st.lists(words, min_size=1, max_size=20).map(" ".join))
+    texts = draw(st.lists(text, min_size=1, max_size=12))
+    query_words = st.lists(st.sampled_from(["a", "b", "c", "zebra"]), min_size=1, max_size=4)
+    queries = draw(st.lists(query_words.map(" ".join), min_size=1, max_size=3))
+    return [Passage(f"p{i:02d}", None, text) for i, text in enumerate(texts)], queries
+
+
+class TestLengthNorms:
+    """Impacts read each passage's length norm from a table built once per
+    index; every float must be the one `_tf_weight` gives."""
+
+    @given(varied_length_corpus_and_queries(), st.integers(1, 4))
+    def test_impacts_and_pruned_search_bit_identical_to_tf_weight(self, drawn, k):
+        passages, query_texts = drawn
+        index = build_index(passages)
+        for term, tfs in index.postings.items():
+            idf = _idf(index, term)
+            expected = [idf * _tf_weight(index, tf, index.doc_lengths[pid])
+                        for pid, tf in tfs.items()]
+            assert [x.hex() for x in _term_impacts(index, term)[0]] == [x.hex() for x in expected]
+        for i, text in enumerate(query_texts):
+            query = Query(f"q{i}", text)
+            got = bm25_search(index, query, k)
+            expected = bm25_search_oracle(index, query, k)
+            assert [(pid, s.hex()) for pid, s in got.entries] == [
+                (pid, s.hex()) for pid, s in expected.entries
+            ]
 
 
 class TestCorpusLanguageModel:

@@ -329,6 +329,44 @@ class TestLexicalBaselineBitExact:
             ["apple pie", "plum tart"] + [f"{pid} apple text" for pid in pids[:4]]
         )
 
+    def test_each_distinct_document_tokenized_once_across_queries(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(rerank_module, "tokenize", counting_tokenize)
+        corpus = {pid: Passage(pid, None, f"{pid} apple text") for pid in ("d1", "d2", "d3", "d4")}
+        # q1 and q2 hold d2 and d3; q3 holds d3 and the text of d1 under d4.
+        heads = {"q1": ("d1", "d2", "d3"), "q2": ("d3", "d2"), "q3": ("d3",)}
+        items = [
+            build_input(Query(qid, f"{qid} pie"), corpus[pid]) for qid, pids in heads.items()
+            for pid in pids
+        ]
+        items.append(RerankInput("q3", "d4", "q3 pie", None, corpus["d1"].text))
+        score_batch(items, BASELINE)
+        assert sorted(calls) == sorted(
+            [f"{qid} pie" for qid in heads] + [f"{pid} apple text" for pid in ("d1", "d2", "d3")]
+        )
+
+    @pytest.mark.parametrize("batch", [
+        # One document under two passage ids of one query: each id is a
+        # passage of its own, counted twice in the query's statistics.
+        [RerankInput("q1", pid, "apple pie", None, doc) for pid, doc in (
+            ("p0", "apple pie pie"), ("p1", "apple tart"), ("p2", "apple pie pie"),
+        )],
+        # One passage id with another document in each query: neither
+        # query's document reaches the other's statistics.
+        [RerankInput(qid, pid, "apple pie", None, doc) for qid, pid, doc in (
+            ("q1", "p0", "apple apple tart"), ("q1", "p1", "pie"),
+            ("q2", "p0", "pie tart tart crumb"), ("q2", "p1", "apple"), ("q2", "p2", "zest"),
+        )],
+    ], ids=["one-document-two-ids", "one-id-two-documents"])
+    def test_documents_are_keyed_by_query_and_passage_id(self, batch):
+        got = score_batch(batch, BASELINE)
+        assert [s.hex() for s in got] == [s.hex() for s in lexical_baseline_scores_oracle(batch)]
+
 
 @pytest.fixture
 def collect_garbage():
