@@ -15,10 +15,8 @@ from .corpus_io import (
     Query,
     RankedList,
     Snippet,
-    SnippetKind,
     SnippetSource,
     TrainingExample,
-    TrainingLabel,
     load_corpus,
     load_queries,
     load_snippet_cache,
@@ -37,13 +35,12 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    MetricConfig,
     MetricReport,
-    SignificanceMarker,
     TTestResult,
     average_precision,
     compare_runs,
     evaluate_run,
+    metric_tokens,
     mrr_at_k,
     ndcg_at_k,
     paired_t_test,

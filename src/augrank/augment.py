@@ -35,7 +35,6 @@ from typing import TextIO
 from .corpus_io import (
     Query,
     Snippet,
-    SnippetKind,
     SnippetSource,
     _iter_lines,
     _parse_record,
@@ -83,7 +82,7 @@ def retrieve(
     snippets = [s for s in cache.get(query.id, ()) if s.source is source]
     snippets.sort(key=lambda s: s.rank)
     if skip_direct_answers:
-        snippets = [s for s in snippets if s.kind is not SnippetKind.DIRECT_ANSWER]
+        snippets = [s for s in snippets if not s.direct_answer]
     return snippets[:max_snippets]
 
 

@@ -25,8 +25,9 @@ scorer default; the flags take theirs from it, and a subcommand checks its
 settings by the config's rule (`_check_settings`) before it reads input.
 
 `eval --metrics` and the `metrics` config key take the metric tokens that
-`evaluation.MetricConfig` canonicalizes and checks, and default to its
-tokens. A parse or duplicate-key error in an input file names the file.
+`evaluation.metric_tokens` canonicalizes and checks, and default to
+`ExperimentConfig.metrics`. A parse or duplicate-key error in an input
+file names the file.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ from .errors import (
     count_and_ids,
 )
 from .evaluation import (
-    MetricConfig,
     MetricReport,
     TTestResult,
     compare_runs,
     evaluate_run,
+    metric_tokens,
 )
 from .index import (
     InvertedIndex,
@@ -150,7 +151,7 @@ def write_per_query_report(report: MetricReport, out: TextIO) -> None:
 
 def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
     """Read a per-query TSV back into a MetricReport (means recomputed).
-    The header's metric tokens are read as `MetricConfig` reads them, so a
+    The header's metric tokens are read by `metric_tokens`, so a
     repeated, unknown or blank token is a ParseError at the header line.
     Each value is read by `plain_number`, as run scores are."""
     rows = _iter_lines(stream)
@@ -161,7 +162,7 @@ def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
     if header[0] != "query_id":
         raise ParseError(f"bad per-query report header: {first[1]!r}", first[0])
     try:
-        tokens = MetricConfig(header[1:]).tokens
+        tokens = metric_tokens(header[1:])
     except ValidationError as exc:
         raise ParseError(f"per-query report header: {exc}", first[0]) from None
     if len(tokens) != len(header) - 1:
@@ -191,7 +192,7 @@ def write_comparison(rows: Sequence[tuple[str, TTestResult]], out: TextIO) -> No
     for metric, result in rows:
         out.write(
             f"{metric}\t{result.t_statistic:.4f}\t{result.degrees_of_freedom}\t"
-            f"{result.p_value:.6g}\t{result.mean_difference:.4f}\t{result.marker.value}\n"
+            f"{result.p_value:.6g}\t{result.mean_difference:.4f}\t{result.marker}\n"
         )
 
 
@@ -209,9 +210,9 @@ def _check_settings(**values: float) -> None:
 class ExperimentConfig:
     """Everything `pipeline run` needs, loaded from a flat JSON object whose
     keys are these field names. The one place a retrieval, expansion,
-    fusion, depth or scorer default is written; batch size and timeout are
-    `ScorerEndpoint`'s, metrics `MetricConfig`'s. Each value is checked at
-    construction, whatever the mode."""
+    fusion, depth, scorer or metric default is written; batch size and
+    timeout are `ScorerEndpoint`'s. Each value is checked at construction,
+    whatever the mode, and `metrics` is kept as its `metric_tokens`."""
 
     corpus: str
     queries: str
@@ -233,10 +234,11 @@ class ExperimentConfig:
     batch_size: int = ScorerEndpoint.batch_size
     timeout: float = ScorerEndpoint.timeout
     rerank_depth: int = 100
-    metrics: MetricConfig = MetricConfig()
+    metrics: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
     run_tag: str = "augrank"
 
     def __post_init__(self):
+        object.__setattr__(self, "metrics", metric_tokens(self.metrics))
         if self.mode not in ("none", *(m.value for m in ExpansionMode)):
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
         ints = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "int"}
@@ -252,6 +254,12 @@ class ExperimentConfig:
 _INPUT_PATHS = (
     "corpus", "queries", "qrels", "snippet_cache", "initial_run", "dense_run", "baseline_run"
 )
+# The files `run_pipeline` writes into the output directory, in the order it
+# names them.
+_ARTIFACTS = (
+    "expansions.jsonl", "inputs.jsonl", "reranked.run", "metrics.tsv", "per_query.tsv",
+    "compare.tsv",
+)
 
 
 # What each ExperimentConfig field accepts, by its annotation, and how to say
@@ -266,7 +274,7 @@ _CONFIG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
     "float": (float, "a finite number"),
-    "MetricConfig": ((list, str), "a list or a comma-separated string"),
+    "tuple[str, ...]": ((list, str), "a list or a comma-separated string"),
 }
 
 
@@ -287,11 +295,13 @@ def _config_value(annotation: str, raw: object) -> object:
 
 def load_experiment_config(path: str, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
     """Load a flat JSON config, apply CLI overrides, and check every value
-    against its field and every input path."""
+    against its field and every input path: it must exist and must not be
+    one of the artifacts the run writes into its output directory, which
+    would be overwritten while it is read (or before)."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ParseError(f"config {path}: invalid JSON: {exc}") from None
         except UnicodeDecodeError:
             raise ParseError(f"config {path}: {_not_utf8(path)}") from None
@@ -332,14 +342,17 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             tokens = values["metrics"]
             if isinstance(tokens, str):
                 tokens = tokens.split(",")
-            values["metrics"] = MetricConfig(tuple(str(t) for t in tokens))
+            values["metrics"] = tuple(str(t) for t in tokens)
         cfg = ExperimentConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"config {path}: {exc}") from None
+    artifacts = {os.path.realpath(os.path.join(cfg.output_dir, name)) for name in _ARTIFACTS}
     for name in _INPUT_PATHS:
         value = getattr(cfg, name)
         if value is not None and not os.path.exists(value):
             raise ValidationError(f"config {path}: {name} {value!r} does not exist")
+        if value is not None and os.path.realpath(value) in artifacts:
+            raise ValidationError(f"config {path}: {name} {value!r} is one of the run's artifacts")
     return cfg
 
 
@@ -495,7 +508,7 @@ def _rerank(
 def _evaluate(
     lists: Sequence[RankedList],
     qrels: Qrels,
-    metrics: MetricConfig,
+    metrics: Sequence[str],
     out_path: str | None,
     per_query_path: str | None,
 ) -> MetricReport:
@@ -515,9 +528,9 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
     -> (compare). Returns the treatment metric report; artifacts land in
     cfg.output_dir."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-
-    def out_path(name: str) -> str:
-        return os.path.join(cfg.output_dir, name)
+    expansions_path, inputs_path, run_path, metrics_path, per_query_path, compare_path = (
+        os.path.join(cfg.output_dir, name) for name in _ARTIFACTS
+    )
 
     with _stage("load"):
         passages = _load(load_corpus, cfg.corpus)
@@ -549,13 +562,13 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
                 max_snippets=cfg.max_snippets, skip_direct_answers=cfg.skip_direct_answers,
                 max_words=cfg.max_words, max_terms=cfg.max_terms,
             )
-            expansions = _expand(queries, expand, out_path("expansions.jsonl"))
+            expansions = _expand(queries, expand, expansions_path)
 
     with _stage("rerank"):
-        with open(out_path("inputs.jsonl"), "w", encoding="utf-8") as inputs_out:
+        with open(inputs_path, "w", encoding="utf-8") as inputs_out:
             reranked = _rerank(
                 queries, initial, corpus, expansions, cfg.endpoint, cfg.rerank_depth,
-                cfg.run_tag, out_path("reranked.run"), inputs_out,
+                cfg.run_tag, run_path, inputs_out,
             )
 
     ranked_ids = {ranked.query_id for ranked in reranked}
@@ -564,15 +577,13 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
         "judged queries without candidates, left out of the metrics",
     )
     with _stage("eval"):
-        report = _evaluate(
-            reranked, qrels, cfg.metrics, out_path("metrics.tsv"), out_path("per_query.tsv")
-        )
+        report = _evaluate(reranked, qrels, cfg.metrics, metrics_path, per_query_path)
 
     with _stage("compare"):
         if cfg.baseline_run:
             baseline = evaluate_run(_load(parse_run, cfg.baseline_run), qrels, cfg.metrics)
-            rows = [(token, compare_runs(baseline, report, token)) for token in cfg.metrics.tokens]
-            with _open_out(out_path("compare.tsv")) as out:
+            rows = [(token, compare_runs(baseline, report, token)) for token in cfg.metrics]
+            with _open_out(compare_path) as out:
                 write_comparison(rows, out)
 
     return report
@@ -662,7 +673,7 @@ def _cmd_trainset_build(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    metrics = MetricConfig(tuple(args.metrics.split(",")))
+    metrics = metric_tokens(args.metrics.split(","))
     lists = _load(parse_run, args.run)
     qrels = _load(parse_qrels, args.qrels)
     run_ids = {ranked.query_id for ranked in lists}
@@ -676,7 +687,7 @@ def _cmd_eval(args) -> None:
 def _cmd_compare(args) -> None:
     baseline = _load(load_per_query_report, args.baseline)
     treatment = _load(load_per_query_report, args.treatment)
-    (metric,) = MetricConfig((args.metric,)).tokens
+    (metric,) = metric_tokens((args.metric,))
     result = compare_runs(baseline, treatment, metric)
     with _open_out(args.out) as out:
         write_comparison([(metric, result)], out)
@@ -772,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser = commands.add_parser("eval", help="evaluate a run against qrels")
     eval_parser.add_argument("--run", required=True)
     eval_parser.add_argument("--qrels", required=True)
-    eval_parser.add_argument("--metrics", default=",".join(MetricConfig.tokens))
+    eval_parser.add_argument("--metrics", default=",".join(ExperimentConfig.metrics))
     eval_parser.add_argument("--per-query", help="also write a per-query TSV here")
     eval_parser.add_argument("--out")
     eval_parser.set_defaults(handler=_cmd_eval)

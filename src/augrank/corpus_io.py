@@ -21,8 +21,9 @@ File formats:
   and `load_corpus` reject an id that a run could not hold. Given the
   corpus, `parse_run` also refuses a docid that the corpus lacks, at the
   first such line.
-- Qrels are TREC 4-column text: `qid 0 docid grade`. `parse_qrels`
-  returns {query_id: {passage_id: grade}}, the mapping the metrics take.
+- Qrels are TREC 4-column text: `qid 0 docid grade`, with a grade in
+  0..2**63 - 1. `parse_qrels` returns {query_id: {passage_id: grade}}, the
+  mapping the metrics take.
 - Grades, ranks and scores are plain ASCII numbers without `_`, as
   trec_eval reads them (`plain_number`).
 
@@ -51,19 +52,9 @@ from .errors import ConflictError, ParseError, ValidationError
 T = TypeVar("T")
 
 
-class SnippetKind(str, Enum):
-    ORGANIC = "organic"
-    DIRECT_ANSWER = "direct_answer"
-
-
 class SnippetSource(str, Enum):
     WEB_SERP = "web_serp"
     WIKI = "wiki"
-
-
-class TrainingLabel(str, Enum):
-    RELEVANT = "relevant"
-    NOT_RELEVANT = "not_relevant"
 
 
 @dataclass(frozen=True)
@@ -93,27 +84,31 @@ class Passage:
 class Snippet:
     """One externally retrieved text with provenance.
 
-    Ranks are 1-based and unique within a (query_id, source) group.
+    Ranks are 1-based and unique within a (query_id, source) group; the
+    file's kind "direct_answer" is `direct_answer`, "organic" is not.
     """
 
     query_id: str
     rank: int
-    kind: SnippetKind
+    direct_answer: bool
     text: str
     source: SnippetSource
 
 
 @dataclass(frozen=True)
 class TrainingExample:
+    """A training triple; the file's label "relevant" is `relevant`."""
+
     query_id: str
     passage_id: str
-    label: TrainingLabel
+    relevant: bool
 
 
 # Graded relevance judgments: query id -> passage id -> grade, as
-# `parse_qrels` returns them. Grades are non-negative integers; a query
+# `parse_qrels` returns them. Grades are integers in 0..2**63 - 1; a query
 # absent from the mapping is unjudged, and an unjudged pair counts as 0.
 Qrels = dict[str, dict[str, int]]
+_MAX_GRADE = 2**63 - 1  # a float holds it, and any qrels file's gain sums stay finite
 
 
 @dataclass(frozen=True)
@@ -187,6 +182,8 @@ def parse_qrels(stream: Iterable[str] | str) -> Qrels:
             raise ParseError(f"non-integer grade {grade_str!r}", line_no) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line_no)
+        if grade > _MAX_GRADE:
+            raise ParseError(f"grade {grade_str!r} is above {_MAX_GRADE}", line_no)
         judged = qrels.setdefault(qid, {})
         if docid in judged:
             raise ConflictError(f"duplicate judgment for ({qid}, {docid})", line_no)
@@ -307,7 +304,7 @@ def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
     holds a lone surrogate is rejected too: no artifact could hold it."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ParseError(f"invalid JSON record: {exc}", line_no) from None
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", line_no)
@@ -385,10 +382,9 @@ def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:
         qid, rank, text = record["query_id"], record["rank"], record["text"]
         if rank < 1:
             raise ParseError(f"rank must be >= 1, got {rank}", line_no)
-        try:
-            kind = SnippetKind(record["kind"])
-        except ValueError:
-            raise ParseError(f"unknown snippet kind {record['kind']!r}", line_no) from None
+        kind = record["kind"]
+        if kind not in ("organic", "direct_answer"):
+            raise ParseError(f"unknown snippet kind {kind!r}", line_no)
         try:
             source = SnippetSource(record["source"])
         except ValueError:
@@ -402,7 +398,7 @@ def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:
                 line_no,
             )
         seen.add(key)
-        cache.setdefault(qid, []).append(Snippet(qid, rank, kind, text, source))
+        cache.setdefault(qid, []).append(Snippet(qid, rank, kind == "direct_answer", text, source))
     for snippets in cache.values():
         snippets.sort(key=lambda s: (s.rank, s.source.value))
     return cache
@@ -413,9 +409,8 @@ def load_triples(stream: Iterable[str] | str) -> list[TrainingExample]:
     triples: list[TrainingExample] = []
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("query_id", "passage_id", "label"))
-        try:
-            label = TrainingLabel(record["label"])
-        except ValueError:
-            raise ParseError(f"unknown label {record['label']!r}", line_no) from None
-        triples.append(TrainingExample(record["query_id"], record["passage_id"], label))
+        qid, pid, label = record["query_id"], record["passage_id"], record["label"]
+        if label not in ("relevant", "not_relevant"):
+            raise ParseError(f"unknown label {label!r}", line_no)
+        triples.append(TrainingExample(qid, pid, label == "relevant"))
     return triples

@@ -1,10 +1,11 @@
 """Ranking metrics (Success@k, MRR@k, nDCG@k, AP/MAP) and the two-tailed
 paired t-test used to mark significance between runs.
 
-Which metrics a report holds is a `MetricConfig`: a tuple of tokens
-`s@k`, `mrr@k`, `ndcg@k` and `map`, canonicalized and checked once, and
+Which metrics a report holds is a sequence of tokens `s@k`, `mrr@k`,
+`ndcg@k` and `map`, which `metric_tokens` canonicalizes and checks, and
 reported in the order given; any number of cutoffs of one metric may be
-asked for. `evaluate_run` computes exactly those tokens.
+asked for. `evaluate_run` computes exactly those tokens. The default set
+is `cli.ExperimentConfig.metrics`.
 
 Judgments are the {query_id: {passage_id: grade}} mapping `parse_qrels`
 returns; a passage that a query's grades lack counts as grade 0.
@@ -25,55 +26,43 @@ evaluated with a Lentz-style continued fraction.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .corpus_io import Qrels, RankedList, plain_number
 from .errors import ConflictError, ValidationError
 
 
-class SignificanceMarker(str, Enum):
-    NONE = "none"
-    P05 = "p05"
-    P01 = "p01"
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """The metrics to report, as tokens in report order.
+def metric_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
+    """The metrics to report, canonical and in the order given.
 
     A token is `s@k` (Success), `mrr@k`, `ndcg@k` or `map`, with k >= 1
     read by `plain_number`, as run ranks are. Tokens are canonicalized
     ("S@01" is "s@1") and blank ones dropped; a token may appear once, and
     one metric may be asked for at any number of cutoffs.
     """
-
-    tokens: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
-
-    def __post_init__(self):
-        canonical: list[str] = []
-        for raw in self.tokens:
-            token = raw.strip().lower()
-            if not token:
-                continue
-            if token != "map":
-                name, _, cutoff = token.partition("@")
-                try:
-                    if name not in _CUTOFF_METRICS:
-                        raise ValueError
-                    k = plain_number(int, cutoff)
-                except ValueError:
-                    raise ValidationError(f"unknown metric token {raw!r}") from None
-                if k < 1:
-                    raise ValidationError(f"metric token {raw!r}: cutoff must be >= 1")
-                token = f"{name}@{k}"
-            if token in canonical:
-                raise ValidationError(f"duplicate metric token {raw!r}")
-            canonical.append(token)
-        if not canonical:
-            raise ValidationError("no metrics requested")
-        object.__setattr__(self, "tokens", tuple(canonical))
+    canonical: list[str] = []
+    for raw in tokens:
+        token = raw.strip().lower()
+        if not token:
+            continue
+        if token != "map":
+            name, _, cutoff = token.partition("@")
+            try:
+                if name not in _CUTOFF_METRICS:
+                    raise ValueError
+                k = plain_number(int, cutoff)
+            except ValueError:
+                raise ValidationError(f"unknown metric token {raw!r}") from None
+            if k < 1:
+                raise ValidationError(f"metric token {raw!r}: cutoff must be >= 1")
+            token = f"{name}@{k}"
+        if token in canonical:
+            raise ValidationError(f"duplicate metric token {raw!r}")
+        canonical.append(token)
+    if not canonical:
+        raise ValidationError("no metrics requested")
+    return tuple(canonical)
 
 
 @dataclass
@@ -100,7 +89,7 @@ class TTestResult:
     degrees_of_freedom: int
     p_value: float
     mean_difference: float
-    marker: SignificanceMarker
+    marker: str  # "p01", "p05" or "none", as compare.tsv prints it
 
 
 def success_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
@@ -187,14 +176,15 @@ def _metric_value(token: str, ranked: RankedList, qrels: Qrels, map_threshold: i
 
 
 def evaluate_run(
-    lists: Sequence[RankedList], qrels: Qrels, cfg: MetricConfig = MetricConfig()
+    lists: Sequence[RankedList], qrels: Qrels, metrics: Iterable[str]
 ) -> MetricReport:
     """Per-query values and means over the judged queries of exactly the
-    metrics in `cfg.tokens`, in that order.
+    `metric_tokens` of `metrics`, in that order.
 
     Queries missing from the qrels are excluded from the means and reported
     in `unjudged_query_ids`. Raises when no run query is judged.
     """
+    tokens = metric_tokens(metrics)
     seen: set[str] = set()
     for ranked in lists:
         if ranked.query_id in seen:
@@ -209,7 +199,7 @@ def evaluate_run(
             unjudged.append(ranked.query_id)
             continue
         per_query[ranked.query_id] = {
-            token: _metric_value(token, ranked, qrels, map_threshold) for token in cfg.tokens
+            token: _metric_value(token, ranked, qrels, map_threshold) for token in tokens
         }
     if not per_query:
         raise ValidationError("no run query appears in the qrels")
@@ -279,14 +269,6 @@ def student_t_two_tailed_p(t: float, df: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _marker_for(p: float) -> SignificanceMarker:
-    if p <= 0.01:
-        return SignificanceMarker.P01
-    if p <= 0.05:
-        return SignificanceMarker.P05
-    return SignificanceMarker.NONE
-
-
 def paired_t_test(
     baseline: Mapping[str, float], treatment: Mapping[str, float]
 ) -> TTestResult:
@@ -315,7 +297,8 @@ def paired_t_test(
     else:
         t = mean / math.sqrt(variance / n)
         p = student_t_two_tailed_p(t, df)
-    return TTestResult(t, df, p, mean, _marker_for(p))
+    marker = "p01" if p <= 0.01 else "p05" if p <= 0.05 else "none"
+    return TTestResult(t, df, p, mean, marker)
 
 
 def compare_runs(

@@ -353,7 +353,7 @@ def load_index(stream: TextIO) -> InvertedIndex:
         doc_lengths = payload["doc_lengths"]
         token_counts = dict.fromkeys(doc_lengths.keys(), 0)
         pairs = {t: [(pid, tf) for pid, tf in plist] for t, plist in payload["postings"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"corrupt index payload: {exc}") from None
     for pid, length in doc_lengths.items():
         if type(length) is not int or length < 0:

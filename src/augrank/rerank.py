@@ -15,9 +15,10 @@ inputs.jsonl lines from that head, escaped once.
 
 `build_augmented_input` is the one place that picks the template: no
 expansion, or the empty fallback one, gives the plain form. Training
-sequences append " true" / " false" after "Relevant:". Strings are
-rendered only where a string leaves the program: the remote scorer's
-payload, the pipeline's inputs.jsonl and training sequences. Nothing parses
+sequences (`trainset.render_training_sequences`) append " true" /
+" false" after "Relevant:". Strings are rendered only where a string
+leaves the program: the remote scorer's payload, the pipeline's
+inputs.jsonl and training sequences. Nothing parses
 a rendered sequence back, so text that contains a label literal such as
 "Document:" is scored as the text it is. Scorers return one value per input
 in [0, 1], higher means more relevant:
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import json
 import math
+from _thread import TIMEOUT_MAX
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +70,7 @@ from itertools import islice
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, RankedList, TrainingLabel, encode_json_string
+from .corpus_io import Passage, Query, RankedList, encode_json_string
 from .errors import (
     ProtocolError,
     TransportError,
@@ -134,6 +136,8 @@ class ScorerEndpoint:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise ValidationError(f"timeout must be finite and positive, got {self.timeout}")
+        if self.timeout > TIMEOUT_MAX:  # a longer one overflows at the first request
+            raise ValidationError(f"timeout must be at most {TIMEOUT_MAX}, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -191,12 +195,6 @@ def build_augmented_input(
     if expansion is None or expansion.fallback:
         return build_input(query, passage)
     return RerankInput(query.id, passage.id, query.text, expansion.text, passage.text)
-
-
-def training_sequence(inference_input: RerankInput, label: TrainingLabel) -> str:
-    """Training form: the inference sequence plus " true" or " false"."""
-    target = "true" if label is TrainingLabel.RELEVANT else "false"
-    return f"{inference_input.sequence} {target}"
 
 
 def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
@@ -337,7 +335,7 @@ def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> l
                 raise _failed(f"scorer returned HTTP {status}", batch, start)
             try:
                 payload = json.loads(data)
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: deep nesting
                 raise ProtocolError("scorer response is not valid JSON") from None
             got = payload.get("scores") if isinstance(payload, dict) else None
             if not isinstance(got, list) or len(got) != len(batch):
@@ -389,9 +387,10 @@ def score_heads(
 ) -> list[list[float]]:
     """The scores of every head's inputs, one list per head, from one
     `score_batch` call over the heads in order, or from none when they
-    hold no input. Each query's scores are those of its candidates alone,
-    so they equal the scores of one call per head; a TransportError keeps
-    its indices into the concatenated inputs."""
+    hold no input. Each query id's scores are those of its candidates
+    alone, so they equal the scores of one call per query id: two heads
+    with one query id are scored as one. A TransportError keeps its
+    indices into the concatenated inputs."""
     inputs = [item for head in heads for item in head]
     scores = iter(score_batch(inputs, endpoint) if inputs else ())
     return [list(islice(scores, len(head))) for head in heads]

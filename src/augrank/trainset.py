@@ -1,12 +1,15 @@
 """Training sequence construction and positive upsampling.
 
 Examples are the `TrainingExample`s that `load_triples` reads, in file
-order. Balancing duplicates the positive examples round-robin, in their
-original order, until positive and negative counts are equal; duplicates
-are appended after the original examples so the input order (and the
-negative subsequence in particular) is untouched. Shuffling belongs to the
-training harness, not here. `render_training_sequences` is the one place
-that checks an example's query and passage ids.
+order; an example is positive when `relevant` is true. Its sequence is
+the inference sequence of `rerank.build_augmented_input` followed by
+" true" or " false". Balancing duplicates the positive examples
+round-robin, in their original order, until positive and negative counts
+are equal; duplicates are appended after the original examples so the
+input order (and the negative subsequence in particular) is untouched.
+Shuffling belongs to the training harness, not here.
+`render_training_sequences` is the one place that checks an example's
+query and passage ids.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, TrainingExample, TrainingLabel
+from .corpus_io import Passage, Query, TrainingExample
 from .errors import UnknownIdError, ValidationError
-from .rerank import build_augmented_input, training_sequence
+from .rerank import build_augmented_input
 
 
 def balance_upsample(examples: Sequence[TrainingExample]) -> tuple[TrainingExample, ...]:
@@ -26,7 +29,7 @@ def balance_upsample(examples: Sequence[TrainingExample]) -> tuple[TrainingExamp
     Negatives are never duplicated.
     """
     examples = tuple(examples)
-    positive_examples = [e for e in examples if e.label is TrainingLabel.RELEVANT]
+    positive_examples = [e for e in examples if e.relevant]
     positives, negatives = len(positive_examples), len(examples) - len(positive_examples)
     if positives < 1 or negatives < 1:
         raise ValidationError("balancing needs at least one positive and one negative example")
@@ -63,8 +66,8 @@ def render_training_sequences(
                 f"training triple references unknown passage {example.passage_id!r}"
             )
         expansion = expansions.get(example.query_id) if expansions else None
-        rerank_input = build_augmented_input(query, expansion, passage)
-        sequence = training_sequence(rerank_input, example.label)
+        target = "true" if example.relevant else "false"
+        sequence = f"{build_augmented_input(query, expansion, passage).sequence} {target}"
         # One example is one line of the output; str.splitlines also breaks
         # at \r, \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029.
         if sequence.splitlines() != [sequence]:

@@ -17,7 +17,7 @@ class _ScorerHandler(BaseHTTPRequestHandler):
     The owning server's `mode` attribute switches misbehavior on, from
     request number `mode_from_request` (1 by default):
     ok | http_error | created | redirect | hangup | bad_length | out_of_range
-    | junk | slow. Its `connection_mode` sets what happens to a connection
+    | junk | deep (100,000 nested "[") | slow. Its `connection_mode` sets what happens to a connection
     after a reply: close (HTTP/1.0, the default), keep_alive (HTTP/1.1,
     kept open) or drop_after_reply (an HTTP/1.1 reply that does not say
     the connection closes, then a silent close). Requests and connections
@@ -79,6 +79,8 @@ class _ScorerHandler(BaseHTTPRequestHandler):
             payload = {"scores": [server.score_fn(s) for s in inputs]}
         if mode == "junk":
             data = b"this is not json"
+        elif mode == "deep":
+            data = b"[" * 100_000
         else:
             data = json.dumps(payload).encode()
         self.send_response(201 if mode == "created" else 200)

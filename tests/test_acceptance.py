@@ -18,9 +18,8 @@ from augrank.augment import (
     topical_term_weights,
 )
 from augrank.cli import main
-from augrank.corpus_io import Passage, Query, RankedList, Snippet, SnippetKind, SnippetSource
+from augrank.corpus_io import Passage, Query, RankedList, Snippet, SnippetSource
 from augrank.evaluation import (
-    SignificanceMarker,
     average_precision,
     mrr_at_k,
     ndcg_at_k,
@@ -36,7 +35,7 @@ from augrank.index import (
 )
 from augrank.rerank import build_augmented_input, build_input
 from augrank.trainset import balance_upsample
-from augrank.corpus_io import TrainingExample, TrainingLabel
+from augrank.corpus_io import TrainingExample
 from oracles import (
     ap_oracle,
     bm25_score,
@@ -55,7 +54,7 @@ def _report(number, message):
 
 
 def organic(qid, rank, text):
-    return Snippet(qid, rank, SnippetKind.ORGANIC, text, SnippetSource.WEB_SERP)
+    return Snippet(qid, rank, False, text, SnippetSource.WEB_SERP)
 
 
 def test_criterion_1_kl_weight_oracle_suite():
@@ -233,12 +232,12 @@ def test_criterion_5_paired_t_test_validation():
     assert result.p_value == pytest.approx(0.0132, abs=1e-4)
     oracle_p = t_two_tailed_p_oracle(result.t_statistic, 4)
     assert result.p_value == pytest.approx(oracle_p, abs=1e-4)
-    assert result.marker is SignificanceMarker.P05
+    assert result.marker == "p05"
 
     zero = {f"q{i}": 0.25 for i in range(6)}
     degenerate = paired_t_test(zero, dict(zero))
     assert degenerate.p_value == 1.0
-    assert degenerate.marker is SignificanceMarker.NONE
+    assert degenerate.marker == "none"
 
     rng = random.Random(505)
     for _ in range(100):
@@ -397,10 +396,10 @@ def test_criterion_7_end_to_end_augmentation_uplift(tmp_path):
 
 def _examples(positives, negatives):
     examples = [
-        TrainingExample(f"q{i}", f"d{i}", TrainingLabel.RELEVANT) for i in range(positives)
+        TrainingExample(f"q{i}", f"d{i}", True) for i in range(positives)
     ]
     examples += [
-        TrainingExample(f"q{positives + i}", f"d{positives + i}", TrainingLabel.NOT_RELEVANT)
+        TrainingExample(f"q{positives + i}", f"d{positives + i}", False)
         for i in range(negatives)
     ]
     return tuple(examples)
@@ -410,12 +409,12 @@ def test_criterion_8_upsampling_contract():
     """(2 pos, 6 neg) -> multiplicities (3,3); (3 pos, 7 neg) -> (3,2,2)."""
     balanced = balance_upsample(_examples(2, 6))
     assert len(balanced) == 12
-    multiplicities = Counter(e.query_id for e in balanced if e.label is TrainingLabel.RELEVANT)
+    multiplicities = Counter(e.query_id for e in balanced if e.relevant)
     assert sorted(multiplicities.values()) == [3, 3]
 
     balanced = balance_upsample(_examples(3, 7))
     assert len(balanced) == 14
-    multiplicities = Counter(e.query_id for e in balanced if e.label is TrainingLabel.RELEVANT)
+    multiplicities = Counter(e.query_id for e in balanced if e.relevant)
     assert multiplicities == {"q0": 3, "q1": 2, "q2": 2}
     _report(8, "upsampling multiplicities (3,3) and (3,2,2) exact")
 

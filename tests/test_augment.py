@@ -16,21 +16,21 @@ from augrank.augment import (
     topical_term_weights,
     write_expansions,
 )
-from augrank.corpus_io import Passage, Query, Snippet, SnippetKind, SnippetSource
+from augrank.corpus_io import Passage, Query, Snippet, SnippetSource
 from augrank.errors import ParseError, ValidationError
 from augrank.index import corpus_lm, tokenize
 from oracles import kl_weights_oracle
 
 import io
 
-ORGANIC = SnippetKind.ORGANIC
-DIRECT = SnippetKind.DIRECT_ANSWER
+ORGANIC = False  # Snippet.direct_answer
+DIRECT = True
 SERP = SnippetSource.WEB_SERP
 WIKI = SnippetSource.WIKI
 
 
-def snip(rank, text, kind=ORGANIC, source=SERP, qid="q1"):
-    return Snippet(qid, rank, kind, text, source)
+def snip(rank, text, direct_answer=ORGANIC, source=SERP, qid="q1"):
+    return Snippet(qid, rank, direct_answer, text, source)
 
 
 def lm_from(*texts):
@@ -86,7 +86,7 @@ class TestRetrieve:
         cache = {"q1": [snip(1, "da", DIRECT), snip(2, "a"), snip(3, "b"), snip(4, "c")]}
         result = retrieve(Query("q1", "x"), cache, SERP, 5, True)
         assert [s.rank for s in result] == [2, 3, 4]
-        assert all(s.kind is ORGANIC for s in result)
+        assert not any(s.direct_answer for s in result)
 
     def test_source_selected(self):
         cache = {"q1": [snip(1, "serp text"), snip(1, "wiki text", source=WIKI)]}

@@ -1,3 +1,4 @@
+import _thread
 import dataclasses
 import io
 import json
@@ -32,7 +33,7 @@ from augrank.corpus_io import (
     write_run,
 )
 from augrank.errors import ParseError, ValidationError
-from augrank.evaluation import MetricConfig
+from augrank.evaluation import metric_tokens
 from augrank.index import build_index
 from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
 
@@ -104,25 +105,24 @@ def read_metric(path: Path, token: str) -> float:
 class TestMetricTokens:
     def test_default_tokens(self):
         default = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
-        assert MetricConfig().tokens == MetricConfig.tokens == default
-        assert ExperimentConfig.metrics == MetricConfig(default)
+        assert ExperimentConfig.metrics == metric_tokens(default) == default
 
     def test_unknown_token(self):
         with pytest.raises(ValidationError, match="'precision@5'"):
-            MetricConfig(("precision@5",))
+            metric_tokens(("precision@5",))
 
     def test_zero_cutoff_rejected(self):
         with pytest.raises(ValidationError, match="'s@0'"):
-            MetricConfig(("s@0",))
+            metric_tokens(("s@0",))
 
     def test_tokens_canonicalized(self):
-        assert MetricConfig(("S@01", "MRR@5", " Map", "")).tokens == ("s@1", "mrr@5", "map")
+        assert metric_tokens(("S@01", "MRR@5", " Map", "")) == ("s@1", "mrr@5", "map")
 
     @pytest.mark.parametrize("token", ["s@1_0", "ndcg@\uff15", "mrr@\u0661\u0660"])
     def test_cutoff_must_be_plain_ascii(self, token):
         # int() would read `1_0` as 10 and `５` as 5.
         with pytest.raises(ValidationError, match=f"^unknown metric token {token!r}$"):
-            MetricConfig((token,))
+            metric_tokens((token,))
 
     @pytest.mark.parametrize(
         "tokens, named",
@@ -130,7 +130,7 @@ class TestMetricTokens:
     )
     def test_repeated_token_or_second_cutoff_rejected(self, tokens, named):
         with pytest.raises(ValidationError, match=repr(named)):
-            MetricConfig(tuple(tokens))
+            metric_tokens(tokens)
 
 
 class TestIndexCommands:
@@ -588,6 +588,35 @@ class TestPipeline:
         assert compare_lines[0].startswith("metric\t")
         assert any(line.startswith("s@1\t") for line in compare_lines[1:])
 
+    def test_baseline_run_that_the_run_would_overwrite_is_refused(self, workspace, capsys):
+        assert main(["pipeline", "run", "--config", str(make_config(workspace, "out_b"))]) == 0
+        baseline = workspace / "o3" / "reranked.run"
+        baseline.parent.mkdir()
+        baseline.write_bytes((workspace / "out_b" / "reranked.run").read_bytes())
+        before = baseline.read_bytes()
+        argv = ["pipeline", "run", "--mode", "nl", "--output-dir", str(workspace / "o3"),
+                "--baseline-run", str(baseline), "--config", str(make_config(workspace, "out_c"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"baseline_run {str(baseline)!r} is one of the run's artifacts" in err
+        assert baseline.read_bytes() == before
+        assert os.listdir(workspace / "o3") == ["reranked.run"]
+
+    def test_input_reaching_an_artifact_by_a_symlink_is_refused_in_any_mode(
+        self, workspace, capsys
+    ):
+        # Mode none writes no expansions.jsonl, but the path is refused all the same.
+        (workspace / "o4").mkdir()
+        (workspace / "o4" / "expansions.jsonl").write_bytes(
+            (workspace / "snippets.jsonl").read_bytes()
+        )
+        (workspace / "alias").symlink_to(workspace / "o4")
+        cache = str(workspace / "alias" / "expansions.jsonl")
+        config = make_config(workspace, "o4", snippet_cache=cache)
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        assert f"snippet_cache {cache!r} is one of the run's artifacts" in capsys.readouterr().err
+        assert os.listdir(workspace / "o4") == ["expansions.jsonl"]
+
     def test_judged_queries_without_candidates_named_on_stderr(self, workspace, capsys):
         queries = [{"id": "q1", "text": "shared topic1"}, {"id": "q2", "text": "zebra"},
                    {"id": "q3", "text": "yak"}, {"id": "q4", "text": "gnu"}]
@@ -795,7 +824,8 @@ class TestPipeline:
           "got 'http://127.0.0.1:8000/#frag'"),
          ({"scorer": "remote", "scorer_address": "http://127.0.0.1:8000?"},
           "remote scorer address must not have a query string or a fragment, "
-          "got 'http://127.0.0.1:8000?'")],
+          "got 'http://127.0.0.1:8000?'"),
+         ({"timeout": 1e10}, f"timeout must be at most {_thread.TIMEOUT_MAX}, got 10000000000.0")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)
@@ -973,11 +1003,14 @@ class TestExitCodes:
           "batch_size must be >= 1, got 0"),
          (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q", "--timeout", "0"],
           "timeout must be finite and positive, got 0.0"),
+         (["rerank", "--run", "R", "--corpus", "C", "--queries", "Q", "--scorer", "remote",
+           "--address", "http://127.0.0.1:1", "--timeout", "1e10"],
+          f"timeout must be at most {_thread.TIMEOUT_MAX}, got 10000000000.0"),
          (["expand", "--queries", "Q", "--snippets", "S", "--mode", "terms"],
           "--mode terms requires --corpus")],
         ids=["index search --k", "rerank --k", "fuse --alpha", "expand --max-words",
              "expand --max-terms", "expand --max-snippets", "rerank --batch-size",
-             "rerank --timeout", "expand --mode terms"],
+             "rerank --timeout", "rerank --timeout too long", "expand --mode terms"],
     )
     def test_bad_setting_refused_before_any_input_is_read(
         self, tmp_path, capsys, argv, named
@@ -1034,6 +1067,13 @@ class TestExitCodes:
         wide_digit.write_text("q1 Q0 d1rel 1 2.0 t\nq1 Q0 d1a 2 \uff14.5 t\n", encoding="utf-8")
         wide_report = workspace / "wide_pq.tsv"
         wide_report.write_text("query_id\ts@1\nq1\t1.0\nq2\t0_0\n")
+        # Nesting past the recursion limit, and a grade no float holds.
+        nested_corpus = workspace / "nested.jsonl"
+        nested_corpus.write_text('{"id": "d1", "text": "a"}\n{"id": "d2", "text": ' + "[" * 10**5)
+        nested_config = workspace / "nested.json"
+        nested_config.write_text("[" * 10**5)
+        huge_qrels = workspace / "huge.qrels"
+        huge_qrels.write_text("q1 0 d1rel 1\nq2 0 d2rel " + "9" * 400 + "\n")
         cases = [
             (["index", "search", "--corpus", str(corpus),
               "--queries", str(workspace / "queries.jsonl")],
@@ -1064,6 +1104,13 @@ class TestExitCodes:
             (["compare", "--baseline", str(wide_report), "--treatment", str(nan_report),
               "--metric", "s@1"],
              f"{wide_report}: line 3: non-numeric metric value"),
+            (["index", "search", "--corpus", str(nested_corpus),
+              "--queries", str(workspace / "queries.jsonl")],
+             f"{nested_corpus}: line 2: invalid JSON record: maximum recursion depth"),
+            (["pipeline", "run", "--config", str(nested_config)],
+             f"config {nested_config}: invalid JSON: maximum recursion depth"),
+            (["eval", "--run", str(good_run), "--qrels", str(huge_qrels)],
+             f"{huge_qrels}: line 2: grade '{'9' * 400}' is above {2**63 - 1}"),
         ]
         for argv, message in cases:
             assert main(argv) == 2

@@ -13,9 +13,7 @@ from augrank.cli import load_per_query_report
 from augrank.corpus_io import (
     Passage,
     RankedList,
-    SnippetKind,
     SnippetSource,
-    TrainingLabel,
     check_run_token,
     load_corpus,
     load_queries,
@@ -55,6 +53,12 @@ class TestParseQrels:
     def test_negative_grade(self):
         with pytest.raises(ParseError, match="negative"):
             parse_qrels("q1 0 d7 -1\n")
+
+    def test_grade_too_large_for_a_float_sum_is_refused_at_its_line(self):
+        top = 2**63 - 1
+        assert parse_qrels(f"q1 0 d7 {top}\n") == {"q1": {"d7": top}}
+        with pytest.raises(ParseError, match=rf"^line 2: grade '{top + 1}' is above {top}$"):
+            parse_qrels(f"q1 0 d1 1\nq1 0 d7 {top + 1}\n")
 
     @pytest.mark.parametrize("grade", ["1_0", "\uff12", "\u0661"])
     def test_grade_must_be_plain_ascii_at_its_line(self, grade):
@@ -400,11 +404,11 @@ class TestLoadSnippetCache:
         lines = [snippet_record(rank=r, text=f"snippet {r}") for r in (3, 1, 5, 2, 4)]
         cache = load_snippet_cache(lines)
         assert [s.rank for s in cache["q1"]] == [1, 2, 3, 4, 5]
-        assert all(s.kind is SnippetKind.ORGANIC for s in cache["q1"])
+        assert not any(s.direct_answer for s in cache["q1"])
 
     def test_direct_answer_passes_through(self):
         cache = load_snippet_cache([snippet_record(kind="direct_answer")])
-        assert cache["q1"][0].kind is SnippetKind.DIRECT_ANSWER
+        assert cache["q1"][0].direct_answer is True
 
     def test_empty_stream(self):
         assert load_snippet_cache("") == {}
@@ -476,7 +480,7 @@ class TestLoadTriples:
             json.dumps({"query_id": "q1", "passage_id": "d2", "label": "not_relevant"}),
         ]
         triples = load_triples(lines)
-        assert [t.label for t in triples] == [TrainingLabel.RELEVANT, TrainingLabel.NOT_RELEVANT]
+        assert [t.relevant for t in triples] == [True, False]
 
     def test_unknown_label(self):
         with pytest.raises(ParseError, match="label"):

@@ -6,15 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from augrank.cli import ExperimentConfig
 from augrank.corpus_io import RankedList, parse_qrels
 from augrank.errors import ConflictError, ValidationError
 from augrank.evaluation import (
-    MetricConfig,
     MetricReport,
-    SignificanceMarker,
     average_precision,
     compare_runs,
     evaluate_run,
+    metric_tokens,
     mrr_at_k,
     ndcg_at_k,
     paired_t_test,
@@ -30,6 +30,9 @@ from oracles import (
     success_oracle,
     t_two_tailed_p_oracle,
 )
+
+
+METRICS = ExperimentConfig.metrics
 
 
 def ranked(*pids, qid="q1"):
@@ -147,14 +150,14 @@ class TestAveragePrecision:
 class TestEvaluateRun:
     def test_perfect_single_query(self):
         qrels = judged(a=1)
-        report = evaluate_run([ranked("a")], qrels)
+        report = evaluate_run([ranked("a")], qrels, METRICS)
         assert all(v == 1.0 for v in report.aggregate.values())
         assert report.query_count == 1
 
     def test_mean_of_two_queries(self):
         qrels = parse_qrels("q1 0 hit 1\nq2 0 hit 1\n")
         lists = [ranked("hit", "x", qid="q1"), ranked("x", "hit", qid="q2")]
-        report = evaluate_run(lists, qrels)
+        report = evaluate_run(lists, qrels, METRICS)
         assert report.aggregate["s@1"] == pytest.approx(0.5)
 
     def test_report_derives_means_in_token_order(self):
@@ -176,7 +179,7 @@ class TestEvaluateRun:
             qrels[qid] = grades
             lists.append(ranked(*pids, qid=qid))
             oracle_pq[qid] = (pids, grades)
-        cfg = MetricConfig()
+        cfg = METRICS
         report = evaluate_run(lists, qrels, cfg)
         map_threshold = resolve_map_threshold(qrels)
         for qid, (pids, grades) in oracle_pq.items():
@@ -192,7 +195,7 @@ class TestEvaluateRun:
     @given(judged_runs())
     def test_every_per_query_value_matches_the_oracles(self, drawn):
         lists, qrels = drawn
-        cfg = MetricConfig(("s@1", "s@5", "mrr@10", "ndcg@3", "ndcg@10", "map"))
+        cfg = ("s@1", "s@5", "mrr@10", "ndcg@3", "ndcg@10", "map")
         report = evaluate_run(lists, qrels, cfg)
         top_grade = max(g for judged in qrels.values() for g in judged.values())
         map_threshold = 2 if top_grade >= 2 else 1
@@ -214,25 +217,25 @@ class TestEvaluateRun:
 
     def test_unjudged_queries_flagged_not_averaged(self):
         qrels = judged(a=1)
-        report = evaluate_run([ranked("a"), ranked("a", qid="mystery")], qrels)
+        report = evaluate_run([ranked("a"), ranked("a", qid="mystery")], qrels, METRICS)
         assert report.unjudged_query_ids == ("mystery",)
         assert report.query_count == 1
         assert report.aggregate["s@1"] == 1.0
 
     def test_no_overlap_with_qrels_is_error(self):
         with pytest.raises(ValidationError):
-            evaluate_run([ranked("a", qid="unknown")], judged(a=1))
+            evaluate_run([ranked("a", qid="unknown")], judged(a=1), METRICS)
 
     def test_duplicate_query_in_run_is_conflict(self):
         qrels = judged(a=1)
         with pytest.raises(ConflictError):
-            evaluate_run([ranked("a"), ranked("a")], qrels)
+            evaluate_run([ranked("a"), ranked("a")], qrels, METRICS)
 
     def test_aggregate_permutation_invariant(self):
         qrels = parse_qrels("q1 0 a 1\nq2 0 b 2\nq3 0 c 1\n")
         lists = [ranked("a", "b", qid="q1"), ranked("b", "a", qid="q2"), ranked("x", "c", qid="q3")]
-        forward = evaluate_run(lists, qrels).aggregate
-        backward = evaluate_run(list(reversed(lists)), qrels).aggregate
+        forward = evaluate_run(lists, qrels, METRICS).aggregate
+        backward = evaluate_run(list(reversed(lists)), qrels, METRICS).aggregate
         assert forward == backward
 
     def test_metrics_monotone_in_k(self):
@@ -255,7 +258,7 @@ class TestEvaluateRun:
 
     def test_graded_qrels_binarize_map_at_two(self):
         qrels = judged(strong=2, weak=1)
-        cfg = MetricConfig()
+        cfg = METRICS
         report = evaluate_run([ranked("weak", "strong")], qrels, cfg)
         # only "strong" counts for MAP: AP = (1/2)/1
         assert report.aggregate["map"] == pytest.approx(0.5)
@@ -282,13 +285,13 @@ class TestMetricConfig:
             token = name if k is None else f"{name}@{'0' * rng.randint(0, 2)}{k}"
             raw.append("".join(c.upper() if rng.random() < 0.5 else c for c in token))
             canonical.append(name if k is None else f"{name}@{k}")
-        cfg = MetricConfig(tuple(raw))
-        assert cfg.tokens == tuple(canonical)
-        assert MetricConfig(cfg.tokens) == cfg
+        tokens = metric_tokens(raw)
+        assert tokens == tuple(canonical)
+        assert metric_tokens(tokens) == tokens
         qrels = parse_qrels("q1 0 a 1\nq2 0 c 2\n")
-        report = evaluate_run([ranked("a", "b"), ranked("b", "c", qid="q2")], qrels, cfg)
-        assert tuple(report.aggregate) == cfg.tokens
-        assert all(tuple(values) == cfg.tokens for values in report.per_query.values())
+        report = evaluate_run([ranked("a", "b"), ranked("b", "c", qid="q2")], qrels, raw)
+        assert tuple(report.aggregate) == tokens
+        assert all(tuple(values) == tokens for values in report.per_query.values())
 
 
 class TestIncompleteBeta:
@@ -344,7 +347,7 @@ class TestPairedTTest:
         result = paired_t_test(values, dict(values))
         assert result.p_value == 1.0
         assert result.t_statistic == 0.0
-        assert result.marker is SignificanceMarker.NONE
+        assert result.marker == "none"
 
     def test_spec_fixture_one_to_five(self):
         baseline = {f"q{i}": 0.0 for i in range(1, 6)}
@@ -356,7 +359,7 @@ class TestPairedTTest:
         assert result.p_value == pytest.approx(
             t_two_tailed_p_oracle(result.t_statistic, 4), abs=1e-12
         )
-        assert result.marker is SignificanceMarker.P05
+        assert result.marker == "p05"
 
     def test_constant_nonzero_shift(self):
         baseline = {f"q{i}": 0.5 for i in range(4)}
@@ -364,7 +367,7 @@ class TestPairedTTest:
         result = paired_t_test(baseline, treatment)
         assert result.p_value == 0.0
         assert math.isinf(result.t_statistic) and result.t_statistic > 0
-        assert result.marker is SignificanceMarker.P01
+        assert result.marker == "p01"
 
     def test_matches_scipy_on_random_vectors(self):
         rng = random.Random(17)
@@ -402,7 +405,7 @@ class TestPairedTTest:
         treatment = {"a": 0.4, "b": 0.6, "c": 0.5, "d": 0.5}
         result = paired_t_test(baseline, treatment)
         assert result.p_value > 0.05
-        assert result.marker is SignificanceMarker.NONE
+        assert result.marker == "none"
 
 
 class TestCompareRuns:
@@ -416,7 +419,7 @@ class TestCompareRuns:
             noise = rng.random()
             base_lists.append(ranked("x", "rel", "y", qid=qid) if noise > uplift else ranked("rel", "x", qid=qid))
             treat_lists.append(ranked("rel", "x", qid=qid))
-        return evaluate_run(base_lists, qrels), evaluate_run(treat_lists, qrels)
+        return evaluate_run(base_lists, qrels, METRICS), evaluate_run(treat_lists, qrels, METRICS)
 
     def test_identical_reports_p_one(self):
         report, _ = self.reports()

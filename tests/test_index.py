@@ -582,3 +582,7 @@ class TestIndexPersistence:
     def test_inconsistent_artifact_rejected(self, header, payload, match):
         with pytest.raises(ParseError, match=match):
             load_index(io.StringIO(header + "\n" + json.dumps(payload)))
+
+    def test_payload_nested_past_the_recursion_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^corrupt index payload: maximum recursion depth"):
+            load_index(io.StringIO(INDEX_MAGIC + "\n" + "[" * 100_000))

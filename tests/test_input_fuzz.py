@@ -36,8 +36,12 @@ INPUTS = {
 
 # Replacement values: each JSON type, a lone surrogate, ids a run cannot hold.
 JSON_VALUES = [None, True, 0, -1, 2.5, 1e999, "", "x y", "\ud800", [], {}, ["a"]]
-# Column values: bad numbers, unknown ids and tokens of the wrong kind.
-COLUMNS = ["", "x", "nan", "inf", "-inf", "1e999", "0", "-1", "2.5", "Q0", "d99", "q99", "d\x85"]
+# Column values: bad numbers, unknown ids and tokens of the wrong kind; the
+# 400-digit integer overflows a float.
+COLUMNS = ["", "x", "nan", "inf", "-inf", "1e999", "0", "-1", "2.5", "Q0", "d99", "q99", "d\x85",
+           "9" * 400]
+# A line nested past the interpreter's recursion limit.
+DEEP_LINE = b"[" * 100_000 + b"\n"
 BYTES = [b"\x00", b"\xff", b'"', b"\\", b"{", b"}", b" ", b"\n", b"\r", b"\t", b"9", b"-",
          "\u2028".encode()]
 
@@ -54,11 +58,13 @@ def edit_bytes(rng, data):
 def edit_lines(rng, data):
     lines = data.splitlines(keepends=True) or [b""]
     i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
-    choice = rng.randrange(4)
+    choice = rng.randrange(5)
     if choice == 0:
         del lines[i]
     elif choice == 1:
         lines.insert(j, lines[i])
+    elif choice == 4:
+        lines.insert(j, DEEP_LINE)
     elif choice == 2:
         lines[i], lines[j] = lines[j], lines[i]
     else:

@@ -17,7 +17,7 @@ from augrank.cli import (
     ExperimentConfig,
     build_parser,
 )
-from augrank.evaluation import MetricConfig
+from augrank.evaluation import metric_tokens
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 ALIASES = {"mode": _MODE_ALIASES, "source": _SOURCE_ALIASES, "scorer": _SCORER_ALIASES}
@@ -65,7 +65,7 @@ def typed(key, text):
     if key in ALIASES:
         return ALIASES[key][text.lower()]
     if key == "metrics":
-        return MetricConfig(tuple(text.split(",")))
+        return metric_tokens(text.split(","))
     if key == "skip_direct_answers":
         return {"yes": True, "no": False}[text]
     return type(CONFIG_DEFAULTS[key])(text)
@@ -103,11 +103,8 @@ def test_defaults_table_names_the_type_that_defines_each_default(row):
     _, default, _, key, defined_in = row
     owner = getattr(augrank.cli, defined_in, None)
     assert isinstance(owner, type), defined_in
-    expected = typed(key, default)
-    # A type that is the key's whole value (MetricConfig) defines its
-    # default as its own fresh instance; any other holds it as the
-    # attribute named after the key.
-    assert (owner() if isinstance(expected, owner) else getattr(owner, key)) == expected
+    # It holds the default as the attribute named after the key.
+    assert getattr(owner, key) == typed(key, default)
 
 
 @pytest.mark.parametrize("row", SPELLING_ROWS, ids=lambda row: row[1])

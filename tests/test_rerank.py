@@ -1,3 +1,4 @@
+import _thread
 import base64
 import gc
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import augrank.rerank as rerank_module
 from augrank.augment import Expansion, ExpansionMode
-from augrank.corpus_io import Passage, Query, RankedList, TrainingLabel
+from augrank.corpus_io import Passage, Query, RankedList
 from augrank.errors import ProtocolError, TransportError, UnknownIdError, ValidationError
 from augrank.index import tokenize
 from augrank.rerank import (
@@ -26,7 +27,6 @@ from augrank.rerank import (
     score_batch,
     score_heads,
     template_head,
-    training_sequence,
 )
 from oracles import bm25_oracle, lexical_baseline_scores_oracle
 
@@ -152,13 +152,6 @@ class TestStructuredInput:
             pair = [item, build_input(q, other)]
             raw = bm25_oracle(doc_tokens, terms, "d1")
             assert math.isclose(score_batch(pair, BASELINE)[0], raw / (raw + 1), abs_tol=1e-12)
-
-
-class TestTrainingSequence:
-    def test_label_appended_after_relevant(self):
-        item = build_input(Query("q1", "q"), Passage("d1", None, "d"))
-        assert training_sequence(item, TrainingLabel.RELEVANT).endswith("Relevant: true")
-        assert training_sequence(item, TrainingLabel.NOT_RELEVANT).endswith("Relevant: false")
 
 
 class TestLexicalBaseline:
@@ -447,6 +440,11 @@ class TestRemoteScorer:
         with pytest.raises(ProtocolError, match="JSON"):
             score_batch(self.items(2), self.endpoint(scorer_server))
 
+    def test_reply_nested_past_the_recursion_limit_is_protocol_error(self, scorer_server):
+        scorer_server.mode = "deep"
+        with pytest.raises(ProtocolError, match="^scorer response is not valid JSON$"):
+            score_batch(self.items(2), self.endpoint(scorer_server))
+
     def test_boolean_score_is_protocol_error(self, scorer_server):
         scorer_server.score_fn = lambda s: True
         with pytest.raises(ProtocolError, match="True"):
@@ -503,6 +501,18 @@ class TestRemoteScorer:
     def test_timeout_must_be_finite_and_positive(self, timeout):
         with pytest.raises(ValidationError, match="timeout"):
             ScorerEndpoint(ScorerKind.REMOTE, "http://127.0.0.1:1", timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [_thread.TIMEOUT_MAX + 1, 1e10, 1e300])
+    def test_timeout_the_socket_layer_cannot_hold_is_refused(self, timeout):
+        # socket.settimeout refuses 9223372037.0 on 64-bit Linux, so such a
+        # timeout would raise OverflowError at the first request.
+        with pytest.raises(ValidationError, match="^timeout must be at most "):
+            ScorerEndpoint(ScorerKind.REMOTE, "http://127.0.0.1:1", timeout=timeout)
+
+    def test_longest_timeout_is_accepted_and_serves(self, scorer_server):
+        items = self.items(2)
+        endpoint = self.endpoint(scorer_server, timeout=_thread.TIMEOUT_MAX)
+        assert score_batch(items, endpoint) == [scorer_server.score_fn(i.sequence) for i in items]
 
 
 @pytest.fixture
@@ -767,7 +777,7 @@ class TestRerankTopk:
 
 class TestScoreHeads:
     """One `score_batch` call over many heads, as the pipeline scores a
-    run, gives each head the scores of a call of its own."""
+    run, gives each query id the scores of a call of its own."""
 
     pytestmark = no_leaked_sockets
 
@@ -786,6 +796,21 @@ class TestScoreHeads:
         assert [[s.hex() for s in scores] for scores in got] == [
             [s.hex() for s in score_batch(head, BASELINE)] for head in heads
         ]
+
+    def test_heads_sharing_a_query_id_score_as_one_call_per_query_id(self):
+        # Scores pool by query id, not by head: q0's two heads are one index.
+        q0, q1 = Query("q0", "alpha beta"), Query("q1", "alpha")
+        first = [build_input(q0, Passage("d1", None, "alpha beta gamma")),
+                 build_input(q0, Passage("d2", None, "delta"))]
+        other = [build_input(q1, Passage("d1", None, "alpha beta gamma"))]
+        second = [build_input(q0, Passage("d3", None, "alpha alpha")),
+                  build_input(q0, Passage("d4", None, "epsilon words here"))]
+        got = score_heads([first, other, second], BASELINE)
+        pooled = score_batch(first + second, BASELINE)
+        assert [s.hex() for s in got[0] + got[2]] == [s.hex() for s in pooled]
+        assert got[1] == score_batch(other, BASELINE)
+        assert got[0] != score_batch(first, BASELINE)
+        assert got[2] != score_batch(second, BASELINE)
 
     def test_batches_span_heads_on_one_connection(self, scorer_server):
         scorer_server.connection_mode = "keep_alive"

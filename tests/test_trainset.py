@@ -3,12 +3,12 @@ from collections import Counter
 import pytest
 
 from augrank.augment import Expansion, ExpansionMode
-from augrank.corpus_io import Passage, Query, TrainingExample, TrainingLabel
+from augrank.corpus_io import Passage, Query, TrainingExample
 from augrank.errors import UnknownIdError, ValidationError
 from augrank.trainset import balance_upsample, render_training_sequences
 
-POS = TrainingLabel.RELEVANT
-NEG = TrainingLabel.NOT_RELEVANT
+POS = True  # TrainingExample.relevant
+NEG = False
 
 
 def corpus(n=10):
@@ -35,9 +35,9 @@ class TestBalanceUpsample:
     def test_two_pos_six_neg(self):
         balanced = balance_upsample(self.make(2, 6))
         assert len(balanced) == 12
-        counts = Counter(e.query_id for e in balanced if e.label is POS)
+        counts = Counter(e.query_id for e in balanced if e.relevant)
         assert sorted(counts.values()) == [3, 3]
-        assert Counter(e.label for e in balanced) == {POS: 6, NEG: 6}
+        assert Counter(e.relevant for e in balanced) == {POS: 6, NEG: 6}
 
     def test_already_balanced_unchanged(self):
         ts = self.make(5, 5)
@@ -46,7 +46,7 @@ class TestBalanceUpsample:
     def test_three_pos_seven_neg_round_robin(self):
         balanced = balance_upsample(self.make(3, 7))
         assert len(balanced) == 14
-        counts = Counter(e.query_id for e in balanced if e.label is POS)
+        counts = Counter(e.query_id for e in balanced if e.relevant)
         assert counts == {"q0": 3, "q1": 2, "q2": 2}
 
     def test_positive_heavy_unchanged(self):
@@ -64,8 +64,8 @@ class TestBalanceUpsample:
     def test_negative_subsequence_untouched(self):
         ts = self.make(2, 6)
         balanced = balance_upsample(ts)
-        original_negs = [e for e in ts if e.label is NEG]
-        balanced_negs = [e for e in balanced if e.label is NEG]
+        original_negs = [e for e in ts if not e.relevant]
+        balanced_negs = [e for e in balanced if not e.relevant]
         assert balanced_negs == original_negs
 
     def test_duplicates_appended_in_round_robin_passes(self):
@@ -77,8 +77,8 @@ class TestBalanceUpsample:
     def test_distinct_positive_pairs_unchanged(self):
         ts = self.make(3, 9)
         balanced = balance_upsample(ts)
-        assert {(e.query_id, e.passage_id) for e in balanced if e.label is POS} == {
-            (e.query_id, e.passage_id) for e in ts if e.label is POS
+        assert {(e.query_id, e.passage_id) for e in balanced if e.relevant} == {
+            (e.query_id, e.passage_id) for e in ts if e.relevant
         }
 
 
