@@ -135,9 +135,6 @@ class RankedList:
                 raise ConflictError(f"duplicate passage {pid!r} in query {self.query_id!r}")
             seen.add(pid)
 
-    def passage_ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.entries)
-
 
 def _iter_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) pairs, skipping blank lines.

@@ -39,8 +39,11 @@ def metric_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
     A token is `s@k` (Success), `mrr@k`, `ndcg@k` or `map`, with k >= 1
     read by `plain_number`, as run ranks are. Tokens are canonicalized
     ("S@01" is "s@1") and blank ones dropped; a token may appear once, and
-    one metric may be asked for at any number of cutoffs.
+    one metric may be asked for at any number of cutoffs. A bare string is
+    refused, not read as a sequence of one-character tokens.
     """
+    if isinstance(tokens, str):
+        raise ValidationError(f"expected a sequence of metric tokens, got the string {tokens!r}")
     canonical: list[str] = []
     for raw in tokens:
         token = raw.strip().lower()

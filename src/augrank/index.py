@@ -140,18 +140,11 @@ def _idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
-def _tf_weight(index: InvertedIndex, tf: int, doc_length: int) -> float:
-    """BM25's tf weight as one formula, which the test oracles score with;
-    `_impact` computes it with the length norm read from a table."""
-    norm = 1.0 - BM25_B + BM25_B * doc_length / index.avg_doc_length
-    return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
-
-
 def _length_norms(index: InvertedIndex) -> dict[str, float]:
-    """`BM25_K1 * norm` of each passage, the length-only part of
-    `_tf_weight`'s denominator, computed as `_tf_weight` does; built at the
-    first impact, not with the index (a corpus without tokens has an
-    average length of 0), and cached on it."""
+    """`BM25_K1 * (1 - b + b * dl / avgdl)` of each passage, the length-only
+    part of BM25's tf weight denominator; built at the first impact, not
+    with the index (a corpus without tokens has an average length of 0),
+    and cached on it."""
     if index._norms is None:
         avg = index.avg_doc_length
         index._norms = {
@@ -162,8 +155,10 @@ def _length_norms(index: InvertedIndex) -> dict[str, float]:
 
 
 def _impact(idf: float, tf: int, norm: float) -> float:
-    """`idf * _tf_weight(...)` for a passage whose `BM25_K1 * norm` is
-    `norm`: the same operations in the same order, so the same float."""
+    """`idf` times BM25's tf weight `tf * (k1 + 1) / (tf + k1 * (1 - b + b *
+    dl / avgdl))` for a passage whose `_length_norms` entry is `norm`; the
+    operations run in the formula's order, so the impact is the float the
+    formula gives."""
     return idf * (tf * (BM25_K1 + 1.0) / (tf + norm))
 
 
@@ -231,9 +226,8 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     held can reach the top k. Each remaining term only updates the passages
     held, the threshold follows their k-th partial score, and a passage is
     dropped once its partial score plus the bounds still to come is below
-    the threshold. The survivors are rescored exactly. With more than k of
-    them, the k-th largest score is the floor: only passages scoring at
-    least the floor, ties at it included, are sorted, and the first k kept.
+    the threshold. The survivors are rescored exactly, sorted by score
+    descending and passage id, and cut at k.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -252,18 +246,14 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     partial: dict[str, float] = {}
     get = partial.get
     admitting = True
-    seen = 0.0
-    for (bound, term, m), rest in zip(terms, rests):
-        seen += bound
+    for (_, term, m), rest in zip(terms, rests):
         if admitting:
             impacts = _term_impacts(index, term)[0]
             if m > 1:
                 impacts = [m * impact for impact in impacts]
             for pid, impact in zip(postings[term], impacts):
                 partial[pid] = get(pid, 0.0) + impact
-            # The k-th partial score is at most `seen`, the bounds of the
-            # terms visited, so the stop test cannot pass while rest >= seen.
-            if len(partial) < k or rest >= seen:
+            if len(partial) < k:
                 continue
         else:
             _add_impacts(index, term, m, partial)
@@ -277,11 +267,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     exact = dict.fromkeys(partial, 0.0)
     for term in tokens:
         _add_impacts(index, term, 1, exact)
-    scores = list(exact.items())
-    if len(scores) > k:
-        floor = heapq.nlargest(k, [score for _, score in scores])[-1]
-        scores = [(pid, score) for pid, score in scores if score >= floor]
-    scores.sort(key=lambda kv: (-kv[1], kv[0]))
+    scores = sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedList(query.id, tuple(scores[:k]))
 
 

@@ -8,8 +8,10 @@ a faster rewrite bit for bit: `bm25_score`, which scored one passage
 against an index; `bm25_search_oracle`, the uncached `bm25_search`; and
 `lexical_baseline_scores_oracle`, the lexical re-ranker that built an
 index over each query's inputs and called `bm25_score` per candidate.
-All three share the per-posting arithmetic and differ in everything
-around it.
+All three share the per-posting arithmetic, `_tf_weight`, which lives
+here: the library writes BM25's tf weight once, in `augrank.index._impact`,
+with each passage's length norm read from a table, and must give the same
+floats.
 """
 
 import math
@@ -17,7 +19,13 @@ from collections import defaultdict
 
 from augrank.corpus_io import Passage, RankedList
 from augrank.errors import UnknownIdError, ValidationError
-from augrank.index import _idf, _tf_weight, build_index, tokenize
+from augrank.index import BM25_B, BM25_K1, _idf, build_index, tokenize
+
+
+def _tf_weight(index, tf, doc_length):
+    """BM25's tf weight as one formula."""
+    norm = 1.0 - BM25_B + BM25_B * doc_length / index.avg_doc_length
+    return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
 
 
 def bm25_oracle(doc_tokens, query_tokens, passage_id, k1=0.9, b=0.4):

@@ -285,7 +285,7 @@ def test_criterion_6_bm25_search_oracle():
         scores = dict(bm25_search(index, Query("q", "apple"), 10).entries)
         assert scores[pid] == pytest.approx(expected, abs=1e-9)
     result = bm25_search(index, Query("q", "apple"), 10)
-    assert result.passage_ids() == ("d2", "d1")  # shorter matching doc wins
+    assert [pid for pid, _ in result.entries] == ["d2", "d1"]  # shorter matching doc wins
     _report(6, "search equals exhaustive scoring on 100 corpora at every k; "
                "hand fixture within 1e-9")
 
@@ -435,10 +435,10 @@ def test_criterion_9_fusion_contract():
             tuple(sorted(((p, rng.random()) for p in sparse_pids), key=lambda e: -e[1])),
         )
         fused = fuse_runs(dense, sparse, 0.0)
-        dense_set = set(dense.passage_ids())
-        restricted = [pid for pid in fused.passage_ids() if pid in dense_set]
-        assert restricted == list(dense.passage_ids())
-        assert set(fused.passage_ids()) == dense_set | set(sparse.passage_ids())
+        dense_set = {pid for pid, _ in dense.entries}
+        restricted = [pid for pid, _ in fused.entries if pid in dense_set]
+        assert restricted == [pid for pid, _ in dense.entries]
+        assert {pid for pid, _ in fused.entries} == dense_set | {pid for pid, _ in sparse.entries}
 
     dense = RankedList("q", (("d1", 1.0),))
     sparse = RankedList("q", (("d1", 2.0),))

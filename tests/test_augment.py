@@ -112,6 +112,10 @@ class TestNaturalLanguageExpansion:
         text = words(10)
         assert natural_language_expansion([snip(1, text)], 64) == text
 
+    def test_exactly_max_words_verbatim(self):
+        snippets = [snip(1, "a  b"), snip(2, "c")]
+        assert natural_language_expansion(snippets, 3) == "a  b c"
+
     def test_empty_sequence_gives_empty_text(self):
         assert natural_language_expansion([], 64) == ""
 

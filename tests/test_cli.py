@@ -33,7 +33,7 @@ from augrank.corpus_io import (
     write_run,
 )
 from augrank.errors import ParseError, ValidationError
-from augrank.evaluation import metric_tokens
+from augrank.evaluation import evaluate_run, metric_tokens
 from augrank.index import build_index
 from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
 
@@ -123,6 +123,15 @@ class TestMetricTokens:
         # int() would read `1_0` as 10 and `５` as 5.
         with pytest.raises(ValidationError, match=f"^unknown metric token {token!r}$"):
             metric_tokens((token,))
+
+    def test_bare_string_rejected(self):
+        message = "^expected a sequence of metric tokens, got the string 'mrr@10'$"
+        with pytest.raises(ValidationError, match=message):
+            metric_tokens("mrr@10")
+        with pytest.raises(ValidationError, match=message):
+            evaluate_run([], {}, "mrr@10")
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig("c", "q", "r", "out", metrics="mrr@10")
 
     @pytest.mark.parametrize(
         "tokens, named",

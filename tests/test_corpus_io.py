@@ -92,11 +92,11 @@ class TestParseRun:
         lists = parse_run("q1 Q0 d1 1 9.5 bm25\nq1 Q0 d2 2 8.0 bm25\n")
         assert len(lists) == 1
         assert lists[0].query_id == "q1"
-        assert lists[0].passage_ids() == ("d1", "d2")
+        assert [pid for pid, _ in lists[0].entries] == ["d1", "d2"]
 
     def test_resorts_by_score(self):
         lists = parse_run("q1 Q0 dlow 1 8.0 t\nq1 Q0 dhigh 2 9.5 t\n")
-        assert lists[0].passage_ids() == ("dhigh", "dlow")
+        assert [pid for pid, _ in lists[0].entries] == ["dhigh", "dlow"]
 
     def test_interleaved_qids_regrouped(self):
         # six-line fixture; expectation regrouped by hand
@@ -110,12 +110,12 @@ class TestParseRun:
         )
         lists = parse_run(text)
         assert [r.query_id for r in lists] == ["q1", "q2"]
-        assert lists[0].passage_ids() == ("a", "b", "c")
-        assert lists[1].passage_ids() == ("x", "y", "z")
+        assert [pid for pid, _ in lists[0].entries] == ["a", "b", "c"]
+        assert [pid for pid, _ in lists[1].entries] == ["x", "y", "z"]
 
     def test_tie_broken_by_given_rank(self):
         lists = parse_run("q1 Q0 zz 1 5.0 t\nq1 Q0 aa 2 5.0 t\n")
-        assert lists[0].passage_ids() == ("zz", "aa")
+        assert [pid for pid, _ in lists[0].entries] == ["zz", "aa"]
 
     def test_non_numeric_score(self):
         with pytest.raises(ParseError, match="score"):
@@ -174,7 +174,7 @@ class TestParseRun:
     def test_passage_ids_not_checked_without_given_ids(self):
         text = "q1 Q0 d1 1 9.0 t\nq1 Q0 d3 2 8.0 t\n"
         assert parse_run(text) == parse_run(text, {"d1", "d3"})
-        assert parse_run(text)[0].passage_ids() == ("d1", "d3")
+        assert [pid for pid, _ in parse_run(text)[0].entries] == ["d1", "d3"]
 
 
 class TestWriteRun:
@@ -269,7 +269,7 @@ class TestWriteRun:
         out = io.StringIO()
         write_run([original], "t", out)
         (parsed,) = parse_run(out.getvalue())
-        assert parsed.passage_ids() == original.passage_ids()
+        assert [pid for pid, _ in parsed.entries] == [pid for pid, _ in original.entries]
         for (_, got), (_, expect) in zip(parsed.entries, original.entries):
             assert math.isclose(got, expect, abs_tol=1e-4)
 

@@ -205,7 +205,7 @@ class TestEvaluateRun:
         for run in lists:
             if run.query_id == "unjudged":
                 continue
-            pids, judged = list(run.passage_ids()), qrels[run.query_id]
+            pids, judged = [pid for pid, _ in run.entries], qrels[run.query_id]
             assert report.per_query[run.query_id] == pytest.approx({
                 "s@1": success_oracle(pids, judged, 1),
                 "s@5": success_oracle(pids, judged, 5),

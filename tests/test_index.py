@@ -15,7 +15,6 @@ from augrank.index import (
     INDEX_MAGIC,
     _idf,
     _term_impacts,
-    _tf_weight,
     CorpusLanguageModel,
     bm25_search,
     build_index,
@@ -26,7 +25,7 @@ from augrank.index import (
     save_index,
     tokenize,
 )
-from oracles import bm25_oracle, bm25_score, bm25_search_oracle
+from oracles import _tf_weight, bm25_oracle, bm25_score, bm25_search_oracle
 
 
 class TestTokenize:
@@ -170,7 +169,7 @@ class TestBm25Search:
     def test_best_doc_first(self):
         index = build_index(tiny_corpus())
         result = bm25_search(index, Query("q", "banana cherry"), 1)
-        assert result.passage_ids() == ("d2",)
+        assert [pid for pid, _ in result.entries] == ["d2"]
 
     def test_no_matching_terms(self):
         index = build_index(tiny_corpus())
@@ -189,7 +188,7 @@ class TestBm25Search:
         passages = [Passage(pid, None, "same text here") for pid in ("zz", "aa", "mm")]
         index = build_index(passages)
         result = bm25_search(index, Query("q", "same"), 3)
-        assert result.passage_ids() == ("aa", "mm", "zz")
+        assert [pid for pid, _ in result.entries] == ["aa", "mm", "zz"]
 
     def test_invalid_k(self):
         index = build_index(tiny_corpus())
@@ -349,7 +348,29 @@ class TestBm25SearchPruning:
             got = bm25_search(index, query, k)
             assert got == bm25_search_oracle(index, query, k)
             assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in full[:k]]
-        assert bm25_search(index, query, 1).passage_ids() == ("d1",)
+        assert [pid for pid, _ in bm25_search(index, query, 1).entries] == ["d1"]
+
+    def test_partial_score_one_ulp_low_is_not_dropped(self):
+        # The partial scores add the terms in bound order (e, d twice, b, c,
+        # a) and the exact ones in query order. p04's exact score is one ulp
+        # above p02's, but its partial score is one ulp below: only the
+        # pruning margin keeps p04 from being dropped after the last term.
+        passages = [
+            Passage("p00", None, "d a c"),
+            Passage("p01", None, "c e c c a c b a"),
+            Passage("p02", None, "d c b c c"),
+            Passage("p03", None, "a b b c b a b"),
+            Passage("p04", None, "b b d b a"),
+        ]
+        index = build_index(passages)
+        query = Query("q", "d d c e a b")
+        full = dict(bm25_search_oracle(index, query, len(passages)).entries)
+        assert full["p04"] == math.nextafter(full["p02"], math.inf)
+        got = bm25_search(index, query, 2)
+        assert [pid for pid, _ in got.entries] == ["p01", "p04"]
+        assert [(pid, s.hex()) for pid, s in got.entries] == [
+            (pid, s.hex()) for pid, s in bm25_search_oracle(index, query, 2).entries
+        ]
 
 
 @st.composite
@@ -461,7 +482,7 @@ class TestFuseRuns:
         dense = RankedList("q", (("a", 5.0), ("b", 3.0), ("c", 1.0)))
         sparse = RankedList("q", (("c", 9.0), ("a", 2.0)))
         fused = fuse_runs(dense, sparse, 0.0)
-        restricted = [pid for pid in fused.passage_ids() if pid in {"a", "b", "c"}]
+        restricted = [pid for pid, _ in fused.entries if pid in {"a", "b", "c"}]
         assert restricted == ["a", "b", "c"]
 
     def test_single_doc_arithmetic(self):
@@ -475,7 +496,7 @@ class TestFuseRuns:
         dense = RankedList("q", (("a", 1.0),))
         sparse = RankedList("q", (("b", 3.0),))
         fused = fuse_runs(dense, sparse, 1.3)
-        assert fused.passage_ids() == ("a", "b")  # tie resolved by passage id
+        assert [pid for pid, _ in fused.entries] == ["a", "b"]  # tie resolved by passage id
         assert all(math.isclose(s, 1.0 + 1.3 * 3.0) for _, s in fused.entries)
 
     def test_query_id_mismatch(self):
@@ -490,8 +511,8 @@ class TestFuseRuns:
         dense = RankedList("q", (("a", 1.0), ("b", 1.0)))
         low = RankedList("q", (("a", 1.0), ("b", 0.5)))
         high = RankedList("q", (("b", 2.0), ("a", 1.0)))
-        assert fuse_runs(dense, low, 1.3).passage_ids()[0] == "a"
-        assert fuse_runs(dense, high, 1.3).passage_ids()[0] == "b"
+        assert fuse_runs(dense, low, 1.3).entries[0][0] == "a"
+        assert fuse_runs(dense, high, 1.3).entries[0][0] == "b"
 
     def test_negative_alpha_rejected(self):
         dense = RankedList("q", (("a", 1.0),))

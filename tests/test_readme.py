@@ -1,6 +1,6 @@
 """README's CLI examples, Defaults table and spelling table agree with the
 parser, `ExperimentConfig`, the types the table names and the alias
-tables."""
+tables, and its Python examples run."""
 
 import argparse
 import dataclasses
@@ -75,6 +75,14 @@ def typed(key, text):
 def test_cli_block_commands_parse(argv):
     assert argv[0] == "augrank"
     build_parser().parse_args(argv[1:])
+
+
+PYTHON_BLOCKS = [block.split("```", 1)[0] for block in README.split("```python\n")[1:]]
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=lambda block: block.splitlines()[0])
+def test_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})
 
 
 DEFAULT_ROWS, SPELLING_ROWS = tables(section("### Defaults"))

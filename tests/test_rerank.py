@@ -683,19 +683,19 @@ class TestRerankTopk:
     def test_constant_scorer_keeps_initial_order(self, monkeypatch):
         self.patch_scores(monkeypatch, lambda item: 0.5)
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 4)
-        assert result.passage_ids() == ("d0", "d1", "d2", "d3")
+        assert [pid for pid, _ in result.entries] == ["d0", "d1", "d2", "d3"]
 
     def test_negated_rank_scorer_reverses(self, monkeypatch):
         ranks = {f"d{i}": i for i in range(4)}
         self.patch_scores(monkeypatch, lambda item: ranks[item.passage_id] / 10)
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 4)
-        assert result.passage_ids() == ("d3", "d2", "d1", "d0")
+        assert [pid for pid, _ in result.entries] == ["d3", "d2", "d1", "d0"]
 
     def test_partial_depth_keeps_tail_order(self, monkeypatch):
         scores = {"d0": 0.1, "d1": 0.9}
         self.patch_scores(monkeypatch, lambda item: scores[item.passage_id])
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 2)
-        assert result.passage_ids() == ("d1", "d0", "d2", "d3")
+        assert [pid for pid, _ in result.entries] == ["d1", "d0", "d2", "d3"]
         values = [s for _, s in result.entries]
         assert values == sorted(values, reverse=True)
         assert values[2] < values[1] and values[3] < values[2]
@@ -703,7 +703,9 @@ class TestRerankTopk:
     def test_output_is_permutation(self, monkeypatch):
         self.patch_scores(monkeypatch, lambda item: len(item.sequence) % 7 / 7)
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 3)
-        assert sorted(result.passage_ids()) == sorted(initial_list().passage_ids())
+        assert sorted(pid for pid, _ in result.entries) == sorted(
+            pid for pid, _ in initial_list().entries
+        )
 
     def test_monotone_transform_preserves_order(self, monkeypatch):
         rng = random.Random(5)
@@ -712,7 +714,7 @@ class TestRerankTopk:
         first = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 4)
         self.patch_scores(monkeypatch, lambda item: raw[item.passage_id] ** 2)
         second = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 4)
-        assert first.passage_ids() == second.passage_ids()
+        assert [pid for pid, _ in first.entries] == [pid for pid, _ in second.entries]
 
     def test_fallback_expansion_equals_no_expansion(self):
         fallback = expansion("")
@@ -740,7 +742,7 @@ class TestRerankTopk:
         result = rerank_topk(
             initial_list(), corpus(), Query("q1", "q"), None, BASELINE, 2, [0.1, 0.9]
         )
-        assert result.passage_ids() == ("d1", "d0", "d2", "d3")
+        assert [pid for pid, _ in result.entries] == ["d1", "d0", "d2", "d3"]
         assert result.entries[:2] == (("d1", 0.9), ("d0", 0.1))
 
     @pytest.mark.parametrize("scores", [[], [0.5], [0.5, 0.5, 0.5]])
@@ -762,7 +764,7 @@ class TestRerankTopk:
         scorer_server.score_fn = lambda s: (hash(s) % 89) / 88
         endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address)
         result = rerank_topk(initial_list(), corpus(), Query("q1", "q"), None, endpoint, 4)
-        assert sorted(result.passage_ids()) == ["d0", "d1", "d2", "d3"]
+        assert sorted(pid for pid, _ in result.entries) == ["d0", "d1", "d2", "d3"]
 
     def test_failed_remote_batch_names_the_query(self, scorer_server):
         scorer_server.fail_from_request = 1
