@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
 
 from .corpus_io import (
     Query,
+    Record,
     Snippet,
     SnippetSource,
     _iter_lines,
@@ -49,13 +49,15 @@ class ExpansionMode(str, Enum):
     TOPICAL_TERMS = "topical_terms"
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """The augmenting string for one query."""
 
-    query_id: str
-    mode: ExpansionMode
-    text: str
+    __slots__ = ("query_id", "mode", "text")
+
+    def __init__(self, query_id: str, mode: ExpansionMode, text: str):
+        self.query_id = query_id
+        self.mode = mode
+        self.text = text
 
     @property
     def fallback(self) -> bool:

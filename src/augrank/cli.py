@@ -34,13 +34,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import TextIO, TypeVar
 
@@ -206,10 +204,11 @@ def _check_settings(**values: float) -> None:
             raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything `pipeline run` needs, loaded from a flat JSON object whose
-    keys are these field names. The one place a retrieval, expansion,
+    keys are these field names: the annotated names, taken in this order
+    by position or by name. A field with a class attribute is optional, and
+    the attribute is its default: the one place a retrieval, expansion,
     fusion, depth, scorer or metric default is written; batch size and
     timeout are `ScorerEndpoint`'s. Each value is checked at construction,
     whatever the mode, and `metrics` is kept as its `metric_tokens`."""
@@ -237,11 +236,26 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
     run_tag: str = "augrank"
 
-    def __post_init__(self):
-        object.__setattr__(self, "metrics", metric_tokens(self.metrics))
+    def __init__(self, *args: object, **values: object):
+        fields = ExperimentConfig.__annotations__
+        if len(args) > len(fields):
+            raise TypeError(f"ExperimentConfig takes at most {len(fields)} fields by position")
+        for name, value in zip(fields, args):
+            if name in values:
+                raise TypeError(f"ExperimentConfig got {name!r} by position and by name")
+            values[name] = value
+        unknown = [name for name in values if name not in fields]
+        if unknown:
+            raise TypeError(f"ExperimentConfig got unknown fields {unknown}")
+        missing = [n for n in fields if n not in values and not hasattr(ExperimentConfig, n)]
+        if missing:
+            raise TypeError(f"ExperimentConfig is missing fields {missing}")
+        for name, value in values.items():
+            setattr(self, name, value)
+        self.metrics = metric_tokens(self.metrics)
         if self.mode not in ("none", *(m.value for m in ExpansionMode)):
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
-        ints = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "int"}
+        ints = {name: getattr(self, name) for name, kind in fields.items() if kind == "int"}
         _check_settings(fusion_alpha=self.fusion_alpha, **ints)
         check_run_token(self.run_tag, "run tag")
         self.endpoint  # built now, so checked now
@@ -307,7 +321,7 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             raise ParseError(f"config {path}: {_not_utf8(path)}") from None
     if not isinstance(data, dict):
         raise ParseError(f"config {path}: expected a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    fields = ExperimentConfig.__annotations__
     for key, raw in data.items():
         if key not in fields:
             raise ValidationError(f"config {path}: unknown key {key!r}")
@@ -317,13 +331,13 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
     values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
 
     for key, raw in values.items():
-        if raw is None and fields[key].default is None:
+        if raw is None and getattr(ExperimentConfig, key, ...) is None:
             continue  # an optional key left unset
         try:
-            values[key] = _config_value(fields[key].type, raw)
+            values[key] = _config_value(fields[key], raw)
         except ValueError as exc:
             raise ValidationError(f"config {path}: {key} {exc}, got {raw!r}") from None
-    missing = [n for n, f in fields.items() if f.default is dataclasses.MISSING and n not in values]
+    missing = [n for n in fields if not hasattr(ExperimentConfig, n) and n not in values]
     if missing:
         raise ValidationError(f"config {path}: missing required keys: {', '.join(missing)}")
 

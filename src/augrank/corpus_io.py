@@ -35,6 +35,11 @@ part of it.
 Duplicate judgments, duplicate docids within a query, and duplicate record
 ids are hard errors, never last-wins. All parsers are pure functions over
 their input lines and are safe to call concurrently on distinct streams.
+
+The records (`Query`, `Passage`, `Snippet`, `TrainingExample`,
+`RankedList`, and the records of the other modules) are `__slots__`
+classes on `Record`: they compare by value and print their fields, but
+they do not refuse assignment and are not hashable.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import io
 import json
 import math
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO, TypeVar
 
@@ -57,8 +61,30 @@ class SnippetSource(str, Enum):
     WIKI = "wiki"
 
 
-@dataclass(frozen=True)
-class Query:
+class Record:
+    """Base of the records: equal to a record of the same class whose
+    fields are equal, and shown as `Name(field=value, ...)`. The fields are
+    the class's `__slots__`, in order; a slot whose name starts with `_`
+    holds a cache, which is neither compared nor shown. Assignment is not
+    refused, but no code assigns a field after construction."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        names = [name for name in self.__slots__ if name[0] != "_"]
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Query(Record):
     """A query string with its identifier.
 
     Ids must be single non-empty tokens (they fill a run file's qid
@@ -66,42 +92,53 @@ class Query:
     whitespace trim. Enforced by `load_queries`.
     """
 
-    id: str
-    text: str
+    __slots__ = ("id", "text")
+
+    def __init__(self, id: str, text: str):
+        self.id = id
+        self.text = text
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(Record):
     """One retrievable text unit. The optional title is carried metadata
     and is never concatenated into the indexed or re-ranked text."""
 
-    id: str
-    title: str | None
-    text: str
+    __slots__ = ("id", "title", "text")
+
+    def __init__(self, id: str, title: str | None, text: str):
+        self.id = id
+        self.title = title
+        self.text = text
 
 
-@dataclass(frozen=True)
-class Snippet:
+class Snippet(Record):
     """One externally retrieved text with provenance.
 
     Ranks are 1-based and unique within a (query_id, source) group; the
     file's kind "direct_answer" is `direct_answer`, "organic" is not.
     """
 
-    query_id: str
-    rank: int
-    direct_answer: bool
-    text: str
-    source: SnippetSource
+    __slots__ = ("query_id", "rank", "direct_answer", "text", "source")
+
+    def __init__(
+        self, query_id: str, rank: int, direct_answer: bool, text: str, source: SnippetSource
+    ):
+        self.query_id = query_id
+        self.rank = rank
+        self.direct_answer = direct_answer
+        self.text = text
+        self.source = source
 
 
-@dataclass(frozen=True)
-class TrainingExample:
+class TrainingExample(Record):
     """A training triple; the file's label "relevant" is `relevant`."""
 
-    query_id: str
-    passage_id: str
-    relevant: bool
+    __slots__ = ("query_id", "passage_id", "relevant")
+
+    def __init__(self, query_id: str, passage_id: str, relevant: bool):
+        self.query_id = query_id
+        self.passage_id = passage_id
+        self.relevant = relevant
 
 
 # Graded relevance judgments: query id -> passage id -> grade, as
@@ -111,28 +148,28 @@ Qrels = dict[str, dict[str, int]]
 _MAX_GRADE = 2**63 - 1  # a float holds it, and any qrels file's gain sums stay finite
 
 
-@dataclass(frozen=True)
-class RankedList:
+class RankedList(Record):
     """One query's candidate ranking: entries are (passage_id, score),
     sorted by score descending, passage ids unique, no NaN scores. The run
     tag is not part of it: it is given to `write_run`."""
 
-    query_id: str
-    entries: tuple[tuple[str, float], ...]
+    __slots__ = ("query_id", "entries")
 
-    def __post_init__(self):
+    def __init__(self, query_id: str, entries: tuple[tuple[str, float], ...]):
+        self.query_id = query_id
+        self.entries = entries
         seen: set[str] = set()
         prev = math.inf
-        for pid, score in self.entries:
+        for pid, score in entries:
             if math.isnan(score):
-                raise ValidationError(f"NaN score for passage {pid!r} in query {self.query_id!r}")
+                raise ValidationError(f"NaN score for passage {pid!r} in query {query_id!r}")
             if score > prev:
                 raise ValidationError(
-                    f"entries not sorted by descending score in query {self.query_id!r}"
+                    f"entries not sorted by descending score in query {query_id!r}"
                 )
             prev = score
             if pid in seen:
-                raise ConflictError(f"duplicate passage {pid!r} in query {self.query_id!r}")
+                raise ConflictError(f"duplicate passage {pid!r} in query {query_id!r}")
             seen.add(pid)
 
 

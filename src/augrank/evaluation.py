@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 
-from .corpus_io import Qrels, RankedList, plain_number
+from .corpus_io import Qrels, RankedList, Record, plain_number
 from .errors import ConflictError, ValidationError
 
 
@@ -68,31 +67,40 @@ def metric_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
     return tuple(canonical)
 
 
-@dataclass
-class MetricReport:
+class MetricReport(Record):
     """Per-query metric values of one run's judged queries. The means
     (`aggregate`, in the rows' token order) and `query_count` are derived
     at construction; unjudged run queries are listed separately."""
 
-    per_query: dict[str, dict[str, float]]
-    unjudged_query_ids: tuple[str, ...] = ()
-    aggregate: dict[str, float] = field(init=False)
-    query_count: int = field(init=False)
+    __slots__ = ("per_query", "unjudged_query_ids", "aggregate", "query_count")
 
-    def __post_init__(self):
-        rows = [self.per_query[qid] for qid in sorted(self.per_query)]
+    def __init__(
+        self, per_query: dict[str, dict[str, float]], unjudged_query_ids: tuple[str, ...] = ()
+    ):
+        self.per_query = per_query
+        self.unjudged_query_ids = unjudged_query_ids
+        rows = [per_query[qid] for qid in sorted(per_query)]
         tokens = rows[0] if rows else ()
         self.aggregate = {t: sum(row[t] for row in rows) / len(rows) for t in tokens}
         self.query_count = len(rows)
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    t_statistic: float
-    degrees_of_freedom: int
-    p_value: float
-    mean_difference: float
-    marker: str  # "p01", "p05" or "none", as compare.tsv prints it
+class TTestResult(Record):
+    __slots__ = ("t_statistic", "degrees_of_freedom", "p_value", "mean_difference", "marker")
+
+    def __init__(
+        self,
+        t_statistic: float,
+        degrees_of_freedom: int,
+        p_value: float,
+        mean_difference: float,
+        marker: str,  # "p01", "p05" or "none", as compare.tsv prints it
+    ):
+        self.t_statistic = t_statistic
+        self.degrees_of_freedom = degrees_of_freedom
+        self.p_value = p_value
+        self.mean_difference = mean_difference
+        self.marker = marker
 
 
 def success_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:

@@ -20,10 +20,9 @@ import math
 import re
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import TextIO
 
-from .corpus_io import Passage, Query, RankedList, _holds_lone_surrogate
+from .corpus_io import Passage, Query, RankedList, Record, _holds_lone_surrogate
 from .errors import ConflictError, ParseError, ValidationError
 
 BM25_K1 = 0.9
@@ -64,8 +63,7 @@ def tokenize(text: str) -> TokenStream:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-@dataclass
-class InvertedIndex:
+class InvertedIndex(Record):
     """Term -> {passage id: tf} postings, each term's passages in insertion
     order, and each passage's token count. Every other statistic is
     derived: the totals once at construction, `collection_frequency` on
@@ -76,20 +74,19 @@ class InvertedIndex:
     bound). The norms and impacts are a cache: never saved, not compared,
     and not shown."""
 
-    postings: dict[str, dict[str, int]]
-    doc_lengths: dict[str, int]
-    doc_count: int = field(init=False)
-    total_tokens: int = field(init=False)
-    avg_doc_length: float = field(init=False)
-    _impacts: dict[str, tuple[list[float], float]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    __slots__ = (
+        "postings", "doc_lengths", "doc_count", "total_tokens", "avg_doc_length",
+        "_impacts", "_norms",
     )
-    _norms: dict[str, float] | None = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        self.doc_count = len(self.doc_lengths)
-        self.total_tokens = sum(self.doc_lengths.values())
+    def __init__(self, postings: dict[str, dict[str, int]], doc_lengths: dict[str, int]):
+        self.postings = postings
+        self.doc_lengths = doc_lengths
+        self.doc_count = len(doc_lengths)
+        self.total_tokens = sum(doc_lengths.values())
         self.avg_doc_length = self.total_tokens / self.doc_count if self.doc_count else 0.0
+        self._impacts: dict[str, tuple[list[float], float]] = {}
+        self._norms: dict[str, float] | None = None
 
     @property
     def collection_frequency(self) -> dict[str, int]:
@@ -97,8 +94,7 @@ class InvertedIndex:
         return {term: sum(tfs.values()) for term, tfs in self.postings.items()}
 
 
-@dataclass(frozen=True)
-class CorpusLanguageModel:
+class CorpusLanguageModel(Record):
     """Smoothed unigram model over the indexed corpus.
 
     probability(t) = (cf(t) + 1) / (total_tokens + vocab_size), where
@@ -106,13 +102,12 @@ class CorpusLanguageModel:
     observed term types; unseen terms get cf = 0.
     """
 
-    collection_frequency: Mapping[str, int]
-    total_tokens: int = field(init=False)
-    vocab_size: int = field(init=False)
+    __slots__ = ("collection_frequency", "total_tokens", "vocab_size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "total_tokens", sum(self.collection_frequency.values()))
-        object.__setattr__(self, "vocab_size", len(self.collection_frequency))
+    def __init__(self, collection_frequency: Mapping[str, int]):
+        self.collection_frequency = collection_frequency
+        self.total_tokens = sum(collection_frequency.values())
+        self.vocab_size = len(collection_frequency)
         if self.total_tokens <= 0:
             raise ValidationError("cannot estimate a language model from a corpus with no tokens")
 

@@ -64,13 +64,12 @@ import json
 import math
 from _thread import TIMEOUT_MAX
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, RankedList, encode_json_string
+from .corpus_io import Passage, Query, RankedList, Record, encode_json_string
 from .errors import (
     ProtocolError,
     TransportError,
@@ -99,14 +98,25 @@ class ScorerKind(str, Enum):
     REMOTE = "remote"
 
 
-@dataclass(frozen=True)
 class ScorerEndpoint:
-    kind: ScorerKind
+    """Where and how candidates are scored; the class attributes are the
+    defaults of batch size and timeout."""
+
     address: str | None = None
     batch_size: int = 32
     timeout: float = 10.0
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: ScorerKind,
+        address: str | None = address,
+        batch_size: int = batch_size,
+        timeout: float = timeout,
+    ):
+        self.kind = kind
+        self.address = address
+        self.batch_size = batch_size
+        self.timeout = timeout
         if self.kind is ScorerKind.REMOTE:
             try:
                 parts = urlsplit(self.address or "")
@@ -140,15 +150,19 @@ class ScorerEndpoint:
             raise ValidationError(f"timeout must be at most {TIMEOUT_MAX}, got {self.timeout}")
 
 
-@dataclass(frozen=True)
-class RerankInput:
+class RerankInput(Record):
     """One candidate for the scorer, kept as its template segments."""
 
-    query_id: str
-    passage_id: str
-    query: str
-    description: str | None
-    document: str
+    __slots__ = ("query_id", "passage_id", "query", "description", "document")
+
+    def __init__(
+        self, query_id: str, passage_id: str, query: str, description: str | None, document: str
+    ):
+        self.query_id = query_id
+        self.passage_id = passage_id
+        self.query = query
+        self.description = description
+        self.document = document
 
     @property
     def sequence(self) -> str:

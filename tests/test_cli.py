@@ -1,5 +1,4 @@
 import _thread
-import dataclasses
 import io
 import json
 import math
@@ -850,7 +849,26 @@ class TestPipeline:
         assert type(cfg.rerank_depth) is int and type(cfg.max_words) is int
 
     def test_every_config_field_has_a_type_check(self):
-        assert {f.type for f in dataclasses.fields(ExperimentConfig)} <= set(_CONFIG_TYPES)
+        assert set(ExperimentConfig.__annotations__.values()) <= set(_CONFIG_TYPES)
+
+    def test_config_fields_taken_by_position_and_by_name(self):
+        cfg = ExperimentConfig("c", "q", "r", "out", rerank_depth=5)
+        assert (cfg.corpus, cfg.qrels, cfg.output_dir, cfg.rerank_depth) == ("c", "r", "out", 5)
+        assert (cfg.max_words, cfg.dense_run) == (ExperimentConfig.max_words, None)
+
+    @pytest.mark.parametrize(
+        "positional, by_name, named",
+        [
+            (("c", "q", "r", "out"), {"colour": "red"}, r"unknown fields \['colour'\]"),
+            (("c", "q", "r"), {}, r"missing fields \['output_dir'\]"),
+            ((), {"corpus": "c"}, r"missing fields \['queries', 'qrels', 'output_dir'\]"),
+            (("c", "q", "r", "out"), {"qrels": "r"}, "'qrels' by position and by name"),
+            (("c",) * 23, {}, "at most 22 fields by position"),
+        ],
+    )
+    def test_unknown_or_missing_config_field_is_a_type_error(self, positional, by_name, named):
+        with pytest.raises(TypeError, match=named):
+            ExperimentConfig(*positional, **by_name)
 
     def test_missing_path_rejected(self, workspace):
         config = make_config(workspace, "out_missing", corpus=str(workspace / "nope.jsonl"))

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from augrank.augment import load_expansions
+from augrank.augment import Expansion, ExpansionMode, load_expansions
 from augrank.cli import load_per_query_report
 from augrank.corpus_io import (
     Passage,
+    Query,
     RankedList,
+    Snippet,
     SnippetSource,
+    TrainingExample,
     check_run_token,
     load_corpus,
     load_queries,
@@ -24,6 +27,9 @@ from augrank.corpus_io import (
     write_run,
 )
 from augrank.errors import ConflictError, ParseError, ValidationError
+from augrank.evaluation import MetricReport, TTestResult
+from augrank.index import CorpusLanguageModel, InvertedIndex, bm25_search, build_index
+from augrank.rerank import RerankInput
 
 # Every code point for which str.isspace() is true, among them the
 # separators \x1c-\x1f, NEL, NBSP and the line/paragraph separators.
@@ -330,6 +336,64 @@ class TestRankedListInvariants:
 
     def test_ties_are_legal(self):
         RankedList("q", (("a", 1.0), ("b", 1.0)))
+
+
+# Each record type with two argument lists that differ in every position.
+RECORD_ARGS = [
+    (Query, ("q1", "apple pie"), ("q2", "pie")),
+    (Passage, ("d1", None, "apple pie"), ("d2", "Title", "pie")),
+    (Snippet, ("q1", 1, False, "apple", SnippetSource.WEB_SERP),
+     ("q2", 2, True, "pie", SnippetSource.WIKI)),
+    (TrainingExample, ("q1", "d1", True), ("q2", "d2", False)),
+    (RankedList, ("q1", (("d1", 2.0), ("d2", 1.0))), ("q2", (("d1", 2.0),))),
+    (Expansion, ("q1", ExpansionMode.NATURAL_LANGUAGE, "apple"),
+     ("q2", ExpansionMode.TOPICAL_TERMS, "pie")),
+    (RerankInput, ("q1", "d1", "apple", None, "apple pie"), ("q2", "d2", "pie", "tart", "pie")),
+    (TTestResult, (1.5, 3, 0.2, 0.1, "none"), (-2.5, 4, 0.01, -0.3, "p05")),
+    (MetricReport, ({"q1": {"map": 0.5}}, ()), ({"q2": {"map": 0.5}}, ("q3",))),
+    (InvertedIndex, ({"a": {"d1": 1}}, {"d1": 1}), ({"a": {"d1": 2}}, {"d1": 2})),
+    (CorpusLanguageModel, ({"a": 2, "b": 1},), ({"a": 1, "b": 2},)),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORD_ARGS]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, args, _", RECORD_ARGS, ids=RECORD_IDS)
+    def test_equal_by_value(self, cls, args, _):
+        first, second = cls(*args), cls(*args)
+        assert first is not second and first == second and not first != second
+        assert repr(first) == repr(second)
+
+    @pytest.mark.parametrize("cls, args, other", RECORD_ARGS, ids=RECORD_IDS)
+    def test_unequal_when_any_one_field_differs(self, cls, args, other):
+        record = cls(*args)
+        for i in range(len(args)):
+            changed = cls(*args[:i], other[i], *args[i + 1:])
+            assert record != changed and not record == changed, i
+
+    def test_a_record_of_another_class_with_the_same_values_is_unequal(self):
+        assert Query("q1", "apple") != TrainingExample("q1", "apple", True)
+        assert Query("q1", "apple") != ("q1", "apple")
+
+    def test_repr_names_every_field_in_order(self):
+        assert repr(Query("q1", "apple")) == "Query(id='q1', text='apple')"
+        assert repr(MetricReport({"q1": {"map": 0.5}})) == (
+            "MetricReport(per_query={'q1': {'map': 0.5}}, unjudged_query_ids=(), "
+            "aggregate={'map': 0.5}, query_count=1)"
+        )
+
+    def test_index_equality_and_repr_ignore_the_caches(self):
+        passages = [Passage("d1", None, "apple pie"), Passage("d2", None, "pie")]
+        searched, fresh = build_index(passages), build_index(passages)
+        shown = repr(fresh)
+        bm25_search(searched, Query("q1", "apple pie"), 2)
+        assert searched._impacts and searched._norms and not fresh._impacts
+        assert searched == fresh and repr(searched) == shown
+        assert "_impacts" not in shown and "_norms" not in shown
+
+    def test_fields_are_slots(self):
+        for cls, args, _ in RECORD_ARGS:
+            assert not hasattr(cls(*args), "__dict__"), cls.__name__
 
 
 class TestLoadCorpus:

@@ -44,3 +44,13 @@ def test_cli_import_loads_no_http_stack():
     imported = _modules_new_after_cli_import("-S")
     assert "augrank.cli" in imported
     assert [m for m in imported if m.startswith(_HTTP_MODULES)] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # `dataclasses` imports `inspect` (and with it `ast`, `dis` and
+    # `tokenize`), and each `@dataclass` compiles generated code at import:
+    # together about 30 ms of every command's start-up. Records are plain
+    # `__slots__` classes instead.
+    imported = _modules_new_after_cli_import("-S")
+    assert "augrank.cli" in imported
+    assert [m for m in imported if m in ("dataclasses", "inspect")] == []

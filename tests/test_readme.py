@@ -3,7 +3,6 @@ parser, `ExperimentConfig`, the types the table names and the alias
 tables, and its Python examples run."""
 
 import argparse
-import dataclasses
 import shlex
 from pathlib import Path
 
@@ -21,7 +20,12 @@ from augrank.evaluation import metric_tokens
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 ALIASES = {"mode": _MODE_ALIASES, "source": _SOURCE_ALIASES, "scorer": _SCORER_ALIASES}
-CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+# Each optional config key's default: the class attribute of its field.
+CONFIG_DEFAULTS = {
+    name: getattr(ExperimentConfig, name)
+    for name in ExperimentConfig.__annotations__
+    if hasattr(ExperimentConfig, name)
+}
 
 
 def section(heading):
