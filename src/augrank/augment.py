@@ -29,7 +29,6 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from typing import TextIO
 
 from .corpus_io import (
     Query,
@@ -42,6 +41,10 @@ from .corpus_io import (
 )
 from .errors import ParseError, ValidationError
 from .index import CorpusLanguageModel, tokenize
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only: importing typing slows every start-up
+    from typing import TextIO
 
 
 class ExpansionMode(str, Enum):

@@ -10,7 +10,9 @@ when it loads; six keys also take a flag (--mode, --scorer, --scorer-address,
 --k for rerank_depth, --output-dir, --baseline-run). It stages its artifacts
 in the output directory:
 expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
-and compare.tsv when a baseline run is configured. The core pipeline is
+and compare.tsv when a baseline run is configured. A successful run removes
+an earlier run's expansions.jsonl or compare.tsv that it did not write
+itself (mode `none`, or no baseline run). The core pipeline is
 randomness-free: rerunning one config reproduces every artifact
 byte-for-byte with the baseline scorer. Judged queries that got no
 candidates are left out of the run and the means, and queries of a
@@ -40,7 +42,6 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache, cached_property, partial
-from typing import TextIO, TypeVar
 
 from .augment import (
     Expansion,
@@ -102,7 +103,11 @@ from .rerank import (
 from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
 from .trainset import balance_upsample, render_training_sequences
 
-T = TypeVar("T")
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only: importing typing slows every start-up
+    from typing import TextIO, TypeVar
+
+    T = TypeVar("T")
 
 _MODE_ALIASES = {
     "none": "none",
@@ -600,6 +605,13 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricReport:
             with _open_out(compare_path) as out:
                 write_comparison(rows, out)
 
+    # Every artifact left in the directory is this run's: an earlier run's
+    # expansions or comparison that this run did not overwrite is removed.
+    with _stage("clean"):
+        for path, written in ((expansions_path, cfg.mode != "none"), (compare_path, cfg.baseline_run)):
+            if not written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
     return report
 
 

@@ -36,6 +36,17 @@ Duplicate judgments, duplicate docids within a query, and duplicate record
 ids are hard errors, never last-wins. All parsers are pure functions over
 their input lines and are safe to call concurrently on distinct streams.
 
+A valid JSONL or run file is checked in bulk, and the first bad line or
+entry is reported exactly as a check of each line or entry in turn
+reports it. Readers stream line by line and hold nothing across records
+but what they return and the ids they have seen. A JSONL line is read by
+one decode that must end at the end of the stripped line (`json.loads`
+runs only to word the error); a run line's numbers are read by one test
+and the casts; `RankedList` checks a whole list's scores and ids in a
+few passes. Only a check that fails takes the path that checks item by
+item and raises the error of the first bad one: its class, message and
+line.
+
 The records (`Query`, `Passage`, `Snippet`, `TrainingExample`,
 `RankedList`, and the records of the other modules) are `__slots__`
 classes on `Record`: they compare by value and print their fields, but
@@ -47,13 +58,17 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from enum import Enum
-from typing import TextIO, TypeVar
 
 from .errors import ConflictError, ParseError, ValidationError
 
-T = TypeVar("T")
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only: importing typing slows every start-up
+    from typing import TextIO, TypeVar
+
+    T = TypeVar("T")
 
 
 class SnippetSource(str, Enum):
@@ -147,6 +162,11 @@ class TrainingExample(Record):
 Qrels = dict[str, dict[str, int]]
 _MAX_GRADE = 2**63 - 1  # a float holds it, and any qrels file's gain sums stay finite
 
+# Getters for the items of `parse_run`'s row (docid, score, rank) and of
+# `_iter_lines`' pair (line_no, line); `_entry` gives a row's entry.
+_second, _rank = operator.itemgetter(1), operator.itemgetter(2)
+_entry = operator.itemgetter(0, 1)
+
 
 class RankedList(Record):
     """One query's candidate ranking: entries are (passage_id, score),
@@ -158,33 +178,45 @@ class RankedList(Record):
     def __init__(self, query_id: str, entries: tuple[tuple[str, float], ...]):
         self.query_id = query_id
         self.entries = entries
-        seen: set[str] = set()
-        prev = math.inf
-        for pid, score in entries:
-            if math.isnan(score):
-                raise ValidationError(f"NaN score for passage {pid!r} in query {query_id!r}")
-            if score > prev:
-                raise ValidationError(
-                    f"entries not sorted by descending score in query {query_id!r}"
-                )
-            prev = score
-            if pid in seen:
-                raise ConflictError(f"duplicate passage {pid!r} in query {query_id!r}")
-            seen.add(pid)
+        # One score per distinct passage id; a sum is NaN when a score is
+        # NaN (or when both infinities occur, which only the loop clears).
+        scores = [*dict(entries).values()]
+        if (
+            len(scores) != len(entries)
+            or math.isnan(sum(scores))
+            or sorted(scores, reverse=True) != scores
+        ):
+            _refuse_entries(query_id, entries)
+
+
+def _refuse_entries(query_id: str, entries: tuple[tuple[str, float], ...]) -> None:
+    """Raise the error of `entries`' first entry that breaks `RankedList`'s
+    rules: a NaN score, a score above the one before it, or a passage id
+    seen before. `RankedList` checks a whole list in bulk and calls this
+    only when a check fails, so that the error names that entry."""
+    seen: set[str] = set()
+    prev = math.inf
+    for pid, score in entries:
+        if math.isnan(score):
+            raise ValidationError(f"NaN score for passage {pid!r} in query {query_id!r}")
+        if score > prev:
+            raise ValidationError(f"entries not sorted by descending score in query {query_id!r}")
+        prev = score
+        if pid in seen:
+            raise ConflictError(f"duplicate passage {pid!r} in query {query_id!r}")
+        seen.add(pid)
 
 
 def _iter_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, line) pairs, skipping blank lines.
+    """(line_no, line) pairs of the stripped lines, skipping blank lines;
+    built of C iterators, so no Python code runs per line.
 
     Accepts an open text file, any iterable of lines, or a whole string. A
     string is read as a text-mode file reads its bytes: lines end only at
     `\\n`, `\\r` and `\\r\\n`, not at the other breaks `str.splitlines` knows.
     """
     lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            yield i, line
+    return filter(_second, enumerate(map(str.strip, lines), start=1))
 
 
 def plain_number(cast: Callable[[str], T], text: str) -> T:
@@ -238,35 +270,57 @@ def parse_run(
     Given `passages`, a docid it lacks is a ParseError at its line, after
     that line's other checks; the first such line in file order is named.
     """
-    groups: dict[str, list[tuple[str, int, float]]] = {}
-    seen: dict[str, set[str]] = {}
+    # qid -> docid -> its row (docid, score, rank), in file order
+    groups: dict[str, dict[str, tuple[str, float, int]]] = {}
     for line_no, line in _iter_lines(stream):
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}: {line!r}", line_no)
         qid, _, docid, rank_str, score_str, _ = parts
+        numbers = rank_str + score_str
         try:
-            rank = plain_number(int, rank_str)
+            if not numbers.isascii() or "_" in numbers:
+                raise ValueError(numbers)
+            rank, score = int(rank_str), float(score_str)
+            if not math.isfinite(score):
+                raise ValueError(score_str)
         except ValueError:
-            raise ParseError(f"non-integer rank {rank_str!r}", line_no) from None
-        try:
-            score = plain_number(float, score_str)
-        except ValueError:
-            raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
-        if not math.isfinite(score):
-            raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
-        if docid in seen.setdefault(qid, set()):
+            rank, score = _run_numbers(rank_str, score_str, docid, line_no)
+        rows = groups.get(qid)
+        if rows is None:
+            rows = groups[qid] = {}
+        if docid in rows:
             raise ConflictError(f"duplicate docid {docid!r} for query {qid!r}", line_no)
-        seen[qid].add(docid)
         if passages is not None and docid not in passages:
             raise ParseError(f"passage {docid!r} of query {qid!r} is not in the corpus", line_no)
-        groups.setdefault(qid, []).append((docid, rank, score))
+        rows[docid] = (docid, score, rank)
 
     lists = []
-    for qid, rows in groups.items():
-        rows.sort(key=lambda r: (-r[2], r[1]))
-        lists.append(RankedList(qid, tuple((docid, score) for docid, _, score in rows)))
+    for qid, by_docid in groups.items():
+        rows = list(by_docid.values())
+        # Two stable sorts, by rank and then by score descending, give the
+        # order of the key (-score, rank), as no score is NaN.
+        rows.sort(key=_rank)
+        rows.sort(key=_second, reverse=True)
+        lists.append(RankedList(qid, tuple(map(_entry, rows))))
     return lists
+
+
+def _run_numbers(rank_str: str, score_str: str, docid: str, line_no: int) -> tuple[int, float]:
+    """A run line's rank and score by `plain_number`, or the ParseError that
+    says what is wrong with them. `parse_run` reads valid numbers itself and
+    calls this only to word the error."""
+    try:
+        rank = plain_number(int, rank_str)
+    except ValueError:
+        raise ParseError(f"non-integer rank {rank_str!r}", line_no) from None
+    try:
+        score = plain_number(float, score_str)
+    except ValueError:
+        raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
+    if not math.isfinite(score):
+        raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
+    return rank, score
 
 
 def check_run_token(value: str, what: str) -> None:
@@ -332,19 +386,35 @@ def _holds_lone_surrogate(text: str) -> bool:
     return False
 
 
+# The JSON value at the start of a string and where it ends. `json.loads`
+# runs the same decoder after a whitespace match at either end, which a
+# stripped line does not need.
+_decode_prefix = json.JSONDecoder().raw_decode
+
+
 def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
     """One JSONL record whose named fields are checked against
     `_FIELD_TYPES`; read a nullable field with `get`. A string field that
-    holds a lone surrogate is rejected too: no artifact could hold it."""
+    holds a lone surrogate is rejected too: no artifact could hold it.
+    `line` is stripped, as `_iter_lines` yields it: the record is read in
+    one decode that must end at the end of the line."""
     try:
-        record = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise ParseError(f"invalid JSON record: {exc}", line_no) from None
+        record, end = _decode_prefix(line)
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: deep nesting
+        end = -1
+    if end != len(line):
+        # Not one JSON value: json.loads words the error, a BOM and
+        # trailing data included.
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON record: {exc}", line_no) from None
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", line_no)
     for key in fields:
         value = record.get(key)
-        if type(value) not in _FIELD_TYPES[key]:
+        kind = type(value)
+        if kind not in _FIELD_TYPES[key]:
             if key not in record:
                 raise ParseError(f"missing field {key!r}", line_no)
             expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _FIELD_TYPES[key])
@@ -352,7 +422,7 @@ def _parse_record(line: str, line_no: int, fields: Sequence[str]) -> dict:
                 f"field {key!r} must be {expected}, got {json.dumps(value)}", line_no
             )
         # isascii() first: a call per ASCII field is measurable on a corpus.
-        if type(value) is str and not value.isascii() and _holds_lone_surrogate(value):
+        if kind is str and not value.isascii() and _holds_lone_surrogate(value):
             raise ParseError(f"field {key!r} holds a lone surrogate", line_no)
     return record
 
@@ -369,37 +439,33 @@ def _check_id(value: str, what: str, line_no: int) -> None:
 def load_corpus(stream: Iterable[str] | str) -> list[Passage]:
     """Load a JSONL passage corpus, preserving file order and checking
     that ids are unique single tokens and texts non-empty."""
-    passages: list[Passage] = []
-    seen: set[str] = set()
+    passages: dict[str, Passage] = {}
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("id", "title", "text"))
         pid, text = record["id"], record["text"]
         _check_id(pid, "passage id", line_no)
         if not text:
             raise ParseError(f"empty text for passage {pid!r}", line_no)
-        if pid in seen:
+        if pid in passages:
             raise ConflictError(f"duplicate passage id {pid!r}", line_no)
-        seen.add(pid)
-        passages.append(Passage(pid, record.get("title"), text))
-    return passages
+        passages[pid] = Passage(pid, record.get("title"), text)
+    return list(passages.values())
 
 
 def load_queries(stream: Iterable[str] | str) -> list[Query]:
     """Load a JSONL query set; ids unique single tokens, text non-empty
     after trim."""
-    queries: list[Query] = []
-    seen: set[str] = set()
+    queries: dict[str, Query] = {}
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("id", "text"))
         qid, text = record["id"], record["text"]
         _check_id(qid, "query id", line_no)
         if not text.strip():
             raise ParseError(f"empty text for query {qid!r}", line_no)
-        if qid in seen:
+        if qid in queries:
             raise ConflictError(f"duplicate query id {qid!r}", line_no)
-        seen.add(qid)
-        queries.append(Query(qid, text))
-    return queries
+        queries[qid] = Query(qid, text)
+    return list(queries.values())
 
 
 def load_snippet_cache(stream: Iterable[str] | str) -> dict[str, list[Snippet]]:

@@ -20,10 +20,13 @@ import math
 import re
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TextIO
 
 from .corpus_io import Passage, Query, RankedList, Record, _holds_lone_surrogate
 from .errors import ConflictError, ParseError, ValidationError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only: importing typing slows every start-up
+    from typing import TextIO
 
 BM25_K1 = 0.9
 BM25_B = 0.4

@@ -2,23 +2,40 @@
 
 Everything here is coded straight from the definitions with plain loops
 and counting, deliberately avoiding the library's own code paths, so a
-bug in the implementation cannot hide in its oracle. There are three
-exceptions, each the library's earlier version of a function, kept to pin
-a faster rewrite bit for bit: `bm25_score`, which scored one passage
-against an index; `bm25_search_oracle`, the uncached `bm25_search`; and
-`lexical_baseline_scores_oracle`, the lexical re-ranker that built an
-index over each query's inputs and called `bm25_score` per candidate.
-All three share the per-posting arithmetic, `_tf_weight`, which lives
-here: the library writes BM25's tf weight once, in `augrank.index._impact`,
-with each passage's length norm read from a table, and must give the same
-floats.
+bug in the implementation cannot hide in its oracle. There are two groups
+of exceptions, each the library's earlier version of a function, kept to
+pin a faster rewrite:
+
+- Bit for bit: `bm25_score`, which scored one passage against an index;
+  `bm25_search_oracle`, the uncached `bm25_search`; and
+  `lexical_baseline_scores_oracle`, the lexical re-ranker that built an
+  index over each query's inputs and called `bm25_score` per candidate.
+  All three share the per-posting arithmetic, `_tf_weight`, which lives
+  here: the library writes BM25's tf weight once, in
+  `augrank.index._impact`, with each passage's length norm read from a
+  table, and must give the same floats.
+- Record for record and error for error: `parse_run_oracle`,
+  `parse_record_oracle` and `ranked_list_oracle`, the record layer's
+  readers and `RankedList`'s check as they checked every line and every
+  entry on its own. The library checks a valid file or
+  list in bulk and must return the same records, or raise the same
+  exception with the same message at the same line.
 """
 
+import json
 import math
 from collections import defaultdict
 
-from augrank.corpus_io import Passage, RankedList
-from augrank.errors import UnknownIdError, ValidationError
+from augrank.corpus_io import (
+    _FIELD_TYPES,
+    _JSON_TYPE_NAMES,
+    Passage,
+    RankedList,
+    _holds_lone_surrogate,
+    _iter_lines,
+    plain_number,
+)
+from augrank.errors import ConflictError, ParseError, UnknownIdError, ValidationError
 from augrank.index import BM25_B, BM25_K1, _idf, build_index, tokenize
 
 
@@ -159,3 +176,77 @@ def t_two_tailed_p_oracle(t, df):
     with mpmath.workdps(50):
         x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
         return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+def ranked_list_oracle(query_id, entries):
+    """`RankedList(query_id, entries)`, checking entry by entry: the first
+    NaN score, score above the one before it, or repeated passage id
+    raises."""
+    seen = set()
+    prev = math.inf
+    for pid, score in entries:
+        if math.isnan(score):
+            raise ValidationError(f"NaN score for passage {pid!r} in query {query_id!r}")
+        if score > prev:
+            raise ValidationError(f"entries not sorted by descending score in query {query_id!r}")
+        prev = score
+        if pid in seen:
+            raise ConflictError(f"duplicate passage {pid!r} in query {query_id!r}")
+        seen.add(pid)
+    return RankedList(query_id, entries)
+
+
+def parse_run_oracle(stream, passages=None):
+    """`parse_run`, every check made on each line in turn, each query's rows
+    sorted by the key (-score, rank)."""
+    groups = {}
+    seen = {}
+    for line_no, line in _iter_lines(stream):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}: {line!r}", line_no)
+        qid, _, docid, rank_str, score_str, _ = parts
+        try:
+            rank = plain_number(int, rank_str)
+        except ValueError:
+            raise ParseError(f"non-integer rank {rank_str!r}", line_no) from None
+        try:
+            score = plain_number(float, score_str)
+        except ValueError:
+            raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
+        if not math.isfinite(score):
+            raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
+        if docid in seen.setdefault(qid, set()):
+            raise ConflictError(f"duplicate docid {docid!r} for query {qid!r}", line_no)
+        seen[qid].add(docid)
+        if passages is not None and docid not in passages:
+            raise ParseError(f"passage {docid!r} of query {qid!r} is not in the corpus", line_no)
+        groups.setdefault(qid, []).append((docid, rank, score))
+    lists = []
+    for qid, rows in groups.items():
+        rows.sort(key=lambda r: (-r[2], r[1]))
+        lists.append(ranked_list_oracle(qid, tuple((docid, score) for docid, _, score in rows)))
+    return lists
+
+
+def parse_record_oracle(line, line_no, fields):
+    """`_parse_record` by `json.loads` of the whole line, then each named
+    field's type and surrogate check in turn."""
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON record: {exc}", line_no) from None
+    if not isinstance(record, dict):
+        raise ParseError("record is not a JSON object", line_no)
+    for key in fields:
+        value = record.get(key)
+        if type(value) not in _FIELD_TYPES[key]:
+            if key not in record:
+                raise ParseError(f"missing field {key!r}", line_no)
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _FIELD_TYPES[key])
+            raise ParseError(
+                f"field {key!r} must be {expected}, got {json.dumps(value)}", line_no
+            )
+        if type(value) is str and _holds_lone_surrogate(value):
+            raise ParseError(f"field {key!r} holds a lone surrogate", line_no)
+    return record

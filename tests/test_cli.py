@@ -596,6 +596,29 @@ class TestPipeline:
         assert compare_lines[0].startswith("metric\t")
         assert any(line.startswith("s@1\t") for line in compare_lines[1:])
 
+    def test_rerun_leaves_none_of_the_earlier_runs_artifacts(self, workspace):
+        # An nl run with a baseline, then a run in mode none without one,
+        # into the same directory: it holds what a fresh none run writes.
+        assert main(["pipeline", "run", "--config", str(make_config(workspace, "base"))]) == 0
+        baseline = str(workspace / "base" / "reranked.run")
+        nl_cfg = make_config(workspace, "out", mode="nl", baseline_run=baseline)
+        assert main(["pipeline", "run", "--config", str(nl_cfg)]) == 0
+        out = workspace / "out"
+        assert (out / "expansions.jsonl").exists() and (out / "compare.tsv").exists()
+        assert main(["pipeline", "run", "--config", str(make_config(workspace, "out"))]) == 0
+        assert main(["pipeline", "run", "--config", str(make_config(workspace, "fresh"))]) == 0
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert written == {path.name: path.read_bytes() for path in (workspace / "fresh").iterdir()}
+        assert sorted(written) == ["inputs.jsonl", "metrics.tsv", "per_query.tsv", "reranked.run"]
+
+    def test_earlier_artifact_that_cannot_be_removed_names_the_clean_stage(
+        self, workspace, capsys
+    ):
+        # compare.tsv is a directory here, which os.remove cannot remove.
+        (workspace / "out" / "compare.tsv").mkdir(parents=True)
+        assert main(["pipeline", "run", "--config", str(make_config(workspace, "out"))]) == 2
+        assert "error: pipeline stage 'clean' failed: " in capsys.readouterr().err
+
     def test_baseline_run_that_the_run_would_overwrite_is_refused(self, workspace, capsys):
         assert main(["pipeline", "run", "--config", str(make_config(workspace, "out_b"))]) == 0
         baseline = workspace / "o3" / "reranked.run"

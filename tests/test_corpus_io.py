@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from augrank import corpus_io
 from augrank.augment import Expansion, ExpansionMode, load_expansions
 from augrank.cli import load_per_query_report
 from augrank.corpus_io import (
@@ -30,6 +31,12 @@ from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.evaluation import MetricReport, TTestResult
 from augrank.index import CorpusLanguageModel, InvertedIndex, bm25_search, build_index
 from augrank.rerank import RerankInput
+
+from oracles import (
+    parse_record_oracle,
+    parse_run_oracle,
+    ranked_list_oracle,
+)
 
 # Every code point for which str.isspace() is true, among them the
 # separators \x1c-\x1f, NEL, NBSP and the line/paragraph separators.
@@ -122,6 +129,12 @@ class TestParseRun:
     def test_tie_broken_by_given_rank(self):
         lists = parse_run("q1 Q0 zz 1 5.0 t\nq1 Q0 aa 2 5.0 t\n")
         assert [pid for pid, _ in lists[0].entries] == ["zz", "aa"]
+
+    def test_tie_broken_by_given_rank_not_by_file_order(self):
+        text = "q1 Q0 c 3 5.0 t\nq1 Q0 top 9 7.0 t\nq1 Q0 a 1 5.0 t\nq1 Q0 b 2 -0.0 t\n"
+        text += "q1 Q0 z 1 0.0 t\n"
+        lists = parse_run(text)
+        assert [pid for pid, _ in lists[0].entries] == ["top", "a", "c", "z", "b"]
 
     def test_non_numeric_score(self):
         with pytest.raises(ParseError, match="score"):
@@ -337,6 +350,28 @@ class TestRankedListInvariants:
     def test_ties_are_legal(self):
         RankedList("q", (("a", 1.0), ("b", 1.0)))
 
+    def test_a_valid_list_is_checked_without_the_entry_loop(self, monkeypatch):
+        # The loop runs only to name the entry that a bulk check refused
+        # (or to clear a list that holds both infinities, whose sum is NaN).
+        def loop(query_id, entries):
+            raise AssertionError(f"entry loop ran for {entries}")
+
+        monkeypatch.setattr(corpus_io, "_refuse_entries", loop)
+        for entries in [(), (("a", 2.0), ("b", 2.0), ("c", 0.0), ("d", -0.0)),
+                        (("a", math.inf), ("b", 1)), (("a", 1.0), ("b", -math.inf))]:
+            RankedList("q", entries)
+        with pytest.raises(AssertionError):
+            RankedList("q", (("a", math.nan),))
+
+    def test_the_first_bad_entry_is_named(self):
+        nan = math.nan
+        with pytest.raises(ValidationError, match="^NaN score for passage 'b' in query 'q'$"):
+            RankedList("q", (("a", 2.0), ("b", nan), ("a", 3.0)))
+        with pytest.raises(ConflictError, match="^duplicate passage 'a' in query 'q'$"):
+            RankedList("q", (("a", 2.0), ("a", 1.0), ("c", 3.0)))
+        with pytest.raises(ValidationError, match="^entries not sorted by descending score"):
+            RankedList("q", (("a", 2.0), ("c", 3.0), ("a", 1.0)))
+
 
 # Each record type with two argument lists that differ in every position.
 RECORD_ARGS = [
@@ -421,6 +456,19 @@ class TestLoadCorpus:
     def test_invalid_json_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
             load_corpus("not json\n")
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('{"id": "d1", "text": "a"} x', "Extra data: line 1 column 27 (char 26)"),
+            ('{"id": "d1", "text": "a"}{}', "Extra data: line 1 column 26 (char 25)"),
+            ('\ufeff{"id": "d1", "text": "a"}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ],
+    )
+    def test_a_line_that_is_not_one_json_value_is_refused(self, line, error):
+        text = '{"id": "d0", "text": "b"}\n' + line + "\n"
+        with pytest.raises(ParseError, match="^line 2: invalid JSON record: " + re.escape(error)):
+            load_corpus(text)
 
     @pytest.mark.parametrize("pid", ["", "d 1", "d\t1", "\u3000d1", "d1\x85"])
     def test_id_a_run_cannot_hold_rejected_naming_the_line(self, pid):
@@ -595,3 +643,116 @@ def test_a_string_reads_as_the_same_text_in_a_file(tmp_path, reader, c):
     with open(path, encoding="utf-8") as handle:
         from_file = _outcome(reader, handle)
     assert _outcome(reader, text) == from_file
+
+
+# ---------------------------------------------------------------------------
+# The readers and `RankedList` check a valid file or list in bulk and name a
+# bad one's first error as the line-by-line oracles do.
+
+
+def _result(fn, *args):
+    """`fn(*args)`, or the class, message and line of the error it raised."""
+    try:
+        return fn(*args)
+    except (ParseError, ConflictError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+_BAD_RANKS = ["1_0", "\uff14", "\u0967", "x", "1.5", "1e3"]
+_BAD_SCORES = ["nan", "-NaN", "1e999", "-inf", "\uff14.5", "1_0.5", "high", "0x1p3"]
+# One column made bad at one line: (column, value); a tag of "" or of two
+# words makes 5 or 7 fields.
+_RUN_EDITS = [(3, r) for r in _BAD_RANKS] + [(4, s) for s in _BAD_SCORES] + [(5, ""), (5, "t x")]
+
+
+@st.composite
+def _column_files(draw, row, edits):
+    """Text of up to ten lines of `row`'s columns, sometimes with a blank
+    line, and in half the files one of `edits` made at one line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        lines.append([] if draw(st.integers(0, 9)) == 0 else draw(row))
+    if any(lines) and draw(st.booleans()):
+        column, value = draw(st.sampled_from(edits))
+        draw(st.sampled_from([line for line in lines if line]))[column] = value
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(" ".join(line) for line in lines) + draw(st.sampled_from([end, ""]))
+
+
+# Docids d57 to d60 are not in `_SOME_PASSAGES`; 60 docids make a repeat
+# within a query occasional.
+_SOME_PASSAGES = frozenset(f"d{i}" for i in range(1, 57))
+_run_row = st.tuples(
+    st.sampled_from(["q1", "q2", "q3"]),
+    st.just("Q0"),
+    st.integers(1, 60).map("d{}".format),
+    st.sampled_from(["1", "2", "3", "+4", "0", "-1", "10"]),
+    st.sampled_from(["1.0", "2.5", "0.0", "-0.0", "3", "1e3", "-7.25", "+4.5", "1e-320"]),
+    st.just("t"),
+).map(list)
+
+# A JSON value of each type, a lone surrogate, and the types each field takes.
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.just("a\ud800"), st.lists(st.integers(0, 1), max_size=2),
+)
+_good_values = {str: st.text(max_size=6), int: st.integers(-2, 5), type(None): st.none()}
+_READER_FIELDS = [("id", "title", "text"), ("id", "text"),
+                  ("query_id", "rank", "kind", "text", "source"),
+                  ("query_id", "passage_id", "label"), ("query_id", "mode", "text")]
+_LINE_EDITS = [
+    lambda text: text + " x", lambda text: text + "{}", lambda text: text + "}",
+    lambda text: "\ufeff" + text, lambda text: text[:-1], lambda text: "[" + text + "]",
+    lambda text: "[" * 100_000, lambda text: "not json",
+]
+
+
+@st.composite
+def _record_lines(draw):
+    """A stripped JSONL line and the fields a reader checks in it: most
+    fields hold their type, some another JSON value or nothing, and in a
+    third of the lines the text is no longer one JSON object."""
+    fields = draw(st.sampled_from(_READER_FIELDS))
+    record = {}
+    for key in fields + ("extra",):
+        shape = draw(st.integers(0, 9))
+        if shape < 7:
+            types = corpus_io._FIELD_TYPES.get(key, (str,))
+            record[key] = draw(st.one_of(*(_good_values[t] for t in types)))
+        elif shape < 9:
+            record[key] = draw(_json_values)
+    keys = draw(st.permutations(list(record)))
+    text = json.dumps({key: record[key] for key in keys}, ensure_ascii=draw(st.booleans()))
+    if draw(st.integers(0, 2)) == 0:
+        text = draw(st.sampled_from(_LINE_EDITS))(text)
+    return text.strip(), fields
+
+
+class TestBulkChecksAgainstLineByLineOracles:
+    @given(_column_files(_run_row, _RUN_EDITS), st.sampled_from([None, _SOME_PASSAGES]))
+    def test_parse_run(self, text, passages):
+        assert _result(parse_run, text, passages) == _result(parse_run_oracle, text, passages)
+
+    @given(_record_lines(), st.integers(1, 10**6))
+    def test_parse_record(self, drawn, line_no):
+        line, fields = drawn
+        expected = _result(parse_record_oracle, line, line_no, fields)
+        assert _result(corpus_io._parse_record, line, line_no, fields) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d", "e"]),
+                st.sampled_from([math.nan, math.inf, -math.inf, 2.5, 1.0, 1, 0.0, -0.0, -3.0]),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_ranked_list(self, entries, descending):
+        # Half the lists are sorted, so that ties, repeats and NaN are met
+        # in order and out of it.
+        if descending:
+            entries.sort(key=lambda entry: entry[1], reverse=True)
+        entries = tuple(entries)
+        assert _result(RankedList, "q", entries) == _result(ranked_list_oracle, "q", entries)

@@ -5,12 +5,12 @@ kill them.
 
 Each mutant replaces one exact piece of text in one file of `src/augrank`.
 For each, the repository is copied to a temporary directory, the mutant is
-applied to the copy and the mutant's test files are run there with
-`pytest -x`. A mutant is killed when the tests fail (or time out) and
-survives when they pass. A survivor named in ALLOWED, with the reason it
-behaves as the original code does, is reported as equivalent. First the
-union of the mutants' test files runs on an unmutated copy, which must
-pass, so that a kill is the mutant's doing.
+applied to the copy and the mutant's tests (files, or single tests by
+their pytest node ids) are run there with `pytest -x`. A mutant is killed
+when the tests fail (or time out) and survives when they pass. A survivor
+named in ALLOWED, with the reason it behaves as the original code does,
+is reported as equivalent. First the union of the mutants' tests runs on
+an unmutated copy, which must pass, so that a kill is the mutant's doing.
 
 Exit status: 0 when every mutant is killed or equivalent; 1 when a mutant
 survives that ALLOWED does not name; 2 when the unmutated tests fail,
@@ -43,7 +43,10 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str  # must occur exactly once in the file
     new: str
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # test files or pytest node ids
+
+
+_CORPUS_IO = "tests/test_corpus_io.py"
 
 
 MUTANTS = (
@@ -74,6 +77,64 @@ MUTANTS = (
         "return self._values() == other._values()",
         "return self._values()[:-1] == other._values()[:-1]",
         ("tests/test_corpus_io.py",),
+    ),
+    # The record layer checks a valid file or list in bulk; each bulk check
+    # has a mutant, killed by the named test.
+    Mutant(
+        "ranked-list-nan-pass-dropped",
+        "src/augrank/corpus_io.py",
+        "math.isnan(sum(scores))",
+        "False",
+        (f"{_CORPUS_IO}::TestRankedListInvariants::test_nan_score",),
+    ),
+    Mutant(
+        "ranked-list-order-ascending",
+        "src/augrank/corpus_io.py",
+        "sorted(scores, reverse=True) != scores",
+        "sorted(scores) != scores",
+        (f"{_CORPUS_IO}::TestRankedListInvariants::test_unsorted_entries",),
+    ),
+    Mutant(
+        "ranked-list-repeat-pass-dropped",
+        "src/augrank/corpus_io.py",
+        "len(scores) != len(entries)",
+        "False",
+        (f"{_CORPUS_IO}::TestRankedListInvariants::test_duplicate_passage",),
+    ),
+    Mutant(
+        "ranked-list-entry-loop-always",
+        "src/augrank/corpus_io.py",
+        "len(scores) != len(entries)",
+        "True",
+        (f"{_CORPUS_IO}::TestRankedListInvariants::test_a_valid_list_is_checked_without_the_entry_loop",),
+    ),
+    Mutant(
+        "run-rank-sort-dropped",
+        "src/augrank/corpus_io.py",
+        "        rows.sort(key=_rank)\n",
+        "",
+        (f"{_CORPUS_IO}::TestParseRun::test_tie_broken_by_given_rank_not_by_file_order",),
+    ),
+    Mutant(
+        "run-numbers-with-underscore",
+        "src/augrank/corpus_io.py",
+        'if not numbers.isascii() or "_" in numbers:',
+        "if not numbers.isascii():",
+        (f"{_CORPUS_IO}::TestParseRun::test_rank_must_be_plain_ascii_at_its_line",),
+    ),
+    Mutant(
+        "run-infinite-score-read",
+        "src/augrank/corpus_io.py",
+        "            if not math.isfinite(score):\n                raise ValueError(score_str)\n",
+        "",
+        (f"{_CORPUS_IO}::TestParseRun::test_infinite_score_rejected_at_its_line",),
+    ),
+    Mutant(
+        "record-trailing-data-accepted",
+        "src/augrank/corpus_io.py",
+        "if end != len(line):",
+        "if end < 0:",
+        (f"{_CORPUS_IO}::TestLoadCorpus::test_a_line_that_is_not_one_json_value_is_refused",),
     ),
     Mutant(
         "marker-strict-p01",
