@@ -39,7 +39,7 @@ from .corpus_io import (
     _parse_record,
     encode_json_string,
 )
-from .errors import ParseError, ValidationError
+from .errors import ConflictError, ParseError, ValidationError
 from .index import CorpusLanguageModel, tokenize
 
 TYPE_CHECKING = False
@@ -180,7 +180,7 @@ def write_expansions(expansions: Iterable[Expansion], out: TextIO) -> None:
 
 def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:
     """Load an expansion file keyed by query id; a record with empty text
-    is a fallback."""
+    is a fallback, and a query id seen before is a ConflictError."""
     expansions: dict[str, Expansion] = {}
     for line_no, line in _iter_lines(stream):
         record = _parse_record(line, line_no, ("query_id", "mode", "text"))
@@ -190,6 +190,6 @@ def load_expansions(stream: Iterable[str] | str) -> dict[str, Expansion]:
         except ValueError:
             raise ParseError(f"unknown expansion mode {record['mode']!r}", line_no) from None
         if qid in expansions:
-            raise ParseError(f"duplicate expansion for query {qid!r}", line_no)
+            raise ConflictError(f"duplicate expansion for query {qid!r}", line_no)
         expansions[qid] = Expansion(qid, mode, text)
     return expansions

@@ -6,9 +6,10 @@ takes the pipeline's code path (`index search` builds from `--corpus`).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
 
 `pipeline run` is driven by a flat JSON key-value config, checked in full
-when it loads; six keys also take a flag (--mode, --scorer, --scorer-address,
---k for rerank_depth, --output-dir, --baseline-run). It stages its artifacts
-in the output directory:
+when it loads: `ExperimentConfig` takes its fields by name and refuses an
+unknown or missing one as a ValidationError. Six keys also take a flag
+(--mode, --scorer, --scorer-address, --k for rerank_depth, --output-dir,
+--baseline-run). It stages its artifacts in the output directory:
 expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
 and compare.tsv when a baseline run is configured. A successful run removes
 an earlier run's expansions.jsonl or compare.tsv that it did not write
@@ -41,7 +42,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 from .augment import (
     Expansion,
@@ -156,7 +157,8 @@ def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
     """Read a per-query TSV back into a MetricReport (means recomputed).
     The header's metric tokens are read by `metric_tokens`, so a
     repeated, unknown or blank token is a ParseError at the header line.
-    Each value is read by `plain_number`, as run scores are."""
+    Each value is read by `plain_number`, as run scores are; a repeated
+    query id is a ConflictError at its line."""
     rows = _iter_lines(stream)
     first = next(rows, None)
     if first is None:
@@ -177,7 +179,7 @@ def load_per_query_report(stream: Iterable[str] | str) -> MetricReport:
             raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line_no)
         qid = cells[0]
         if qid in per_query:
-            raise ParseError(f"duplicate query id {qid!r}", line_no)
+            raise ConflictError(f"duplicate query id {qid!r}", line_no)
         try:
             values = [plain_number(float, v) for v in cells[1:]]
         except ValueError:
@@ -211,12 +213,13 @@ def _check_settings(**values: float) -> None:
 
 class ExperimentConfig:
     """Everything `pipeline run` needs, loaded from a flat JSON object whose
-    keys are these field names: the annotated names, taken in this order
-    by position or by name. A field with a class attribute is optional, and
-    the attribute is its default: the one place a retrieval, expansion,
-    fusion, depth, scorer or metric default is written; batch size and
-    timeout are `ScorerEndpoint`'s. Each value is checked at construction,
-    whatever the mode, and `metrics` is kept as its `metric_tokens`."""
+    keys are these field names: the annotated names, taken by name only.
+    A field with a class attribute is optional, and the attribute is its
+    default: the one place a retrieval, expansion, fusion, depth, scorer or
+    metric default is written; batch size and timeout are `ScorerEndpoint`'s.
+    An unknown or missing field is a ValidationError, refused here and
+    nowhere else. Each value is checked at construction, whatever the mode;
+    `metrics` is kept as its `metric_tokens` and `endpoint` is built once."""
 
     corpus: str
     queries: str
@@ -241,20 +244,14 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
     run_tag: str = "augrank"
 
-    def __init__(self, *args: object, **values: object):
+    def __init__(self, **values: object):
         fields = ExperimentConfig.__annotations__
-        if len(args) > len(fields):
-            raise TypeError(f"ExperimentConfig takes at most {len(fields)} fields by position")
-        for name, value in zip(fields, args):
-            if name in values:
-                raise TypeError(f"ExperimentConfig got {name!r} by position and by name")
-            values[name] = value
-        unknown = [name for name in values if name not in fields]
-        if unknown:
-            raise TypeError(f"ExperimentConfig got unknown fields {unknown}")
+        for name in values:
+            if name not in fields:
+                raise ValidationError(f"unknown key {name!r}")
         missing = [n for n in fields if n not in values and not hasattr(ExperimentConfig, n)]
         if missing:
-            raise TypeError(f"ExperimentConfig is missing fields {missing}")
+            raise ValidationError(f"missing required keys: {', '.join(missing)}")
         for name, value in values.items():
             setattr(self, name, value)
         self.metrics = metric_tokens(self.metrics)
@@ -263,11 +260,9 @@ class ExperimentConfig:
         ints = {name: getattr(self, name) for name, kind in fields.items() if kind == "int"}
         _check_settings(fusion_alpha=self.fusion_alpha, **ints)
         check_run_token(self.run_tag, "run tag")
-        self.endpoint  # built now, so checked now
-
-    @cached_property
-    def endpoint(self) -> ScorerEndpoint:
-        return ScorerEndpoint(self.scorer, self.scorer_address, self.batch_size, self.timeout)
+        self.endpoint = ScorerEndpoint(
+            self.scorer, self.scorer_address, self.batch_size, self.timeout
+        )
 
 
 _INPUT_PATHS = (
@@ -313,10 +308,11 @@ def _config_value(annotation: str, raw: object) -> object:
 
 
 def load_experiment_config(path: str, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
-    """Load a flat JSON config, apply CLI overrides, and check every value
-    against its field and every input path: it must exist and must not be
-    one of the artifacts the run writes into its output directory, which
-    would be overwritten while it is read (or before)."""
+    """Load a flat JSON config, apply CLI overrides, and check every known
+    key's value against its field (`ExperimentConfig` refuses an unknown or
+    missing key) and every input path: it must exist and must not be one of
+    the artifacts the run writes into its output directory, which would be
+    overwritten while it is read (or before)."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -328,23 +324,18 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
         raise ParseError(f"config {path}: expected a JSON object")
     fields = ExperimentConfig.__annotations__
     for key, raw in data.items():
-        if key not in fields:
-            raise ValidationError(f"config {path}: unknown key {key!r}")
-        if isinstance(raw, str) and _holds_lone_surrogate(raw):
+        if key in fields and isinstance(raw, str) and _holds_lone_surrogate(raw):
             raise ParseError(f"config {path}: {key} holds a lone surrogate")
     values = dict(data)
     values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
 
     for key, raw in values.items():
-        if raw is None and getattr(ExperimentConfig, key, ...) is None:
-            continue  # an optional key left unset
+        if key not in fields or raw is None and getattr(ExperimentConfig, key, ...) is None:
+            continue  # a refused key, or an optional key left unset
         try:
             values[key] = _config_value(fields[key], raw)
         except ValueError as exc:
             raise ValidationError(f"config {path}: {key} {exc}, got {raw!r}") from None
-    missing = [n for n in fields if not hasattr(ExperimentConfig, n) and n not in values]
-    if missing:
-        raise ValidationError(f"config {path}: missing required keys: {', '.join(missing)}")
 
     try:
         for key, aliases, what in (
@@ -379,8 +370,6 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except (ToolkitError, OSError) as exc:
         raise StageError(name, exc) from exc
 
@@ -465,7 +454,7 @@ def _fuse(
     """dense + alpha * sparse for every query in either run, by query id."""
     return {
         qid: fuse_runs(
-            dense.get(qid, RankedList(qid, ())), sparse.get(qid, RankedList(qid, ())), alpha
+            dense.get(qid) or RankedList(qid, ()), sparse.get(qid) or RankedList(qid, ()), alpha
         )
         for qid in sorted(set(dense) | set(sparse))
     }

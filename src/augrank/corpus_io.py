@@ -285,7 +285,7 @@ def parse_run(
             if not math.isfinite(score):
                 raise ValueError(score_str)
         except ValueError:
-            rank, score = _run_numbers(rank_str, score_str, docid, line_no)
+            _refuse_run_numbers(rank_str, score_str, docid, line_no)
         rows = groups.get(qid)
         if rows is None:
             rows = groups[qid] = {}
@@ -306,21 +306,20 @@ def parse_run(
     return lists
 
 
-def _run_numbers(rank_str: str, score_str: str, docid: str, line_no: int) -> tuple[int, float]:
-    """A run line's rank and score by `plain_number`, or the ParseError that
-    says what is wrong with them. `parse_run` reads valid numbers itself and
-    calls this only to word the error."""
+def _refuse_run_numbers(rank_str: str, score_str: str, docid: str, line_no: int) -> None:
+    """Raise the ParseError that names what is wrong with a run line's rank
+    or score. `parse_run` reads valid numbers itself and calls this only
+    when that read failed, so a rank and a score that `plain_number` reads
+    leave a score that is not finite."""
     try:
-        rank = plain_number(int, rank_str)
+        plain_number(int, rank_str)
     except ValueError:
         raise ParseError(f"non-integer rank {rank_str!r}", line_no) from None
     try:
-        score = plain_number(float, score_str)
+        plain_number(float, score_str)
     except ValueError:
         raise ParseError(f"non-numeric score {score_str!r}", line_no) from None
-    if not math.isfinite(score):
-        raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
-    return rank, score
+    raise ParseError(f"NaN or infinite score {score_str!r} for docid {docid!r}", line_no)
 
 
 def check_run_token(value: str, what: str) -> None:

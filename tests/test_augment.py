@@ -17,7 +17,7 @@ from augrank.augment import (
     write_expansions,
 )
 from augrank.corpus_io import Passage, Query, Snippet, SnippetSource
-from augrank.errors import ParseError, ValidationError
+from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.index import corpus_lm, tokenize
 from oracles import kl_weights_oracle
 
@@ -307,3 +307,8 @@ class TestExpansionFile:
         record = dict({"query_id": "q1", "mode": "natural_language", "text": "a"}, **{field: value})
         with pytest.raises(ParseError, match=rf"^line 1: field '{field}' must be a string"):
             load_expansions(json.dumps(record))
+
+    def test_repeated_query_is_a_conflict_at_its_line(self):
+        record = json.dumps({"query_id": "q1", "mode": "natural_language", "text": "a"})
+        with pytest.raises(ConflictError, match=r"^line 2: duplicate expansion for query 'q1'$"):
+            load_expansions(f"{record}\n{record}\n")

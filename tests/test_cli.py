@@ -31,7 +31,7 @@ from augrank.corpus_io import (
     parse_run,
     write_run,
 )
-from augrank.errors import ParseError, ValidationError
+from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.evaluation import evaluate_run, metric_tokens
 from augrank.index import build_index
 from augrank.rerank import ScorerEndpoint, ScorerKind, build_augmented_input, rerank_topk
@@ -130,7 +130,7 @@ class TestMetricTokens:
         with pytest.raises(ValidationError, match=message):
             evaluate_run([], {}, "mrr@10")
         with pytest.raises(ValidationError, match=message):
-            ExperimentConfig("c", "q", "r", "out", metrics="mrr@10")
+            ExperimentConfig(corpus="c", queries="q", qrels="r", output_dir="out", metrics="mrr@10")
 
     @pytest.mark.parametrize(
         "tokens, named",
@@ -187,6 +187,19 @@ class TestFuseCommand:
         (fused,) = parse_run(out.read_text())
         assert fused.entries[0][1] == pytest.approx(3.6, abs=1e-4)
         assert run_tags(out.read_text()) == ["hybrid"]
+
+    def test_an_empty_list_is_built_only_for_a_query_one_run_lacks(self, monkeypatch):
+        dense = {qid: RankedList(qid, (("a", 1.0),)) for qid in ("q1", "q2")}
+        sparse = {qid: RankedList(qid, (("b", 2.0),)) for qid in ("q1", "q2", "q3")}
+        built = []
+        monkeypatch.setattr(
+            cli_module, "RankedList", lambda *args: built.append(args) or RankedList(*args)
+        )
+        cli_module._fuse(dense, {qid: sparse[qid] for qid in dense}, 1.0)
+        assert built == []
+        fused = cli_module._fuse(dense, sparse, 1.0)
+        assert built == [("q3", ())]
+        assert fused["q3"] == RankedList("q3", (("b", 2.0),))
 
 
 class TestExpandCommand:
@@ -437,6 +450,10 @@ class TestEvalAndCompareCommands:
             load_per_query_report(f"query_id\ts@1\nq1\t1.0\nq2\t{value}\n")
         report = load_per_query_report("query_id\ts@1\nq1\t+1e0\nq2\t0\n")
         assert report.per_query == {"q1": {"s@1": 1.0}, "q2": {"s@1": 0.0}}
+
+    def test_repeated_per_query_report_row_is_a_conflict_at_its_line(self):
+        with pytest.raises(ConflictError, match=r"^line 3: duplicate query id 'q1'$"):
+            load_per_query_report("query_id\ts@1\nq1\t1.0\nq1\t0.0\n")
 
     def test_compare_canonicalizes_the_metric_token(self, workspace, capsys):
         base_pq, treat_pq = self.per_query_reports(workspace)
@@ -874,24 +891,29 @@ class TestPipeline:
     def test_every_config_field_has_a_type_check(self):
         assert set(ExperimentConfig.__annotations__.values()) <= set(_CONFIG_TYPES)
 
-    def test_config_fields_taken_by_position_and_by_name(self):
-        cfg = ExperimentConfig("c", "q", "r", "out", rerank_depth=5)
+    def test_config_fields_taken_by_name(self):
+        cfg = ExperimentConfig(corpus="c", queries="q", qrels="r", output_dir="out", rerank_depth=5)
         assert (cfg.corpus, cfg.qrels, cfg.output_dir, cfg.rerank_depth) == ("c", "r", "out", 5)
         assert (cfg.max_words, cfg.dense_run) == (ExperimentConfig.max_words, None)
 
     @pytest.mark.parametrize(
-        "positional, by_name, named",
+        "values, named",
         [
-            (("c", "q", "r", "out"), {"colour": "red"}, r"unknown fields \['colour'\]"),
-            (("c", "q", "r"), {}, r"missing fields \['output_dir'\]"),
-            ((), {"corpus": "c"}, r"missing fields \['queries', 'qrels', 'output_dir'\]"),
-            (("c", "q", "r", "out"), {"qrels": "r"}, "'qrels' by position and by name"),
-            (("c",) * 23, {}, "at most 22 fields by position"),
+            ({"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out", "colour": "red"},
+             "^unknown key 'colour'$"),
+            ({"corpus": "c"}, "^missing required keys: queries, qrels, output_dir$"),
         ],
+        ids=["unknown", "missing"],
     )
-    def test_unknown_or_missing_config_field_is_a_type_error(self, positional, by_name, named):
-        with pytest.raises(TypeError, match=named):
-            ExperimentConfig(*positional, **by_name)
+    def test_unknown_or_missing_config_field_is_a_validation_error(self, values, named):
+        with pytest.raises(ValidationError, match=named):
+            ExperimentConfig(**values)
+
+    def test_config_takes_the_expansion_mode_by_value_not_by_alias(self):
+        required = {"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out"}
+        with pytest.raises(ValidationError, match="^unknown expansion mode 'nl'$"):
+            ExperimentConfig(**required, mode="nl")
+        assert ExperimentConfig(**required, mode="natural_language").mode == "natural_language"
 
     def test_missing_path_rejected(self, workspace):
         config = make_config(workspace, "out_missing", corpus=str(workspace / "nope.jsonl"))
@@ -1124,6 +1146,37 @@ class TestExitCodes:
         nested_config.write_text("[" * 10**5)
         huge_qrels = workspace / "huge.qrels"
         huge_qrels.write_text("q1 0 d1rel 1\nq2 0 d2rel " + "9" * 400 + "\n")
+        report_cases = []
+        for i, (text, message) in enumerate([
+            ("", "empty per-query report"),
+            ("qid\ts@1\nq1\t1.0\n", "line 1: bad per-query report header"),
+            ("query_id\ts@1\t\tmap\nq1\t1.0\t0.0\t0.5\n",
+             "line 1: blank metric token in per-query report header"),
+            ("query_id\ts@1\nq1\t1.0\t2.0\n", "line 2: expected 2 columns, got 3"),
+            ("query_id\ts@1\nq1\t1.0\nq1\t0.0\n", "line 3: duplicate query id 'q1'"),
+            ("query_id\ts@1\n", "per-query report has no data rows"),
+        ]):
+            report = workspace / f"bad_{i}_pq.tsv"
+            report.write_text(text)
+            report_cases.append((["compare", "--baseline", str(report), "--treatment",
+                                  str(inf_report), "--metric", "s@1"], f"{report}: {message}"))
+        bogus_mode, repeated_expansion = (
+            workspace / f"{name}.jsonl" for name in ("bogus_mode", "repeated_expansion")
+        )
+        write_jsonl(bogus_mode, [{"query_id": "q1", "mode": "bogus", "text": "a"}])
+        write_jsonl(repeated_expansion, [{"query_id": "q1", "mode": "natural_language", "text": t}
+                                         for t in ("a", "b")])
+        empty_text = workspace / "empty_text.jsonl"
+        write_jsonl(empty_text, [{"id": "d1", "text": ""}])
+        rank_zero = workspace / "rank_zero.jsonl"
+        write_jsonl(rank_zero, [{"query_id": "q1", "rank": 0, "kind": "organic", "text": "a",
+                                 "source": "web_serp"}])
+        list_config = workspace / "list_config.json"
+        list_config.write_text("[]")
+        partial_config = workspace / "partial_config.json"
+        partial_config.write_text(json.dumps({"corpus": str(workspace / "corpus.jsonl")}))
+        rerank = ["rerank", "--run", str(good_run), "--corpus", str(workspace / "corpus.jsonl"),
+                  "--queries", str(workspace / "queries.jsonl"), "--expansions"]
         cases = [
             (["index", "search", "--corpus", str(corpus),
               "--queries", str(workspace / "queries.jsonl")],
@@ -1161,6 +1214,20 @@ class TestExitCodes:
              f"config {nested_config}: invalid JSON: maximum recursion depth"),
             (["eval", "--run", str(good_run), "--qrels", str(huge_qrels)],
              f"{huge_qrels}: line 2: grade '{'9' * 400}' is above {2**63 - 1}"),
+            *report_cases,
+            ([*rerank, str(bogus_mode)], f"{bogus_mode}: line 1: unknown expansion mode 'bogus'"),
+            ([*rerank, str(repeated_expansion)],
+             f"{repeated_expansion}: line 2: duplicate expansion for query 'q1'"),
+            (["index", "search", "--corpus", str(empty_text),
+              "--queries", str(workspace / "queries.jsonl")],
+             f"{empty_text}: line 1: empty text for passage 'd1'"),
+            (["expand", "--queries", str(workspace / "queries.jsonl"), "--snippets", str(rank_zero),
+              "--mode", "nl"],
+             f"{rank_zero}: line 1: rank must be >= 1, got 0"),
+            (["pipeline", "run", "--config", str(list_config)],
+             f"config {list_config}: expected a JSON object"),
+            (["pipeline", "run", "--config", str(partial_config)],
+             f"config {partial_config}: missing required keys: queries, qrels, output_dir"),
         ]
         for argv, message in cases:
             assert main(argv) == 2
@@ -1296,9 +1363,18 @@ class TestExitCodes:
         assert f"{run}: line 2: passage 'd8' of query 'q1' is not in the corpus\n" in err
         assert "Traceback" not in err
 
-    def test_transport_error_is_three(self, workspace):
+    def test_transport_error_is_three(self, workspace, capsys):
         config = make_config(
             workspace, "out_dead",
             scorer="remote", scorer_address="http://127.0.0.1:1",
         )
         assert main(["pipeline", "run", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("error: pipeline stage 'rerank' failed: ")
+        # Outside a stage, as `rerank` runs, `main` maps TransportError itself.
+        run = workspace / "good.run"
+        run.write_text("q1 Q0 d1rel 1 1.0 t\n")
+        assert main(["rerank", "--run", str(run), "--corpus", str(workspace / "corpus.jsonl"),
+                     "--queries", str(workspace / "queries.jsonl"),
+                     "--scorer", "remote", "--address", "http://127.0.0.1:1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pipeline stage" not in err

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # test files or pytest node ids
 
 
+_CLI = "tests/test_cli.py"
 _CORPUS_IO = "tests/test_corpus_io.py"
 
 
@@ -135,6 +136,37 @@ MUTANTS = (
         "if end != len(line):",
         "if end < 0:",
         (f"{_CORPUS_IO}::TestLoadCorpus::test_a_line_that_is_not_one_json_value_is_refused",),
+    ),
+    # Each refusal or waste check below has a mutant, killed by the named test.
+    Mutant(
+        "fuse-eager-empty-default",
+        "src/augrank/cli.py",
+        "dense.get(qid) or RankedList(qid, ())",
+        "dense.get(qid, RankedList(qid, ()))",
+        (f"{_CLI}::TestFuseCommand::test_an_empty_list_is_built_only_for_a_query_one_run_lacks",),
+    ),
+    Mutant(
+        "per-query-repeat-accepted",
+        "src/augrank/cli.py",
+        "if qid in per_query:",
+        "if False:",
+        (f"{_CLI}::TestEvalAndCompareCommands::"
+         "test_repeated_per_query_report_row_is_a_conflict_at_its_line",),
+    ),
+    Mutant(
+        "expansion-repeat-accepted",
+        "src/augrank/augment.py",
+        "if qid in expansions:",
+        "if False:",
+        ("tests/test_augment.py::TestExpansionFile::"
+         "test_repeated_query_is_a_conflict_at_its_line",),
+    ),
+    Mutant(
+        "snippet-rank-zero-accepted",
+        "src/augrank/corpus_io.py",
+        "rank < 1",
+        "rank < 0",
+        (f"{_CLI}::TestExitCodes::test_loader_errors_name_the_file",),
     ),
     Mutant(
         "marker-strict-p01",
