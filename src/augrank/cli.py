@@ -244,7 +244,7 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("s@1", "s@5", "s@10", "s@20", "mrr@10", "ndcg@10", "map")
     run_tag: str = "augrank"
 
-    def __init__(self, **values: object):
+    def __init__(self, /, **values: object):
         fields = ExperimentConfig.__annotations__
         for name in values:
             if name not in fields:

@@ -901,9 +901,12 @@ class TestPipeline:
         [
             ({"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out", "colour": "red"},
              "^unknown key 'colour'$"),
+            # A key named like the constructor's own parameter is just unknown.
+            ({"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out", "self": "x"},
+             "^unknown key 'self'$"),
             ({"corpus": "c"}, "^missing required keys: queries, qrels, output_dir$"),
         ],
-        ids=["unknown", "missing"],
+        ids=["unknown", "self", "missing"],
     )
     def test_unknown_or_missing_config_field_is_a_validation_error(self, values, named):
         with pytest.raises(ValidationError, match=named):
@@ -1175,6 +1178,7 @@ class TestExitCodes:
         list_config.write_text("[]")
         partial_config = workspace / "partial_config.json"
         partial_config.write_text(json.dumps({"corpus": str(workspace / "corpus.jsonl")}))
+        self_config = make_config(workspace, "out_self", self="x")
         rerank = ["rerank", "--run", str(good_run), "--corpus", str(workspace / "corpus.jsonl"),
                   "--queries", str(workspace / "queries.jsonl"), "--expansions"]
         cases = [
@@ -1228,6 +1232,8 @@ class TestExitCodes:
              f"config {list_config}: expected a JSON object"),
             (["pipeline", "run", "--config", str(partial_config)],
              f"config {partial_config}: missing required keys: queries, qrels, output_dir"),
+            (["pipeline", "run", "--config", str(self_config)],
+             f"config {self_config}: unknown key 'self'"),
         ]
         for argv, message in cases:
             assert main(argv) == 2

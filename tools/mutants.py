@@ -146,6 +146,13 @@ MUTANTS = (
         (f"{_CLI}::TestFuseCommand::test_an_empty_list_is_built_only_for_a_query_one_run_lacks",),
     ),
     Mutant(
+        "config-self-key-crashes",
+        "src/augrank/cli.py",
+        "def __init__(self, /, **values: object):",
+        "def __init__(self, **values: object):",
+        (f"{_CLI}::TestPipeline::test_unknown_or_missing_config_field_is_a_validation_error",),
+    ),
+    Mutant(
         "per-query-repeat-accepted",
         "src/augrank/cli.py",
         "if qid in per_query:",
