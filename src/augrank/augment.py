@@ -152,16 +152,17 @@ def augment_query(
     max_words: int,
     max_terms: int,
 ) -> Expansion:
-    """Retrieve then expand by `mode` (topical terms need the corpus language
-    model `lm`); the expansion carries `query.id` and `mode`. Empty retrieval
-    (or an expansion that comes out empty) returns the empty fallback."""
+    """Retrieve then expand by `mode`; the expansion carries `query.id` and
+    `mode`. Topical terms need the corpus language model `lm`, for every
+    query, whether or not it has snippets. Empty retrieval (or an expansion
+    that comes out empty) returns the empty fallback."""
+    if mode is ExpansionMode.TOPICAL_TERMS and lm is None:
+        raise ValidationError("topical term expansion requires a corpus language model")
     snippets = retrieve(query, cache, source, max_snippets, skip_direct_answers)
     if not snippets:
         text = ""
     elif mode is ExpansionMode.NATURAL_LANGUAGE:
         text = natural_language_expansion(snippets, max_words)
-    elif lm is None:
-        raise ValidationError("topical term expansion requires a corpus language model")
     else:
         text = topical_term_expansion(snippets, lm, max_terms)
     return Expansion(query.id, mode, text)

@@ -6,8 +6,9 @@ takes the pipeline's code path (`index search` builds from `--corpus`).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
 
 `pipeline run` is driven by a flat JSON key-value config, checked in full
-when it loads: `ExperimentConfig` takes its fields by name and refuses an
-unknown or missing one as a ValidationError. Six keys also take a flag
+when it loads: `ExperimentConfig` takes its fields by name and checks each
+value, as it does for a library caller; the loader reads only the file's
+spellings (aliases, a comma-separated metric list). Six keys also take a flag
 (--mode, --scorer, --scorer-address, --k for rerank_depth, --output-dir,
 --baseline-run). It stages its artifacts in the output directory:
 expansions.jsonl, inputs.jsonl, reranked.run, metrics.tsv, per_query.tsv,
@@ -126,7 +127,7 @@ _SCORER_ALIASES = {"baseline": ScorerKind("lexical_baseline")} | {k.value: k for
 
 
 class UsageError(Exception):
-    """Bad flags or config keys; exits 1."""
+    """Bad command-line flags; exits 1 (a config fault is a ValidationError, exit 2)."""
 
 
 class StageError(ToolkitError):
@@ -217,9 +218,12 @@ class ExperimentConfig:
     A field with a class attribute is optional, and the attribute is its
     default: the one place a retrieval, expansion, fusion, depth, scorer or
     metric default is written; batch size and timeout are `ScorerEndpoint`'s.
-    An unknown or missing field is a ValidationError, refused here and
-    nowhere else. Each value is checked at construction, whatever the mode;
-    `metrics` is kept as its `metric_tokens` and `endpoint` is built once."""
+    Every value is checked here, whatever the mode, and a fault is a
+    ValidationError: an unknown or missing field, a value of the wrong type
+    for its annotation (`_CONFIG_TYPES`), or one out of range. `mode`,
+    `source` and `scorer` are taken by value, not by the file's spellings;
+    `source` is kept as its SnippetSource, `metrics` as its `metric_tokens`,
+    and `scorer` as the ScorerKind of `endpoint`, which is built once."""
 
     corpus: str
     queries: str
@@ -252,17 +256,24 @@ class ExperimentConfig:
         missing = [n for n in fields if n not in values and not hasattr(ExperimentConfig, n)]
         if missing:
             raise ValidationError(f"missing required keys: {', '.join(missing)}")
-        for name, value in values.items():
-            setattr(self, name, value)
+        for name, raw in values.items():
+            try:
+                setattr(self, name, _config_value(fields[name], raw))
+            except ValueError as exc:
+                raise ValidationError(f"{name} {exc}, got {raw!r}") from None
         self.metrics = metric_tokens(self.metrics)
         if self.mode not in ("none", *(m.value for m in ExpansionMode)):
             raise ValidationError(f"unknown expansion mode {self.mode!r}")
+        if self.source not in tuple(SnippetSource):
+            raise ValidationError(f"unknown snippet source {self.source!r}")
+        self.source = SnippetSource(self.source)
         ints = {name: getattr(self, name) for name, kind in fields.items() if kind == "int"}
         _check_settings(fusion_alpha=self.fusion_alpha, **ints)
         check_run_token(self.run_tag, "run tag")
         self.endpoint = ScorerEndpoint(
             self.scorer, self.scorer_address, self.batch_size, self.timeout
         )
+        self.scorer = self.endpoint.kind
 
 
 _INPUT_PATHS = (
@@ -277,18 +288,19 @@ _ARTIFACTS = (
 
 
 # What each ExperimentConfig field accepts, by its annotation, and how to say
-# it. Numeric keys also take numeric strings, read by `plain_number`, but
-# never booleans. The alias-valued keys (mode, source, scorer) are resolved
-# after this check.
+# it. Numeric fields also take numeric strings, read by `plain_number`, and
+# integral floats, but never booleans. The metric list holds strings only; a
+# bare string is left for `metric_tokens` to refuse. The enum-valued fields
+# take a string, which the constructor reads by value.
 _CONFIG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
     "str": (str, "a string"),
-    "str | None": (str, "a string"),
+    "str | None": ((str, type(None)), "a string"),
     "SnippetSource": (str, "a string"),
     "ScorerKind": (str, "a string"),
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
     "float": (float, "a finite number"),
-    "tuple[str, ...]": ((list, str), "a list or a comma-separated string"),
+    "tuple[str, ...]": ((list, tuple, str), "a list of strings"),
 }
 
 
@@ -303,16 +315,20 @@ def _config_value(annotation: str, raw: object) -> object:
         if math.isfinite(value) and (kind is float or value.is_integer()):
             return kind(raw) if isinstance(raw, int) else kind(value)
     elif isinstance(raw, kind):
-        return raw
+        if not isinstance(raw, (list, tuple)) or all(isinstance(t, str) for t in raw):
+            return raw
     raise ValueError(f"must be {what}")
 
 
 def load_experiment_config(path: str, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
-    """Load a flat JSON config, apply CLI overrides, and check every known
-    key's value against its field (`ExperimentConfig` refuses an unknown or
-    missing key) and every input path: it must exist and must not be one of
-    the artifacts the run writes into its output directory, which would be
-    overwritten while it is read (or before)."""
+    """The ExperimentConfig of a flat JSON config file with CLI overrides
+    applied; `ExperimentConfig` checks every key and value. Here only the
+    file's spellings are read: a string with a lone surrogate is refused,
+    `mode`, `source` and `scorer` take their aliases in any case, and
+    `metrics` also takes a comma-separated string. Every input path must
+    exist and must not be one of the artifacts the run writes into its
+    output directory, which would be overwritten while it is read (or
+    before). Each fault is named after `config <path>: `."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -328,31 +344,14 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
             raise ParseError(f"config {path}: {key} holds a lone surrogate")
     values = dict(data)
     values.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
-
-    for key, raw in values.items():
-        if key not in fields or raw is None and getattr(ExperimentConfig, key, ...) is None:
-            continue  # a refused key, or an optional key left unset
-        try:
-            values[key] = _config_value(fields[key], raw)
-        except ValueError as exc:
-            raise ValidationError(f"config {path}: {key} {exc}, got {raw!r}") from None
-
+    for key, aliases in (
+        ("mode", _MODE_ALIASES), ("source", _SOURCE_ALIASES), ("scorer", _SCORER_ALIASES)
+    ):
+        if isinstance(values.get(key), str):
+            values[key] = aliases.get(values[key].lower(), values[key])
+    if isinstance(values.get("metrics"), str):
+        values["metrics"] = values["metrics"].split(",")
     try:
-        for key, aliases, what in (
-            ("mode", _MODE_ALIASES, "expansion mode"),
-            ("source", _SOURCE_ALIASES, "snippet source"),
-            ("scorer", _SCORER_ALIASES, "scorer"),
-        ):
-            if key in values:
-                name = values[key].lower()
-                if name not in aliases:
-                    raise ValidationError(f"unknown {what} {values[key]!r}")
-                values[key] = aliases[name]
-        if "metrics" in values:
-            tokens = values["metrics"]
-            if isinstance(tokens, str):
-                tokens = tokens.split(",")
-            values["metrics"] = tuple(str(t) for t in tokens)
         cfg = ExperimentConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"config {path}: {exc}") from None

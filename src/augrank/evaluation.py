@@ -16,7 +16,10 @@ count grade >= 1 as relevant; AP binarizes at grade >= 2 for graded qrels
 and at grade >= 1 for binary qrels. Per-query metrics return None for
 queries absent from the qrels; aggregation excludes and reports those
 instead of silently counting them as zeros. Aggregation sums in sorted
-query-id order so floating-point results are reproducible.
+query-id order so floating-point results are reproducible, and every float
+sum (the means, DCG and IDCG, the t-test's mean and variance) is `_left_sum`,
+which gives the same bits on every Python: the builtin `sum` of floats is
+compensated from Python 3.12 on, so it can round differently.
 
 The t-test p-value comes from the Student t distribution via the
 regularized incomplete beta function I_x(df/2, 1/2) at x = df/(df + t^2),
@@ -30,6 +33,14 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .corpus_io import Qrels, RankedList, Record, plain_number
 from .errors import ConflictError, ValidationError
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """`values` added one by one, left to right, from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def metric_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
@@ -81,7 +92,7 @@ class MetricReport(Record):
         self.unjudged_query_ids = unjudged_query_ids
         rows = [per_query[qid] for qid in sorted(per_query)]
         tokens = rows[0] if rows else ()
-        self.aggregate = {t: sum(row[t] for row in rows) / len(rows) for t in tokens}
+        self.aggregate = {t: _left_sum(row[t] for row in rows) / len(rows) for t in tokens}
         self.query_count = len(rows)
 
 
@@ -139,10 +150,10 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float | None:
     if (judged := qrels.get(ranked.query_id)) is None:
         return None
     ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    idcg = _left_sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0.0:
         return 0.0
-    dcg = sum(
+    dcg = _left_sum(
         judged.get(pid, 0) / math.log2(rank + 1)
         for rank, (pid, _) in enumerate(ranked.entries[:k], start=1)
     )
@@ -297,8 +308,8 @@ def paired_t_test(
         raise ValidationError(f"paired t-test needs at least 2 queries, got {n}")
     qids = sorted(baseline)
     diffs = [treatment[qid] - baseline[qid] for qid in qids]
-    mean = sum(diffs) / n
-    variance = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = _left_sum(diffs) / n
+    variance = _left_sum((d - mean) ** 2 for d in diffs) / (n - 1)
     df = n - 1
     if variance == 0.0:
         if mean == 0.0:

@@ -32,8 +32,9 @@ in [0, 1], higher means more relevant:
   queries' inputs hold it.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
   sequences, expecting {"scores": [...]} of equal length; scores must be
-  JSON numbers (not booleans) in [0, 1]. The address needs a host, a port
-  in 1..65535 if it names one, and no query string or fragment. Each
+  JSON numbers (not booleans) in [0, 1]. The address needs a host that
+  encodes as IDNA, a port in 1..65535 if it names one, an ASCII path, no
+  space or control character, and no query string or fragment. Each
   call's inputs go in `batch_size` chunks, in order, over one HTTP/1.1
   keep-alive connection from the standard library's http.client, opened
   at the first batch and closed when the call returns; the HTTP
@@ -100,7 +101,8 @@ class ScorerKind(str, Enum):
 
 class ScorerEndpoint:
     """Where and how candidates are scored; the class attributes are the
-    defaults of batch size and timeout."""
+    defaults of batch size and timeout. `kind` is read by value, so
+    "remote" is ScorerKind.REMOTE; an unknown one is a ValidationError."""
 
     address: str | None = None
     batch_size: int = 32
@@ -113,7 +115,10 @@ class ScorerEndpoint:
         batch_size: int = batch_size,
         timeout: float = timeout,
     ):
-        self.kind = kind
+        try:
+            self.kind = ScorerKind(kind)
+        except ValueError:
+            raise ValidationError(f"unknown scorer {kind!r}") from None
         self.address = address
         self.batch_size = batch_size
         self.timeout = timeout
@@ -141,6 +146,18 @@ class ScorerEndpoint:
                 raise ValidationError(
                     f"remote scorer address must not have a query string or a fragment, "
                     f"got {self.address!r}"
+                )
+            # What would fail only at the first request: the host is looked
+            # up as IDNA and the path sent as ASCII; http.client refuses a
+            # space or a control character, and urlsplit drops a tab.
+            try:
+                parts.hostname.encode("idna")
+            except UnicodeError as exc:
+                raise ValidationError(f"remote scorer address {self.address!r}: {exc}") from None
+            if not parts.path.isascii() or not self.address.isprintable() or " " in self.address:
+                raise ValidationError(
+                    f"remote scorer address must have an ASCII path and no space or control "
+                    f"character, got {self.address!r}"
                 )
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")

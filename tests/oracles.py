@@ -146,13 +146,17 @@ def mrr_oracle(ranked_pids, judged, k, threshold=1):
 
 
 def ndcg_oracle(ranked_pids, judged, k):
+    # Each gain is added left to right from 0.0, as on Python 3.11 and
+    # earlier; the builtin `sum` of floats is compensated from 3.12 on.
     ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
+    idcg = 0.0
+    for i, g in enumerate(ideal):
+        idcg += g / math.log2(i + 2)
     if idcg == 0:
         return 0.0
-    dcg = sum(
-        judged.get(pid, 0) / math.log2(i + 2) for i, pid in enumerate(ranked_pids[:k])
-    )
+    dcg = 0.0
+    for i, pid in enumerate(ranked_pids[:k]):
+        dcg += judged.get(pid, 0) / math.log2(i + 2)
     return dcg / idcg
 
 

@@ -258,6 +258,10 @@ class TestAugmentQuery:
         with pytest.raises(ValidationError):
             augment_query(Query("q1", "x"), self.make_cache(), lm=None, **TERMS_CFG)
 
+    def test_topical_requires_language_model_for_an_uncached_query_too(self):
+        with pytest.raises(ValidationError, match="requires a corpus language model"):
+            augment_query(Query("q9", "x"), self.make_cache(), lm=None, **TERMS_CFG)
+
     def test_topical_end_to_end(self):
         lm = lm_from("corpus background text")
         expansion = augment_query(Query("q1", "topic"), self.make_cache(), lm=lm, **TERMS_CFG)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from augrank.corpus_io import (
     Passage,
     Query,
     RankedList,
+    SnippetSource,
     load_corpus,
     load_queries,
     parse_run,
@@ -873,13 +875,39 @@ class TestPipeline:
          ({"scorer": "remote", "scorer_address": "http://127.0.0.1:8000?"},
           "remote scorer address must not have a query string or a fragment, "
           "got 'http://127.0.0.1:8000?'"),
-         ({"timeout": 1e10}, f"timeout must be at most {_thread.TIMEOUT_MAX}, got 10000000000.0")],
+         ({"timeout": 1e10}, f"timeout must be at most {_thread.TIMEOUT_MAX}, got 10000000000.0"),
+         # Addresses no request could be sent to: the host is looked up as
+         # IDNA and the path sent as ASCII, with no space or control character.
+         ({"scorer": "remote", "scorer_address": "http://a..b:1"},
+          "remote scorer address 'http://a..b:1': encoding with 'idna' codec failed"),
+         ({"scorer": "remote", "scorer_address": f"http://{'a' * 64}.example:1"},
+          f"remote scorer address 'http://{'a' * 64}.example:1': encoding with 'idna' codec failed"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:9/\u00fc"},
+          "remote scorer address must have an ASCII path and no space or control character, "
+          "got 'http://127.0.0.1:9/\u00fc'"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:9/a b"},
+          "remote scorer address must have an ASCII path and no space or control character, "
+          "got 'http://127.0.0.1:9/a b'"),
+         ({"scorer": "remote", "scorer_address": "http://127.0.0.1:9/a\tb"},
+          "remote scorer address must have an ASCII path and no space or control character, "
+          "got 'http://127.0.0.1:9/a\\tb'")],
     )
     def test_bad_stage_value_rejected_before_output(self, workspace, capsys, extra, named):
         config = make_config(workspace, "out_stage", **extra)
         assert main(["pipeline", "run", "--config", str(config)]) == 2
         assert f"config {config}: {named}" in capsys.readouterr().err
         assert not (workspace / "out_stage").exists()
+
+    def test_unsendable_scorer_address_flag_rejected_before_output(self, workspace, capsys):
+        # A byte that is not UTF-8 reaches argv as a lone surrogate.
+        config = make_config(workspace, "out_flag")
+        address = "http://h\udcff.example:1"
+        argv = ["pipeline", "run", "--config", str(config), "--scorer", "remote",
+                "--scorer-address", address]
+        assert main(argv) == 2
+        named = f"config {config}: remote scorer address {address!r}: encoding with 'idna' codec"
+        assert named in capsys.readouterr().err
+        assert not (workspace / "out_flag").exists()
 
     def test_numeric_strings_and_integral_floats_accepted(self, workspace):
         config = make_config(workspace, "out_numeric", rerank_depth="5", max_words=3.0,
@@ -917,6 +945,31 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="^unknown expansion mode 'nl'$"):
             ExperimentConfig(**required, mode="nl")
         assert ExperimentConfig(**required, mode="natural_language").mode == "natural_language"
+
+    # One value of the wrong type per annotation in _CONFIG_TYPES.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("corpus", 5), ("dense_run", 5), ("source", 5), ("scorer", None),
+         ("skip_direct_answers", "yes"), ("max_words", "5x"), ("fusion_alpha", "x"),
+         ("metrics", ["s@1", 1])],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_mistyped_value_is_a_validation_error_naming_its_field(self, key, value):
+        required = {"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out"}
+        named = rf"^{key} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=named):
+            ExperimentConfig(**required | {key: value})
+
+    def test_config_takes_source_and_scorer_by_value_not_by_alias(self):
+        required = {"corpus": "c", "queries": "q", "qrels": "r", "output_dir": "out"}
+        cfg = ExperimentConfig(**required, source="wiki", scorer="remote",
+                               scorer_address="http://127.0.0.1:1")
+        assert cfg.source is SnippetSource.WIKI
+        assert cfg.scorer is cfg.endpoint.kind is ScorerKind.REMOTE
+        with pytest.raises(ValidationError, match="^unknown snippet source 'serp'$"):
+            ExperimentConfig(**required, source="serp")
+        with pytest.raises(ValidationError, match="^unknown scorer 'baseline'$"):
+            ExperimentConfig(**required, scorer="baseline")
 
     def test_missing_path_rejected(self, workspace):
         config = make_config(workspace, "out_missing", corpus=str(workspace / "nope.jsonl"))

@@ -30,6 +30,7 @@ from oracles import (
     success_oracle,
     t_two_tailed_p_oracle,
 )
+from pinned_sums import MEAN_VALUES, NDCG_GRADES, PINNED, T_BASELINE, T_TREATMENT, computed
 
 
 METRICS = ExperimentConfig.metrics
@@ -448,3 +449,31 @@ class TestCompareRuns:
         base, treat = self.reports()
         with pytest.raises(ValidationError, match="recall@5"):
             compare_runs(base, treat, "recall@5")
+
+
+class TestLeftToRightSums:
+    """Each float sum adds left to right, so a metric or a t-test gives the
+    same bits on every Python. Each input here is one on which a compensated
+    sum (`math.fsum`, or the builtin `sum` from Python 3.12 on) rounds
+    differently."""
+
+    def test_report_mean(self):
+        compensated = math.fsum(MEAN_VALUES) / len(MEAN_VALUES)
+        assert computed()["mean"] == PINNED["mean"] != compensated.hex()
+
+    def test_ndcg(self):
+        ideal = sorted(NDCG_GRADES, reverse=True)
+        compensated = (
+            math.fsum(g / math.log2(rank + 1) for rank, g in enumerate(NDCG_GRADES, start=1))
+            / math.fsum(g / math.log2(rank + 1) for rank, g in enumerate(ideal, start=1))
+        )
+        assert computed()["ndcg"] == PINNED["ndcg"] != compensated.hex()
+
+    def test_paired_t_test(self):
+        diffs = [t - b for b, t in zip(T_BASELINE, T_TREATMENT)]
+        n = len(diffs)
+        mean = math.fsum(diffs) / n
+        t = mean / math.sqrt(math.fsum((d - mean) ** 2 for d in diffs) / (n - 1) / n)
+        got = computed()
+        assert got["t_mean_difference"] == PINNED["t_mean_difference"] != mean.hex()
+        assert got["t_statistic"] == PINNED["t_statistic"] != t.hex()

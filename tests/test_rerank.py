@@ -474,6 +474,17 @@ class TestRemoteScorer:
         with pytest.raises(ValidationError):
             ScorerEndpoint(ScorerKind.REMOTE)
 
+    def test_kind_is_read_by_value(self):
+        assert ScorerEndpoint("lexical_baseline").kind is ScorerKind.LEXICAL_BASELINE
+        assert ScorerEndpoint("remote", "http://127.0.0.1:1").kind is ScorerKind.REMOTE
+        with pytest.raises(ValidationError, match="requires an http"):
+            ScorerEndpoint("remote")
+
+    @pytest.mark.parametrize("kind", ["lexical", "baseline", "REMOTE", "", None, 5])
+    def test_unknown_kind_is_a_validation_error(self, kind):
+        with pytest.raises(ValidationError, match=f"^unknown scorer {kind!r}$"):
+            ScorerEndpoint(kind)
+
     @pytest.mark.parametrize(
         "address", ["127.0.0.1:8000", "scorer.example/v1", "file:///tmp", "ftp://127.0.0.1:1"]
     )

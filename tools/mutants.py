@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 _CLI = "tests/test_cli.py"
 _CORPUS_IO = "tests/test_corpus_io.py"
+_EVALUATION = "tests/test_evaluation.py"
 
 
 MUTANTS = (
@@ -174,6 +175,31 @@ MUTANTS = (
         "rank < 1",
         "rank < 0",
         (f"{_CLI}::TestExitCodes::test_loader_errors_name_the_file",),
+    ),
+    # A compensated sum at each float-sum site; the pinned bits kill it, as
+    # they would the builtin `sum` of Python 3.12 and later.
+    Mutant(
+        "report-mean-fsum",
+        "src/augrank/evaluation.py",
+        "{t: _left_sum(row[t] for row in rows)",
+        "{t: math.fsum(row[t] for row in rows)",
+        (f"{_EVALUATION}::TestLeftToRightSums::test_report_mean",),
+    ),
+    Mutant(
+        "ndcg-fsum",
+        "src/augrank/evaluation.py",
+        "    idcg = _left_sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))\n"
+        "    if idcg == 0.0:\n        return 0.0\n    dcg = _left_sum(\n",
+        "    idcg = math.fsum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))\n"
+        "    if idcg == 0.0:\n        return 0.0\n    dcg = math.fsum(\n",
+        (f"{_EVALUATION}::TestLeftToRightSums::test_ndcg",),
+    ),
+    Mutant(
+        "t-test-fsum",
+        "src/augrank/evaluation.py",
+        "mean = _left_sum(diffs) / n\n    variance = _left_sum(",
+        "mean = math.fsum(diffs) / n\n    variance = math.fsum(",
+        (f"{_EVALUATION}::TestLeftToRightSums::test_paired_t_test",),
     ),
     Mutant(
         "marker-strict-p01",
