@@ -96,13 +96,12 @@ from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_p
 from .rerank import (
     ScorerEndpoint,
     ScorerKind,
-    build_augmented_input,
     head_inputs,
     input_records,
     rerank_topk,
     score_heads,
 )
-from .rerank import build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps it here)
+from .rerank import build_augmented_input, build_input  # noqa: F401  (not called; bench/traced_pipeline.py wraps them here)
 from .trainset import balance_upsample, render_training_sequences
 
 TYPE_CHECKING = False
@@ -486,27 +485,23 @@ def _rerank(
     is scored in one `score_heads` call before any query is reranked; a
     query's scores depend only on its own candidates in the call. With
     `inputs_out`, each query's scorer inputs are also written there, in
-    one write once it has been reranked, as `input_records` renders them
-    from the query's first input."""
+    one write once it has been reranked, as `input_records` renders the
+    inputs that were scored."""
     heads = []
     for query in queries:
         ranked = initial.get(query.id)
         if ranked is not None and ranked.entries:
-            heads.append((query, ranked, expansions.get(query.id), min(k, len(ranked.entries))))
-    scores = score_heads(
-        [head_inputs(ranked, corpus, query, expansion, depth)
-         for query, ranked, expansion, depth in heads],
-        endpoint,
-    )
+            expansion, depth = expansions.get(query.id), min(k, len(ranked.entries))
+            inputs = head_inputs(ranked, corpus, query, expansion, depth)
+            heads.append((query, ranked, expansion, depth, inputs))
+    scores = score_heads([inputs for *_, inputs in heads], endpoint)
     reranked = []
-    for (query, ranked, expansion, depth), head_scores in zip(heads, scores):
+    for (query, ranked, expansion, depth, inputs), head_scores in zip(heads, scores):
         reranked.append(
             rerank_topk(ranked, corpus, query, expansion, endpoint, depth, head_scores)
         )
         if inputs_out is not None:
-            passages = [corpus[pid] for pid, _ in ranked.entries[:depth]]
-            first = build_augmented_input(query, expansion, passages[0])
-            inputs_out.write("".join(input_records(first, passages)))
+            inputs_out.write("".join(input_records(inputs)))
     with _open_out(out_path) as out:
         write_run(reranked, tag, out)
     return reranked

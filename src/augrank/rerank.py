@@ -11,7 +11,7 @@ space after each label colon, single space between segments):
 The templates are written once: `template_head` gives everything up to the
 document, which every candidate of one query shares, and `sequence` adds
 the document and " Relevant:". `input_records` renders one query's
-inputs.jsonl lines from that head, escaped once.
+`head_inputs` as inputs.jsonl lines from that head, escaped once.
 
 `build_augmented_input` is the one place that picks the template: no
 expansion, or the empty fallback one, gives the plain form. Training
@@ -102,7 +102,9 @@ class ScorerKind(str, Enum):
 class ScorerEndpoint:
     """Where and how candidates are scored; the class attributes are the
     defaults of batch size and timeout. `kind` is read by value, so
-    "remote" is ScorerKind.REMOTE; an unknown one is a ValidationError."""
+    "remote" is ScorerKind.REMOTE; an unknown one is a ValidationError, as
+    is an address that is not a string or None, a batch size that is not
+    an int, or a timeout that is not an int or a float (a bool is neither)."""
 
     address: str | None = None
     batch_size: int = 32
@@ -119,6 +121,12 @@ class ScorerEndpoint:
             self.kind = ScorerKind(kind)
         except ValueError:
             raise ValidationError(f"unknown scorer {kind!r}") from None
+        if address is not None and not isinstance(address, str):
+            raise ValidationError(f"address must be a string or None, got {address!r}")
+        if not isinstance(batch_size, int) or isinstance(batch_size, bool):
+            raise ValidationError(f"batch_size must be an integer, got {batch_size!r}")
+        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
+            raise ValidationError(f"timeout must be a number, got {timeout!r}")
         self.address = address
         self.batch_size = batch_size
         self.timeout = timeout
@@ -197,17 +205,18 @@ def template_head(query: str, description: str | None) -> str:
     return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
 
 
-def input_records(first: RerankInput, passages: Sequence[Passage]) -> list[str]:
-    """The inputs.jsonl lines of one query's candidate `passages`: each is
+def input_records(inputs: Sequence[RerankInput]) -> list[str]:
+    """The inputs.jsonl lines of one query's `head_inputs`: each is
     json.dumps({"query_id", "passage_id", "sequence"}, ensure_ascii=False)
-    of its input with `first`'s query and description. The head is escaped
-    once and lines joined from escaped pieces; JSON escapes per character."""
+    of its input. They share the first input's template head, escaped once;
+    lines are joined from escaped pieces, as JSON escapes per character."""
+    first = inputs[0]
     prefix = f'{{"query_id": {encode_json_string(first.query_id)}, "passage_id": '
     head = encode_json_string(template_head(first.query, first.description))[:-1]
     return [
-        f'{prefix}{encode_json_string(passage.id)}, "sequence": {head}'
-        f"{encode_json_string(passage.text)[1:-1]}{_SEQUENCE_TAIL}"
-        for passage in passages
+        f'{prefix}{encode_json_string(item.passage_id)}, "sequence": {head}'
+        f"{encode_json_string(item.document)[1:-1]}{_SEQUENCE_TAIL}"
+        for item in inputs
     ]
 
 
@@ -305,14 +314,21 @@ def _connection(url: str, timeout: float):
         credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
         auth["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode("ascii")
     proxy_host = unquote(proxy_parts.netloc.rpartition("@")[2])
+    # The proxy is sent the host as IDNA, without user info: http.client
+    # encodes the request line and the CONNECT host as ASCII.
+    authority = parts.hostname.encode("idna").decode("ascii")
+    if ":" in authority:  # an IPv6 address
+        authority = f"[{authority}]"
+    if parts.port is not None:
+        authority = f"{authority}:{parts.port}"
     if parts.scheme == "https":
         connection = cls(proxy_host, timeout=timeout)
-        connection.set_tunnel(host, headers=auth)
+        connection.set_tunnel(authority, headers=auth)
         return connection, target, headers
     # An http request is sent to an https:// proxy over TLS, as urllib does.
     cls = HTTPSConnection if proxy_parts.scheme == "https" else HTTPConnection
     connection = cls(proxy_host, timeout=timeout)
-    return connection, urlunsplit(parts._replace(fragment="")), headers | auth
+    return connection, urlunsplit(parts._replace(netloc=authority, fragment="")), headers | auth
 
 
 def _post(connection, target: str, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:

@@ -152,4 +152,6 @@ def test_every_wrapped_name_records_a_span(tmp_path):
         # The run is scored in one call, not one per query.
         assert names.count("rerank.score_batch") == 1, name
     # The dead wraps: nothing in the pipeline calls these names.
-    assert wrapped - recorded == {"index.estimate_corpus_lm", "rerank.build_input@cli"}
+    assert wrapped - recorded == {
+        "index.estimate_corpus_lm", "rerank.build_input@cli", "rerank.build_augmented_input@cli",
+    }

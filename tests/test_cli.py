@@ -539,21 +539,27 @@ class TestRerankInputsFile:
         )
 
     def test_template_built_once_per_reranked_query(self, monkeypatch):
+        # inputs.jsonl is written from the inputs that were scored: every
+        # RerankInput built in augrank.cli and augrank.rerank together is
+        # one candidate of one reranked query, so the builds sum the depths.
         calls = []
+        init = rerank_module.RerankInput.__init__
 
-        def counting_build(query, expansion, passage):
-            calls.append(query.id)
-            return build_augmented_input(query, expansion, passage)
+        def counting_init(self, query_id, *args):
+            calls.append(query_id)
+            init(self, query_id, *args)
 
-        monkeypatch.setattr(cli_module, "build_augmented_input", counting_build)
+        monkeypatch.setattr(rerank_module.RerankInput, "__init__", counting_init)
         queries = [Query("q1", "apple"), Query("q2", "no run"), Query("q3", "pie")]
         corpus = {pid: Passage(pid, None, f"apple pie {pid}") for pid in ("d1", "d2", "d3")}
         entries = (("d1", 3.0), ("d2", 2.0), ("d3", 1.0))
-        initial = {qid: RankedList(qid, entries) for qid in ("q1", "q3")}
+        initial = {"q1": RankedList("q1", entries), "q3": RankedList("q3", entries[:2])}
         expansions = {"q3": Expansion("q3", ExpansionMode.NATURAL_LANGUAGE, "tart")}
+        inputs_out = io.StringIO()
         _rerank(queries, initial, corpus, expansions, self.BASELINE, 3, "t", os.devnull,
-                io.StringIO())
-        assert calls == ["q1", "q3"]
+                inputs_out)
+        assert calls == ["q1"] * 3 + ["q3"] * 2
+        assert len(inputs_out.getvalue().splitlines()) == 5
 
     def test_one_write_per_reranked_query(self):
         queries = [Query("q1", "apple"), Query("q2", "no run"), Query("q3", "pie")]

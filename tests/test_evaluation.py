@@ -148,6 +148,45 @@ class TestAveragePrecision:
         assert average_precision(ranked("a"), qrels, 1) == pytest.approx(0.5)
 
 
+class TestGuards:
+    """The refusals and the unjudged result of each metric called on its
+    own, and the edges of the t-test's special functions; `evaluate_run`
+    and `paired_t_test` never reach them."""
+
+    CUTOFF_METRICS = [success_at_k, mrr_at_k, ndcg_at_k]
+
+    @pytest.mark.parametrize("metric", CUTOFF_METRICS)
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_is_refused(self, metric, k):
+        with pytest.raises(ValidationError, match=f"^k must be >= 1, got {k}$"):
+            metric(ranked("d1"), judged(d1=1), k)
+
+    @pytest.mark.parametrize("metric", CUTOFF_METRICS)
+    def test_unjudged_query_is_none_at_any_cutoff(self, metric):
+        assert metric(ranked("d1", qid="q2"), judged(d1=1), 1) is None
+
+    def test_unjudged_query_has_no_average_precision(self):
+        assert average_precision(ranked("d1", qid="q2"), judged(d1=1), 1) is None
+
+    @pytest.mark.parametrize("x", [-0.1, 1.1, -math.inf, math.nan])
+    def test_incomplete_beta_refuses_x_outside_the_unit_interval(self, x):
+        with pytest.raises(ValidationError, match="^x must be in \\[0, 1\\]"):
+            regularized_incomplete_beta(2.0, 0.5, x)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_incomplete_beta_at_the_ends_is_x(self, x):
+        assert regularized_incomplete_beta(2.0, 0.5, x) == x
+
+    @pytest.mark.parametrize("df", [0, -3])
+    def test_t_p_value_needs_a_degree_of_freedom(self, df):
+        with pytest.raises(ValidationError, match=f"^degrees of freedom must be >= 1, got {df}$"):
+            student_t_two_tailed_p(1.0, df)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_has_p_zero(self, t):
+        assert student_t_two_tailed_p(t, 3) == 0.0
+
+
 class TestEvaluateRun:
     def test_perfect_single_query(self):
         qrels = judged(a=1)

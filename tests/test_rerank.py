@@ -486,6 +486,24 @@ class TestRemoteScorer:
             ScorerEndpoint(kind)
 
     @pytest.mark.parametrize(
+        "args, match",
+        [(("remote", 5), "^address must be a string or None, got 5$"),
+         (("remote", b"http://127.0.0.1:1"), "^address must be a string or None"),
+         (("lexical_baseline", None, "x"), "^batch_size must be an integer, got 'x'$"),
+         (("lexical_baseline", None, True), "^batch_size must be an integer, got True$"),
+         (("lexical_baseline", None, 2.0), "^batch_size must be an integer"),
+         (("lexical_baseline", None, 32, "10"), "^timeout must be a number, got '10'$"),
+         (("lexical_baseline", None, 32, True), "^timeout must be a number, got True$"),
+         (("lexical_baseline", None, 32, None), "^timeout must be a number")],
+    )
+    def test_settings_of_the_wrong_type_are_refused(self, args, match):
+        with pytest.raises(ValidationError, match=match):
+            ScorerEndpoint(*args)
+
+    def test_an_int_timeout_is_accepted(self):
+        assert ScorerEndpoint("lexical_baseline", None, 32, 10).timeout == 10
+
+    @pytest.mark.parametrize(
         "address", ["127.0.0.1:8000", "scorer.example/v1", "file:///tmp", "ftp://127.0.0.1:1"]
     )
     def test_address_must_be_an_http_url(self, address):
@@ -624,6 +642,28 @@ class TestRemoteConnection:
         assert scorer_server.last_path == "http://localhost:1/score"
         assert scorer_server.last_headers["Host"] == "localhost:1"
         assert "Proxy-Authorization" not in scorer_server.last_headers
+
+    # http.client sends the request line as ASCII, so the host goes in its
+    # IDNA form; an IPv6 address keeps its brackets, and user info is not sent.
+    @pytest.mark.parametrize(
+        "address, target",
+        [("http://hÿ.example:1", "http://xn--h-kha.example:1/score"),
+         ("http://[::1]:1", "http://[::1]:1/score"),
+         ("http://user@localhost", "http://localhost/score")],
+    )
+    def test_http_proxy_gets_the_ascii_host(self, scorer_server, no_proxy_env, address, target):
+        no_proxy_env.setenv("http_proxy", scorer_server.address)
+        score_batch(self.items(2), ScorerEndpoint(ScorerKind.REMOTE, address))
+        assert scorer_server.last_path == target
+
+    def test_connect_tunnel_gets_the_idna_host(self, scorer_server, no_proxy_env):
+        no_proxy_env.setenv("https_proxy", scorer_server.address)
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, "https://hÿ.example:1")
+        with pytest.raises(TransportError, match="request failed"):
+            score_batch(self.items(2), endpoint)
+        assert (scorer_server.last_command, scorer_server.last_path) == (
+            "CONNECT", "xn--h-kha.example:1"
+        )
 
     def test_proxy_credentials_become_basic_proxy_authorization(
         self, scorer_server, no_proxy_env

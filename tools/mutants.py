@@ -201,6 +201,50 @@ MUTANTS = (
         "mean = math.fsum(diffs) / n\n    variance = math.fsum(",
         (f"{_EVALUATION}::TestLeftToRightSums::test_paired_t_test",),
     ),
+    # Each tie-break reversed: the scores keep their order, ties do not.
+    Mutant(
+        "bm25-ties-by-descending-id",
+        "src/augrank/index.py",
+        "sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))",
+        "sorted(exact.items(), key=lambda kv: (kv[1], kv[0]), reverse=True)",
+        ("tests/test_index.py",),
+    ),
+    Mutant(
+        "rerank-ties-by-descending-rank",
+        "src/augrank/rerank.py",
+        "key=lambda i: (-scores[i], i)",
+        "key=lambda i: (-scores[i], -i)",
+        ("tests/test_rerank.py",),
+    ),
+    Mutant(
+        "fuse-ties-by-descending-id",
+        "src/augrank/index.py",
+        "fused.sort(key=lambda e: (-e[1], e[0]))",
+        "fused.sort(key=lambda e: (e[1], e[0]), reverse=True)",
+        ("tests/test_index.py",),
+    ),
+    # Each metric's cutoff one rank too deep.
+    Mutant(
+        "success-cutoff-k-plus-one",
+        "src/augrank/evaluation.py",
+        "for pid, _ in ranked.entries[:k]) else 0.0",
+        "for pid, _ in ranked.entries[: k + 1]) else 0.0",
+        (_EVALUATION,),
+    ),
+    Mutant(
+        "mrr-cutoff-k-plus-one",
+        "src/augrank/evaluation.py",
+        "enumerate(ranked.entries[:k], start=1):",
+        "enumerate(ranked.entries[: k + 1], start=1):",
+        (_EVALUATION,),
+    ),
+    Mutant(
+        "ndcg-cutoff-k-plus-one",
+        "src/augrank/evaluation.py",
+        "enumerate(ranked.entries[:k], start=1)\n",
+        "enumerate(ranked.entries[: k + 1], start=1)\n",
+        (_EVALUATION,),
+    ),
     Mutant(
         "marker-strict-p01",
         "src/augrank/evaluation.py",
