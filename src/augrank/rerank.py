@@ -36,18 +36,19 @@ in [0, 1], higher means more relevant:
   encodes as IDNA, a port in 1..65535 if it names one, an ASCII path, no
   space or control character, and no query string or fragment. Each
   call's inputs go in `batch_size` chunks, in order, over one HTTP/1.1
-  keep-alive connection from the standard library's http.client, opened
-  at the first batch and closed when the call returns; the HTTP
-  modules are imported then, so other commands start without them. A
-  request that fails on a reused connection before its reply (the server
-  closed it between requests) is sent once more on a new connection.
-  Proxies come from the environment as urllib.request reads them
-  (http_proxy, https_proxy, no_proxy); https goes through a CONNECT
-  tunnel, and HTTPS certificates are checked against the system trust
-  store. Any other failed request, or any status but 200 (a redirect
-  included: it is not followed), is a TransportError naming the batch's
-  indices into the call's inputs; a reply outside the contract is a
-  ProtocolError.
+  keep-alive connection, opened at the first batch and closed when the
+  call returns. The client is `_http.Connection`, a plain socket that
+  sends each request in the bytes http.client would; it is imported at
+  the first batch, so other commands never load it. A request that fails
+  on a reused connection before any byte of its reply (the server closed
+  it between requests) is sent once more on a new connection; a timeout
+  is not retried. Proxies come from the environment as urllib.request
+  reads them (http_proxy, https_proxy, no_proxy); https goes through a
+  CONNECT tunnel, and HTTPS certificates are checked against the system
+  trust store. Any other failed request or reply that HTTP/1.1 cannot
+  frame, or any status but 200 (a redirect included: it is not
+  followed), is a TransportError naming the batch's indices into the
+  call's inputs; a reply outside the contract is a ProtocolError.
 
 A call's scores for one query's candidates depend only on that query's
 candidates in the call, so scoring a whole run in one call gives the
@@ -67,7 +68,7 @@ from _thread import TIMEOUT_MAX
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import islice
-from urllib.parse import unquote, urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, Record, encode_json_string
@@ -156,8 +157,8 @@ class ScorerEndpoint:
                     f"got {self.address!r}"
                 )
             # What would fail only at the first request: the host is looked
-            # up as IDNA and the path sent as ASCII; http.client refuses a
-            # space or a control character, and urlsplit drops a tab.
+            # up as IDNA and the path sent as ASCII; a request line holds no
+            # space or control character, and urlsplit drops a tab.
             try:
                 parts.hostname.encode("idna")
             except UnicodeError as exc:
@@ -289,68 +290,6 @@ def _lexical_baseline_scores(inputs: Sequence[RerankInput]) -> list[float]:
     return scores
 
 
-def _connection(url: str, timeout: float):
-    """An HTTP(S) connection for `url`, not yet opened, the request target
-    to send on it, and the headers for every request. The proxy is the one
-    urllib.request would use: taken from the environment, skipped for a
-    host in no_proxy; an http URL goes to it in absolute form (over TLS when
-    the proxy URL is https://), an https URL through a CONNECT tunnel;
-    user:password in its URL becomes a Basic Proxy-Authorization header."""
-    from base64 import b64encode
-    from http.client import HTTPConnection, HTTPSConnection
-    from urllib.request import getproxies, proxy_bypass
-
-    parts = urlsplit(url)
-    cls = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-    host = parts.netloc.rpartition("@")[2]
-    target = urlunsplit(("", "", parts.path, parts.query, ""))
-    headers = {"Content-Type": "application/json"}
-    proxy = getproxies().get(parts.scheme)
-    if not proxy or proxy_bypass(host):
-        return cls(parts.hostname, parts.port, timeout=timeout), target, headers
-    proxy_parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
-    auth = {}
-    if proxy_parts.username and proxy_parts.password:
-        credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
-        auth["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode("ascii")
-    proxy_host = unquote(proxy_parts.netloc.rpartition("@")[2])
-    # The proxy is sent the host as IDNA, without user info: http.client
-    # encodes the request line and the CONNECT host as ASCII.
-    authority = parts.hostname.encode("idna").decode("ascii")
-    if ":" in authority:  # an IPv6 address
-        authority = f"[{authority}]"
-    if parts.port is not None:
-        authority = f"{authority}:{parts.port}"
-    if parts.scheme == "https":
-        connection = cls(proxy_host, timeout=timeout)
-        connection.set_tunnel(authority, headers=auth)
-        return connection, target, headers
-    # An http request is sent to an https:// proxy over TLS, as urllib does.
-    cls = HTTPSConnection if proxy_parts.scheme == "https" else HTTPConnection
-    connection = cls(proxy_host, timeout=timeout)
-    return connection, urlunsplit(parts._replace(netloc=authority, fragment="")), headers | auth
-
-
-def _post(connection, target: str, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
-    """Status and body of one POST. http.client opens the connection when it
-    has none, and keeps it open after a reply unless the server closes it."""
-    reused = connection.sock is not None
-    try:
-        connection.request("POST", target, body, headers)
-        response = connection.getresponse()
-    # http.client's RemoteDisconnected is a ConnectionResetError. A server
-    # may close a kept-alive connection between requests; that request is
-    # sent once more, on a new connection. A timeout is not retried.
-    except (ConnectionResetError, BrokenPipeError):
-        if not reused:
-            raise
-        connection.close()
-        connection.request("POST", target, body, headers)
-        response = connection.getresponse()
-    with response:
-        return response.status, response.read()
-
-
 def _failed(message: str, batch: Sequence[RerankInput], start: int) -> TransportError:
     """The error of the batch at `start` of a call's inputs, naming its queries."""
     query_ids = list(dict.fromkeys(item.query_id for item in batch))
@@ -361,9 +300,9 @@ def _failed(message: str, batch: Sequence[RerankInput], start: int) -> Transport
 
 
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:
-    # Imported here: http.client and urllib.request are a large share of
-    # importing the CLI, and only this scorer uses them.
-    from http.client import HTTPException
+    # Imported here: only this scorer talks HTTP, so no other command
+    # loads the client, `socket` or `ssl`.
+    from ._http import Connection, HTTPFault
 
     url = endpoint.address.rstrip("/") + "/score"
     connection = None
@@ -374,9 +313,9 @@ def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> l
             body = json.dumps({"inputs": [item.sequence for item in batch]}).encode()
             try:
                 if connection is None:
-                    connection, target, headers = _connection(url, endpoint.timeout)
-                status, data = _post(connection, target, body, headers)
-            except (OSError, HTTPException) as exc:
+                    connection = Connection(url, endpoint.timeout)
+                status, data = connection.post(body)
+            except (OSError, HTTPFault) as exc:
                 raise _failed(f"scorer request failed: {exc}", batch, start) from exc
             if status != 200:
                 raise _failed(f"scorer returned HTTP {status}", batch, start)

@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 _CLI = "tests/test_cli.py"
 _CORPUS_IO = "tests/test_corpus_io.py"
 _EVALUATION = "tests/test_evaluation.py"
+_RERANK = "tests/test_rerank.py"
 
 
 MUTANTS = (
@@ -244,6 +245,29 @@ MUTANTS = (
         "enumerate(ranked.entries[:k], start=1)\n",
         "enumerate(ranked.entries[: k + 1], start=1)\n",
         (_EVALUATION,),
+    ),
+    # The remote scorer's transport: each rule of when a connection is
+    # reused, a reply is final, or a request is sent again.
+    Mutant(
+        "transport-retry-on-new-connection",
+        "src/augrank/_http.py",
+        "if not reused:\n                raise",
+        "if False:\n                raise",
+        (f"{_RERANK}::TestRemoteConnection::test_hangup_on_a_new_connection_names_the_batch",),
+    ),
+    Mutant(
+        "transport-every-1xx-interim",
+        "src/augrank/_http.py",
+        "if status != 100:",
+        "if status >= 200:",
+        (f"{_RERANK}::TestWireFormat::test_switching_protocols_is_a_status_error",),
+    ),
+    Mutant(
+        "transport-http10-kept-open",
+        "src/augrank/_http.py",
+        'keep = b"keep-alive" in connection',
+        'keep = True or b"keep-alive" in connection',
+        (f"{_RERANK}::TestWireFormat::test_connection_stays_open_only_when_the_reply_allows",),
     ),
     Mutant(
         "marker-strict-p01",
