@@ -96,6 +96,7 @@ from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_p
 from .rerank import (
     ScorerEndpoint,
     ScorerKind,
+    _escape,
     head_inputs,
     input_records,
     rerank_topk,
@@ -486,7 +487,8 @@ def _rerank(
     query's scores depend only on its own candidates in the call. With
     `inputs_out`, each query's scorer inputs are also written there, in
     one write once it has been reranked, as `input_records` renders the
-    inputs that were scored."""
+    inputs that were scored; each distinct head and document of the call
+    is escaped once."""
     heads = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -495,6 +497,8 @@ def _rerank(
             inputs = head_inputs(ranked, corpus, query, expansion, depth)
             heads.append((query, ranked, expansion, depth, inputs))
     scores = score_heads([inputs for *_, inputs in heads], endpoint)
+    if inputs_out is not None:
+        _escape(item for *_, inputs in heads for item in inputs)
     reranked = []
     for (query, ranked, expansion, depth, inputs), head_scores in zip(heads, scores):
         reranked.append(

@@ -10,15 +10,21 @@ space after each label colon, single space between segments):
 
 The templates are written once: `template_head` gives everything up to the
 document, which every candidate of one query shares, and `sequence` adds
-the document and " Relevant:". `input_records` renders one query's
-`head_inputs` as inputs.jsonl lines from that head, escaped once.
+the document and " Relevant:".
 
 `build_augmented_input` is the one place that picks the template: no
 expansion, or the empty fallback one, gives the plain form. Training
 sequences (`trainset.render_training_sequences`) append " true" /
 " false" after "Relevant:". Strings are rendered only where a string
 leaves the program: the remote scorer's payload, the pipeline's
-inputs.jsonl and training sequences. Nothing parses
+inputs.jsonl and training sequences. The first two hold JSON strings,
+and they are joined from one set of escaped pieces: `_escape` JSON-escapes
+each distinct template head (query and description) and each distinct
+document of a call once and caches the pieces on the inputs, and
+`input_records` and the remote payload concatenate them. JSON escapes
+one character at a time, so every inputs.jsonl line is the
+json.dumps(record, ensure_ascii=False) of its input and every payload
+the json.dumps of its sequences. Nothing parses
 a rendered sequence back, so text that contains a label literal such as
 "Document:" is scored as the text it is. Scorers return one value per input
 in [0, 1], higher means more relevant:
@@ -31,7 +37,9 @@ in [0, 1], higher means more relevant:
   Each distinct document is tokenized once per call, however many
   queries' inputs hold it.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
-  sequences, expecting {"scores": [...]} of equal length; scores must be
+  sequences, in the bytes json.dumps(...).encode() gives (a piece that
+  holds a non-ASCII character or DEL is escaped again for it, as
+  json.dumps escapes those), expecting {"scores": [...]} of equal length; scores must be
   JSON numbers (not booleans) in [0, 1]. The address needs a host that
   encodes as IDNA, a port in 1..65535 if it names one, an ASCII path, no
   space or control character, and no query string or fragment. Each
@@ -65,10 +73,9 @@ from __future__ import annotations
 import json
 import math
 from _thread import TIMEOUT_MAX
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import islice
-from urllib.parse import urlsplit
 
 from .augment import Expansion
 from .corpus_io import Passage, Query, RankedList, Record, encode_json_string
@@ -86,9 +93,12 @@ DESCRIPTION_LABEL = "Description:"
 DOCUMENT_LABEL = "Document:"
 RELEVANT_LABEL = "Relevant:"
 
-# The escaped end of an inputs.jsonl record: the sequence's last segment,
-# its closing quote and the record's closing brace.
-_SEQUENCE_TAIL = encode_json_string(f" {RELEVANT_LABEL}")[1:] + "}\n"
+# A string as json.dumps escapes it.
+_encode_ascii = json.JSONEncoder().encode
+
+# The escaped end of a sequence after its document: its last segment and
+# the closing quote.
+_SEQUENCE_END = encode_json_string(f" {RELEVANT_LABEL}")[1:]
 
 # Score assigned to entries kept below the re-ranked head: each sits this
 # far under the previous one so the output stays sorted.
@@ -132,6 +142,10 @@ class ScorerEndpoint:
         self.batch_size = batch_size
         self.timeout = timeout
         if self.kind is ScorerKind.REMOTE:
+            # Imported here: only a remote address is parsed, and
+            # urllib.parse loads ipaddress with it.
+            from urllib.parse import urlsplit
+
             try:
                 parts = urlsplit(self.address or "")
             except ValueError as exc:  # e.g. an unclosed "[" around an IPv6 host
@@ -177,9 +191,11 @@ class ScorerEndpoint:
 
 
 class RerankInput(Record):
-    """One candidate for the scorer, kept as its template segments."""
+    """One candidate for the scorer, kept as its template segments.
+    `_escaped` caches the JSON-escaped pieces of its sequence, which
+    `_escape` fills."""
 
-    __slots__ = ("query_id", "passage_id", "query", "description", "document")
+    __slots__ = ("query_id", "passage_id", "query", "description", "document", "_escaped")
 
     def __init__(
         self, query_id: str, passage_id: str, query: str, description: str | None, document: str
@@ -189,6 +205,7 @@ class RerankInput(Record):
         self.query = query
         self.description = description
         self.document = document
+        self._escaped: tuple[str, str] | None = None
 
     @property
     def sequence(self) -> str:
@@ -206,19 +223,57 @@ def template_head(query: str, description: str | None) -> str:
     return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
 
 
+def _json_string(text: str) -> str:
+    """encode_json_string(text), the string as json.dumps escapes it with
+    ensure_ascii=False. On ASCII text without DEL ("\\x7f") the ASCII
+    escape gives the same string, in less than half the time."""
+    if text.isascii() and "\x7f" not in text:
+        return _encode_ascii(text)
+    return encode_json_string(text)
+
+
+def _escape(inputs: Iterable[RerankInput]) -> None:
+    """Fill the `_escaped` of each input that lacks it with its sequence's
+    pieces as json.dumps(ensure_ascii=False) escapes them: the template
+    head with its opening quote, then the document without quotes. Each
+    distinct head (query and description) and each distinct document
+    among `inputs` is escaped once, and inputs that share one share the
+    escaped string."""
+    heads: dict[tuple[str, str | None], str] = {}
+    documents: dict[str, str] = {}
+    for item in inputs:
+        if item._escaped is not None:
+            continue
+        head_key = (item.query, item.description)
+        head = heads.get(head_key)
+        if head is None:
+            head = _json_string(template_head(item.query, item.description))[:-1]
+            heads[head_key] = head
+        document = documents.get(item.document)
+        if document is None:
+            document = documents[item.document] = _json_string(item.document)[1:-1]
+        item._escaped = (head, document)
+
+
 def input_records(inputs: Sequence[RerankInput]) -> list[str]:
-    """The inputs.jsonl lines of one query's `head_inputs`: each is
+    """The inputs.jsonl lines of `inputs`, in order: each is
     json.dumps({"query_id", "passage_id", "sequence"}, ensure_ascii=False)
-    of its input. They share the first input's template head, escaped once;
-    lines are joined from escaped pieces, as JSON escapes per character."""
-    first = inputs[0]
-    prefix = f'{{"query_id": {encode_json_string(first.query_id)}, "passage_id": '
-    head = encode_json_string(template_head(first.query, first.description))[:-1]
-    return [
-        f'{prefix}{encode_json_string(item.passage_id)}, "sequence": {head}'
-        f"{encode_json_string(item.document)[1:-1]}{_SEQUENCE_TAIL}"
-        for item in inputs
-    ]
+    of its own input, joined from the pieces `_escape` gives it. JSON
+    escapes one character at a time, so the joined pieces are the escaped
+    sequence."""
+    _escape(inputs)
+    lines = []
+    query_id = prefix = None
+    for item in inputs:
+        if item.query_id != query_id:
+            query_id = item.query_id
+            prefix = f'{{"query_id": {encode_json_string(query_id)}, "passage_id": '
+        head, document = item._escaped
+        lines.append(
+            f'{prefix}{encode_json_string(item.passage_id)}, "sequence": '
+            f"{head}{document}{_SEQUENCE_END}}}\n"
+        )
+    return lines
 
 
 def build_input(query: Query, passage: Passage) -> RerankInput:
@@ -299,18 +354,36 @@ def _failed(message: str, batch: Sequence[RerankInput], start: int) -> Transport
     )
 
 
+def _request_body(batch: Sequence[RerankInput]) -> bytes:
+    """json.dumps({"inputs": [item.sequence for item in batch]}).encode(),
+    joined from the inputs' escaped pieces. json.dumps escapes every
+    character outside printable ASCII, where a piece keeps non-ASCII
+    characters and DEL ("\\x7f") as they are; a piece that holds one is
+    escaped again from its text, in json.dumps' form."""
+    sequences = []
+    for item in batch:
+        head, document = item._escaped
+        if not head.isascii() or "\x7f" in head:
+            head = _encode_ascii(template_head(item.query, item.description))[:-1]
+        if not document.isascii() or "\x7f" in document:
+            document = _encode_ascii(item.document)[1:-1]
+        sequences.append(f"{head}{document}{_SEQUENCE_END}")
+    return f'{{"inputs": [{", ".join(sequences)}]}}'.encode()
+
+
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:
     # Imported here: only this scorer talks HTTP, so no other command
     # loads the client, `socket` or `ssl`.
     from ._http import Connection, HTTPFault
 
+    _escape(inputs)
     url = endpoint.address.rstrip("/") + "/score"
     connection = None
     scores: list[float] = []
     try:
         for start in range(0, len(inputs), endpoint.batch_size):
             batch = inputs[start : start + endpoint.batch_size]
-            body = json.dumps({"inputs": [item.sequence for item in batch]}).encode()
+            body = _request_body(batch)
             try:
                 if connection is None:
                     connection = Connection(url, endpoint.timeout)

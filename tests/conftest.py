@@ -22,7 +22,8 @@ class _ScorerHandler(BaseHTTPRequestHandler):
     kept open) or drop_after_reply (an HTTP/1.1 reply that does not say
     the connection closes, then a silent close). Requests and connections
     are counted; the last request's method, target, headers and body are
-    kept on the server, and a CONNECT is answered 405.
+    kept on the server, every request's body in order in its `bodies`, and
+    a CONNECT is answered 405.
     """
 
     timeout = 5  # a client that never closes cannot hold the teardown
@@ -47,6 +48,7 @@ class _ScorerHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         server.last_command, server.last_path = self.command, self.path
         server.last_headers, server.last_body = self.headers, body
+        server.bodies.append(body)
         if urlsplit(self.path).path != "/score":
             self.send_error(404)
             return
@@ -109,6 +111,7 @@ def scorer_server():
     server.mode_from_request = 1
     server.fail_from_request = None
     server.last_command = server.last_path = server.last_headers = server.last_body = None
+    server.bodies = []
     # deterministic default: score by sequence length, bounded to [0, 1]
     server.score_fn = lambda s: (len(s) % 97) / 96
     server.address = f"http://127.0.0.1:{server.server_address[1]}"

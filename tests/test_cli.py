@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import augrank.cli as cli_module
@@ -509,12 +509,13 @@ class TestRerankInputsFile:
         min_size=1, max_size=3, unique_by=lambda q: q[0],
     )
 
-    @given(
-        _queries,
-        st.lists(st.tuples(_ids, _texts), min_size=1, max_size=4, unique_by=lambda p: p[0]),
-        st.integers(1, 4),
-    )
-    def test_every_line_is_json_dumps_of_its_record(self, drawn, passages, k):
+    _passages = st.lists(st.tuples(_ids, _texts), min_size=1, max_size=4,
+                         unique_by=lambda p: p[0])
+
+    @staticmethod
+    def drawn_run(drawn, passages):
+        """The queries, corpus, initial run and expansions of a drawn run;
+        every query's initial list holds the whole corpus."""
         queries = [Query(qid, text) for qid, text, _ in drawn]
         corpus = {pid: Passage(pid, None, doc) for pid, doc in passages}
         initial = {
@@ -525,17 +526,88 @@ class TestRerankInputsFile:
             qid: Expansion(qid, ExpansionMode.NATURAL_LANGUAGE, description)
             for qid, _, description in drawn if description is not None
         }
+        return queries, corpus, initial, expansions
+
+    @staticmethod
+    def json_lines(inputs):
+        return "".join(
+            json.dumps(
+                {"query_id": item.query_id, "passage_id": item.passage_id,
+                 "sequence": item.sequence},
+                ensure_ascii=False,
+            ) + "\n"
+            for item in inputs
+        )
+
+    @given(_queries, _passages, st.integers(1, 4))
+    def test_every_line_is_json_dumps_of_its_record(self, drawn, passages, k):
+        queries, corpus, initial, expansions = self.drawn_run(drawn, passages)
         inputs_out = io.StringIO()
         _rerank(queries, initial, corpus, expansions, self.BASELINE, k, "t", os.devnull,
                 inputs_out)
-        assert inputs_out.getvalue() == "".join(
-            json.dumps(
-                {"query_id": q.id, "passage_id": pid,
-                 "sequence": build_augmented_input(q, expansions.get(q.id), corpus[pid]).sequence},
-                ensure_ascii=False,
-            ) + "\n"
+        assert inputs_out.getvalue() == self.json_lines(
+            build_augmented_input(q, expansions.get(q.id), corpus[pid])
             for q in queries
             for pid, _ in initial[q.id].entries[:k]
+        )
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_queries, _passages, st.integers(1, 4), st.integers(1, 3))
+    @example(
+        [("q1", "é\x7f", None), ("q2", "é\x7f", "\u2028")], [("d1", "\U0001f600"), ("d2", "x")],
+        2, 3,
+    )
+    def test_remote_bodies_and_lines_are_json_dumps(
+        self, scorer_server, drawn, passages, k, batch_size
+    ):
+        queries, corpus, initial, expansions = self.drawn_run(drawn, passages)
+        scorer_server.bodies.clear()
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=batch_size)
+        inputs_out = io.StringIO()
+        _rerank(queries, initial, corpus, expansions, endpoint, k, "t", os.devnull, inputs_out)
+        inputs = [
+            build_augmented_input(q, expansions.get(q.id), corpus[pid])
+            for q in queries
+            for pid, _ in initial[q.id].entries[:k]
+        ]
+        assert scorer_server.bodies == [
+            json.dumps({"inputs": [item.sequence for item in inputs[i : i + batch_size]]}).encode()
+            for i in range(0, len(inputs), batch_size)
+        ]
+        assert inputs_out.getvalue() == self.json_lines(inputs)
+
+    @pytest.mark.parametrize("scorer", ["lexical_baseline", "remote"])
+    def test_each_distinct_head_and_document_escaped_once_per_call(
+        self, monkeypatch, request, scorer
+    ):
+        # Two queries with one text and no expansion share a head, a third
+        # with an expansion has its own, and all three hold one document.
+        address = request.getfixturevalue("scorer_server").address if scorer == "remote" else None
+        escaped = []
+        encode = rerank_module._json_string
+
+        def counting_encode(text):
+            escaped.append(text)
+            return encode(text)
+
+        monkeypatch.setattr(rerank_module, "_json_string", counting_encode)
+        queries = [Query("q1", "apple"), Query("q2", "apple"), Query("q3", "apple")]
+        corpus = {"d1": Passage("d1", None, "apple pie"), "d2": Passage("d2", None, "tart")}
+        initial = {
+            "q1": RankedList("q1", (("d1", 2.0), ("d2", 1.0))),
+            "q2": RankedList("q2", (("d2", 2.0), ("d1", 1.0))),
+            "q3": RankedList("q3", (("d1", 1.0),)),
+        }
+        expansions = {"q3": Expansion("q3", ExpansionMode.NATURAL_LANGUAGE, "crumble")}
+        inputs_out = io.StringIO()
+        _rerank(queries, initial, corpus, expansions, ScorerEndpoint(scorer, address), 2, "t",
+                os.devnull, inputs_out)
+        heads = [rerank_module.template_head("apple", d) for d in (None, "crumble")]
+        assert sorted(escaped) == sorted([*heads, "apple pie", "tart"])
+        assert inputs_out.getvalue() == self.json_lines(
+            build_augmented_input(q, expansions.get(q.id), corpus[pid])
+            for q in queries
+            for pid, _ in initial[q.id].entries[:2]
         )
 
     def test_template_built_once_per_reranked_query(self, monkeypatch):

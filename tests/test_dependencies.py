@@ -67,6 +67,14 @@ def test_cli_import_loads_no_typing():
     assert "typing" not in imported
 
 
+def test_cli_import_loads_no_url_parser():
+    # Only a remote scorer's address is parsed, and urllib.parse loads
+    # ipaddress with it; every other command needs neither.
+    imported = _modules_new_after_cli_import("-S")
+    assert "augrank.cli" in imported
+    assert [m for m in imported if m in ("urllib.parse", "ipaddress")] == []
+
+
 # A plain-http score_batch against a raw-socket scorer inside the same
 # interpreter (http.server would import http.client itself), then the
 # modules loaded by then.

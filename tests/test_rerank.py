@@ -28,6 +28,7 @@ from augrank.rerank import (
     build_augmented_input,
     build_input,
     head_inputs,
+    input_records,
     rerank_topk,
     score_batch,
     score_heads,
@@ -1259,3 +1260,85 @@ class TestScoreHeads:
         ) as exc_info:
             score_heads(self.heads([3, 1, 4]), endpoint)
         assert exc_info.value.failed_indices == (2, 3)
+
+
+def json_line(item):
+    """The inputs.jsonl line of `item`, as json.dumps renders its record."""
+    record = {"query_id": item.query_id, "passage_id": item.passage_id, "sequence": item.sequence}
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+# Each escapes differently with ensure_ascii and without: non-ASCII and
+# astral characters, and DEL, which only the ASCII form escapes.
+_WIDE_TEXT = 'é "x" \\ \x00 \x1f \x7f \x85 \u2028 \U0001f600 Document:'
+
+
+class TestRendering:
+    """inputs.jsonl lines and remote request bodies are joined from pieces
+    escaped once per call; each equals what json.dumps gives."""
+
+    pytestmark = no_leaked_sockets
+
+    def test_each_line_is_rendered_from_its_own_input(self):
+        inputs = [RerankInput("q1", "p1", "apple pie", None, "doc one"),
+                  RerankInput("q2", "p2", "banana", "desc", "doc two")]
+        assert input_records(inputs) == [
+            '{"query_id": "q1", "passage_id": "p1", '
+            '"sequence": "Query: apple pie Document: doc one Relevant:"}\n',
+            '{"query_id": "q2", "passage_id": "p2", '
+            '"sequence": "Query: banana Description: desc Document: doc two Relevant:"}\n',
+        ]
+
+    def test_no_inputs_give_no_lines(self):
+        assert input_records([]) == []
+
+    def wide_inputs(self):
+        return [RerankInput("q1", "p1", _WIDE_TEXT, None, "plain"),
+                RerankInput("q1", "p2", "plain", None, _WIDE_TEXT),
+                RerankInput("q2", "p3", "plain", _WIDE_TEXT, "doc \x7f"),
+                RerankInput("q2", "p4", "plain", "ascii", "doc")]
+
+    def test_lines_are_json_dumps_of_their_records(self):
+        inputs = self.wide_inputs()
+        assert input_records(inputs) == [json_line(item) for item in inputs]
+
+    def test_request_bodies_are_json_dumps_of_the_sequences(self, scorer_server):
+        inputs = self.wide_inputs()
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=3)
+        score_batch(inputs, endpoint)
+        assert scorer_server.bodies == [
+            json.dumps({"inputs": [item.sequence for item in batch]}).encode()
+            for batch in (inputs[:3], inputs[3:])
+        ]
+        # The pieces escaped for the bodies render the lines too.
+        assert input_records(inputs) == [json_line(item) for item in inputs]
+
+    def test_one_passage_id_with_two_documents_renders_each(self, scorer_server):
+        inputs = [RerankInput("q1", "p1", "apple", None, "first document"),
+                  RerankInput("q2", "p1", "apple", None, "second document")]
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address)
+        score_batch(inputs, endpoint)
+        assert scorer_server.last_body == json.dumps(
+            {"inputs": [item.sequence for item in inputs]}
+        ).encode()
+        fresh = [RerankInput(i.query_id, i.passage_id, i.query, None, i.document) for i in inputs]
+        assert input_records(fresh) == [json_line(item) for item in inputs]
+
+    def test_one_query_text_with_two_descriptions_renders_each(self, scorer_server):
+        inputs = [RerankInput("q1", "p1", "apple", None, "pie"),
+                  RerankInput("q2", "p1", "apple", "tart", "pie"),
+                  RerankInput("q3", "p1", "apple", "crumble", "pie")]
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address)
+        score_batch(inputs, endpoint)
+        assert scorer_server.last_body == json.dumps(
+            {"inputs": [item.sequence for item in inputs]}
+        ).encode()
+        fresh = [RerankInput(i.query_id, i.passage_id, i.query, i.description, i.document)
+                 for i in inputs]
+        assert input_records(fresh) == [json_line(item) for item in inputs]
+
+    def test_escaped_pieces_are_not_part_of_equality(self):
+        item = RerankInput("q1", "p1", "apple", None, "pie")
+        rendered = RerankInput("q1", "p1", "apple", None, "pie")
+        input_records([rendered])
+        assert item == rendered and repr(item) == repr(rendered)

@@ -269,6 +269,57 @@ MUTANTS = (
         'keep = True or b"keep-alive" in connection',
         (f"{_RERANK}::TestWireFormat::test_connection_stays_open_only_when_the_reply_allows",),
     ),
+    # Re-ranker inputs are escaped once per call into shared pieces: each
+    # memo key and the ASCII form of the request body.
+    Mutant(
+        "body-without-ascii-form",
+        "src/augrank/rerank.py",
+        '        if not head.isascii() or "\\x7f" in head:\n'
+        "            head = _encode_ascii(template_head(item.query, item.description))[:-1]\n"
+        '        if not document.isascii() or "\\x7f" in document:\n'
+        "            document = _encode_ascii(item.document)[1:-1]\n",
+        "",
+        (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",
+         f"{_CLI}::TestRerankInputsFile::test_remote_bodies_and_lines_are_json_dumps"),
+    ),
+    Mutant(
+        "body-ascii-form-keeps-del",
+        "src/augrank/rerank.py",
+        'if not document.isascii() or "\\x7f" in document:',
+        "if not document.isascii():",
+        (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",),
+    ),
+    Mutant(
+        "ascii-escape-keeps-del",
+        "src/augrank/rerank.py",
+        'if text.isascii() and "\\x7f" not in text:',
+        "if text.isascii():",
+        (f"{_RERANK}::TestRendering::test_lines_are_json_dumps_of_their_records",),
+    ),
+    Mutant(
+        "document-memo-by-passage-id",
+        "src/augrank/rerank.py",
+        "documents.get(item.document)\n        if document is None:\n"
+        "            document = documents[item.document]",
+        "documents.get(item.passage_id)\n        if document is None:\n"
+        "            document = documents[item.passage_id]",
+        (f"{_RERANK}::TestRendering::test_one_passage_id_with_two_documents_renders_each",),
+    ),
+    Mutant(
+        "head-memo-without-description",
+        "src/augrank/rerank.py",
+        "head_key = (item.query, item.description)",
+        "head_key = item.query",
+        (f"{_RERANK}::TestRendering::test_one_query_text_with_two_descriptions_renders_each",),
+    ),
+    Mutant(
+        "pieces-escaped-again",
+        "src/augrank/rerank.py",
+        "        if item._escaped is not None:\n            continue\n",
+        "",
+        (f"{_CLI}::TestRerankInputsFile::"
+         "test_each_distinct_head_and_document_escaped_once_per_call",),
+    ),
     Mutant(
         "marker-strict-p01",
         "src/augrank/evaluation.py",
