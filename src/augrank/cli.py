@@ -96,7 +96,6 @@ from .index import estimate_corpus_lm  # noqa: F401  (not called; bench/traced_p
 from .rerank import (
     ScorerEndpoint,
     ScorerKind,
-    _escape,
     head_inputs,
     input_records,
     rerank_topk,
@@ -486,9 +485,8 @@ def _rerank(
     is scored in one `score_heads` call before any query is reranked; a
     query's scores depend only on its own candidates in the call. With
     `inputs_out`, each query's scorer inputs are also written there, in
-    one write once it has been reranked, as `input_records` renders the
-    inputs that were scored; each distinct head and document of the call
-    is escaped once."""
+    one write once it has been reranked, as one `input_records` call
+    renders all the inputs that were scored."""
     heads = []
     for query in queries:
         ranked = initial.get(query.id)
@@ -498,14 +496,16 @@ def _rerank(
             heads.append((query, ranked, expansion, depth, inputs))
     scores = score_heads([inputs for *_, inputs in heads], endpoint)
     if inputs_out is not None:
-        _escape(item for *_, inputs in heads for item in inputs)
+        lines = input_records([item for *_, inputs in heads for item in inputs])
+        start = 0
     reranked = []
     for (query, ranked, expansion, depth, inputs), head_scores in zip(heads, scores):
         reranked.append(
             rerank_topk(ranked, corpus, query, expansion, endpoint, depth, head_scores)
         )
         if inputs_out is not None:
-            inputs_out.write("".join(input_records(inputs)))
+            inputs_out.write("".join(lines[start : start + len(inputs)]))
+            start += len(inputs)
     with _open_out(out_path) as out:
         write_run(reranked, tag, out)
     return reranked

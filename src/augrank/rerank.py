@@ -20,11 +20,12 @@ leaves the program: the remote scorer's payload, the pipeline's
 inputs.jsonl and training sequences. The first two hold JSON strings,
 and they are joined from one set of escaped pieces: `_escape` JSON-escapes
 each distinct template head (query and description) and each distinct
-document of a call once and caches the pieces on the inputs, and
-`input_records` and the remote payload concatenate them. JSON escapes
-one character at a time, so every inputs.jsonl line is the
-json.dumps(record, ensure_ascii=False) of its input and every payload
-the json.dumps of its sequences. Nothing parses
+document of a call once, in json.dumps' form with ensure_ascii=False and
+in its default ASCII form (one string when the two agree), and caches
+the pieces on the inputs; `input_records` and the remote payload
+concatenate them. JSON escapes one character at a time, so every
+inputs.jsonl line is the json.dumps(record, ensure_ascii=False) of its
+input and every payload the json.dumps of its sequences. Nothing parses
 a rendered sequence back, so text that contains a label literal such as
 "Document:" is scored as the text it is. Scorers return one value per input
 in [0, 1], higher means more relevant:
@@ -36,27 +37,27 @@ in [0, 1], higher means more relevant:
   squashed to [0, 1] via s/(s+1); a candidate with no hit scores 0.0.
   Each distinct document is tokenized once per call, however many
   queries' inputs hold it.
-- remote: HTTP POST {"inputs": [...]} to <address>/score with the rendered
-  sequences, in the bytes json.dumps(...).encode() gives (a piece that
-  holds a non-ASCII character or DEL is escaped again for it, as
-  json.dumps escapes those), expecting {"scores": [...]} of equal length; scores must be
-  JSON numbers (not booleans) in [0, 1]. The address needs a host that
-  encodes as IDNA, a port in 1..65535 if it names one, an ASCII path, no
-  space or control character, and no query string or fragment. Each
-  call's inputs go in `batch_size` chunks, in order, over one HTTP/1.1
-  keep-alive connection, opened at the first batch and closed when the
-  call returns. The client is `_http.Connection`, a plain socket that
-  sends each request in the bytes http.client would; it is imported at
-  the first batch, so other commands never load it. A request that fails
-  on a reused connection before any byte of its reply (the server closed
-  it between requests) is sent once more on a new connection; a timeout
-  is not retried. Proxies come from the environment as urllib.request
-  reads them (http_proxy, https_proxy, no_proxy); https goes through a
-  CONNECT tunnel, and HTTPS certificates are checked against the system
-  trust store. Any other failed request or reply that HTTP/1.1 cannot
-  frame, or any status but 200 (a redirect included: it is not
-  followed), is a TransportError naming the batch's indices into the
-  call's inputs; a reply outside the contract is a ProtocolError.
+- remote: HTTP POST {"inputs": [...]} to <address>/score with the
+  rendered sequences, in the bytes json.dumps(...).encode() gives,
+  joined from the pieces' ASCII form, expecting {"scores": [...]} of
+  equal length; scores must be JSON numbers (not booleans) in [0, 1].
+  The address needs a host that encodes as IDNA, a port in 1..65535 if
+  it names one, an ASCII path, no space or control character, and no
+  query string or fragment. Each call's inputs go in `batch_size`
+  chunks, in order, over one HTTP/1.1 keep-alive connection, opened at
+  the first batch and closed when the call returns. The client is
+  `_http.Connection`, a plain socket that sends each request in the
+  bytes http.client would; it is imported at the first batch, so other
+  commands never load it. A request that fails on a reused connection
+  before any byte of its reply (the server closed it between requests)
+  is sent once more on a new connection; a timeout is not retried.
+  Proxies come from the environment as urllib.request reads them
+  (http_proxy, https_proxy, no_proxy); https goes through a CONNECT
+  tunnel, and HTTPS certificates are checked against the system trust
+  store. Any other failed request or reply that HTTP/1.1 cannot frame,
+  or any status but 200 (a redirect included: it is not followed), is a
+  TransportError naming the batch's indices into the call's inputs; a
+  reply outside the contract is a ProtocolError.
 
 A call's scores for one query's candidates depend only on that query's
 candidates in the call, so scoring a whole run in one call gives the
@@ -193,7 +194,8 @@ class ScorerEndpoint:
 class RerankInput(Record):
     """One candidate for the scorer, kept as its template segments.
     `_escaped` caches the JSON-escaped pieces of its sequence, which
-    `_escape` fills."""
+    `_escape` fills: head and document for inputs.jsonl, then head and
+    document for the remote payload."""
 
     __slots__ = ("query_id", "passage_id", "query", "description", "document", "_escaped")
 
@@ -205,7 +207,7 @@ class RerankInput(Record):
         self.query = query
         self.description = description
         self.document = document
-        self._escaped: tuple[str, str] | None = None
+        self._escaped: tuple[str, str, str, str] | None = None
 
     @property
     def sequence(self) -> str:
@@ -223,36 +225,36 @@ def template_head(query: str, description: str | None) -> str:
     return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
 
 
-def _json_string(text: str) -> str:
-    """encode_json_string(text), the string as json.dumps escapes it with
-    ensure_ascii=False. On ASCII text without DEL ("\\x7f") the ASCII
-    escape gives the same string, in less than half the time."""
+def _escaped_forms(text: str, start: int, stop: int) -> tuple[str, str]:
+    """`text` JSON-escaped and cut to [start:stop], as json.dumps escapes it
+    with ensure_ascii=False and as it escapes it by default. The two agree
+    on ASCII text without DEL ("\\x7f"), which then gives one string for both."""
+    escaped = encode_json_string(text)[start:stop]
     if text.isascii() and "\x7f" not in text:
-        return _encode_ascii(text)
-    return encode_json_string(text)
+        return escaped, escaped
+    return escaped, _encode_ascii(text)[start:stop]
 
 
 def _escape(inputs: Iterable[RerankInput]) -> None:
     """Fill the `_escaped` of each input that lacks it with its sequence's
-    pieces as json.dumps(ensure_ascii=False) escapes them: the template
-    head with its opening quote, then the document without quotes. Each
-    distinct head (query and description) and each distinct document
-    among `inputs` is escaped once, and inputs that share one share the
-    escaped string."""
-    heads: dict[tuple[str, str | None], str] = {}
-    documents: dict[str, str] = {}
+    pieces: the template head with its opening quote and the document
+    without quotes, each in both of `_escaped_forms`' forms. Each distinct
+    head (query and description) and each distinct document among `inputs`
+    is escaped once, and inputs that share one share its strings."""
+    heads: dict[tuple[str, str | None], tuple[str, str]] = {}
+    documents: dict[str, tuple[str, str]] = {}
     for item in inputs:
         if item._escaped is not None:
             continue
         head_key = (item.query, item.description)
         head = heads.get(head_key)
         if head is None:
-            head = _json_string(template_head(item.query, item.description))[:-1]
+            head = _escaped_forms(template_head(item.query, item.description), 0, -1)
             heads[head_key] = head
         document = documents.get(item.document)
         if document is None:
-            document = documents[item.document] = _json_string(item.document)[1:-1]
-        item._escaped = (head, document)
+            document = documents[item.document] = _escaped_forms(item.document, 1, -1)
+        item._escaped = (head[0], document[0], head[1], document[1])
 
 
 def input_records(inputs: Sequence[RerankInput]) -> list[str]:
@@ -268,7 +270,7 @@ def input_records(inputs: Sequence[RerankInput]) -> list[str]:
         if item.query_id != query_id:
             query_id = item.query_id
             prefix = f'{{"query_id": {encode_json_string(query_id)}, "passage_id": '
-        head, document = item._escaped
+        head, document, _, _ = item._escaped
         lines.append(
             f'{prefix}{encode_json_string(item.passage_id)}, "sequence": '
             f"{head}{document}{_SEQUENCE_END}}}\n"
@@ -356,19 +358,11 @@ def _failed(message: str, batch: Sequence[RerankInput], start: int) -> Transport
 
 def _request_body(batch: Sequence[RerankInput]) -> bytes:
     """json.dumps({"inputs": [item.sequence for item in batch]}).encode(),
-    joined from the inputs' escaped pieces. json.dumps escapes every
-    character outside printable ASCII, where a piece keeps non-ASCII
-    characters and DEL ("\\x7f") as they are; a piece that holds one is
-    escaped again from its text, in json.dumps' form."""
-    sequences = []
-    for item in batch:
-        head, document = item._escaped
-        if not head.isascii() or "\x7f" in head:
-            head = _encode_ascii(template_head(item.query, item.description))[:-1]
-        if not document.isascii() or "\x7f" in document:
-            document = _encode_ascii(item.document)[1:-1]
-        sequences.append(f"{head}{document}{_SEQUENCE_END}")
-    return f'{{"inputs": [{", ".join(sequences)}]}}'.encode()
+    joined from the inputs' pieces in json.dumps' default (ASCII) form."""
+    sequences = ", ".join(
+        f"{item._escaped[2]}{item._escaped[3]}{_SEQUENCE_END}" for item in batch
+    )
+    return f'{{"inputs": [{sequences}]}}'.encode()
 
 
 def _remote_scores(inputs: Sequence[RerankInput], endpoint: ScorerEndpoint) -> list[float]:

@@ -584,13 +584,13 @@ class TestRerankInputsFile:
         # with an expansion has its own, and all three hold one document.
         address = request.getfixturevalue("scorer_server").address if scorer == "remote" else None
         escaped = []
-        encode = rerank_module._json_string
+        encode = rerank_module.encode_json_string
 
         def counting_encode(text):
             escaped.append(text)
             return encode(text)
 
-        monkeypatch.setattr(rerank_module, "_json_string", counting_encode)
+        monkeypatch.setattr(rerank_module, "encode_json_string", counting_encode)
         queries = [Query("q1", "apple"), Query("q2", "apple"), Query("q3", "apple")]
         corpus = {"d1": Passage("d1", None, "apple pie"), "d2": Passage("d2", None, "tart")}
         initial = {
@@ -603,7 +603,10 @@ class TestRerankInputsFile:
         _rerank(queries, initial, corpus, expansions, ScorerEndpoint(scorer, address), 2, "t",
                 os.devnull, inputs_out)
         heads = [rerank_module.template_head("apple", d) for d in (None, "crumble")]
-        assert sorted(escaped) == sorted([*heads, "apple pie", "tart"])
+        # Each line escapes its own ids; every head and document is escaped
+        # once for the whole call.
+        ids = {"q1", "q2", "q3", "d1", "d2"}
+        assert sorted(t for t in escaped if t not in ids) == sorted([*heads, "apple pie", "tart"])
         assert inputs_out.getvalue() == self.json_lines(
             build_augmented_input(q, expansions.get(q.id), corpus[pid])
             for q in queries

@@ -274,27 +274,17 @@ MUTANTS = (
     Mutant(
         "body-without-ascii-form",
         "src/augrank/rerank.py",
-        '        if not head.isascii() or "\\x7f" in head:\n'
-        "            head = _encode_ascii(template_head(item.query, item.description))[:-1]\n"
-        '        if not document.isascii() or "\\x7f" in document:\n'
-        "            document = _encode_ascii(item.document)[1:-1]\n",
-        "",
+        "return escaped, _encode_ascii(text)[start:stop]",
+        "return escaped, escaped",
         (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",
          f"{_CLI}::TestRerankInputsFile::test_remote_bodies_and_lines_are_json_dumps"),
     ),
     Mutant(
         "body-ascii-form-keeps-del",
         "src/augrank/rerank.py",
-        'if not document.isascii() or "\\x7f" in document:',
-        "if not document.isascii():",
-        (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",),
-    ),
-    Mutant(
-        "ascii-escape-keeps-del",
-        "src/augrank/rerank.py",
         'if text.isascii() and "\\x7f" not in text:',
         "if text.isascii():",
-        (f"{_RERANK}::TestRendering::test_lines_are_json_dumps_of_their_records",),
+        (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",),
     ),
     Mutant(
         "document-memo-by-passage-id",
