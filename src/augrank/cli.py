@@ -269,6 +269,8 @@ class ExperimentConfig:
         ints = {name: getattr(self, name) for name, kind in fields.items() if kind == "int"}
         _check_settings(fusion_alpha=self.fusion_alpha, **ints)
         check_run_token(self.run_tag, "run tag")
+        if not self.output_dir or "\0" in self.output_dir:  # no directory has either name
+            raise ValidationError(f"output_dir must name a directory, got {self.output_dir!r}")
         self.endpoint = ScorerEndpoint(
             self.scorer, self.scorer_address, self.batch_size, self.timeout
         )

@@ -18,17 +18,18 @@ sequences (`trainset.render_training_sequences`) append " true" /
 " false" after "Relevant:". Strings are rendered only where a string
 leaves the program: the remote scorer's payload, the pipeline's
 inputs.jsonl and training sequences. The first two hold JSON strings,
-and they are joined from one set of escaped pieces: `_escape` JSON-escapes
+and they are joined from the same escaped pieces: `_escape` JSON-escapes
 each distinct template head (query and description) and each distinct
-document of a call once, in json.dumps' form with ensure_ascii=False and
-in its default ASCII form (one string when the two agree), and caches
-the pieces on the inputs; `input_records` and the remote payload
+document of a call once, as json.dumps does with ensure_ascii=False, and
+caches the pieces on the inputs; `input_records` and the remote payload
 concatenate them. JSON escapes one character at a time, so every
 inputs.jsonl line is the json.dumps(record, ensure_ascii=False) of its
-input and every payload the json.dumps of its sequences. Nothing parses
-a rendered sequence back, so text that contains a label literal such as
-"Document:" is scored as the text it is. Scorers return one value per input
-in [0, 1], higher means more relevant:
+input and every payload that of its sequences. Both are UTF-8, so a
+piece with a lone surrogate is a ValidationError naming its query id,
+raised before any line or request. Nothing parses a rendered sequence
+back, so text that contains a label literal such as "Document:" is
+scored as the text it is. Scorers return one value per input in [0, 1],
+higher means more relevant:
 
 - lexical_baseline: BM25 of the document against the tokenized query +
   description terms, exactly as `bm25_search` computes it, over an index
@@ -38,9 +39,9 @@ in [0, 1], higher means more relevant:
   Each distinct document is tokenized once per call, however many
   queries' inputs hold it.
 - remote: HTTP POST {"inputs": [...]} to <address>/score with the
-  rendered sequences, in the bytes json.dumps(...).encode() gives,
-  joined from the pieces' ASCII form, expecting {"scores": [...]} of
-  equal length; scores must be JSON numbers (not booleans) in [0, 1].
+  rendered sequences, in the bytes json.dumps(..., ensure_ascii=False)
+  .encode() gives, expecting {"scores": [...]} of equal length; scores
+  must be JSON numbers (not booleans) in [0, 1].
   The address needs a host that encodes as IDNA, a port in 1..65535 if
   it names one, an ASCII path, no space or control character, and no
   query string or fragment. Each call's inputs go in `batch_size`
@@ -79,7 +80,9 @@ from enum import Enum
 from itertools import islice
 
 from .augment import Expansion
-from .corpus_io import Passage, Query, RankedList, Record, encode_json_string
+from .corpus_io import (
+    Passage, Query, RankedList, Record, _holds_lone_surrogate, encode_json_string
+)
 from .errors import (
     ProtocolError,
     TransportError,
@@ -93,9 +96,6 @@ QUERY_LABEL = "Query:"
 DESCRIPTION_LABEL = "Description:"
 DOCUMENT_LABEL = "Document:"
 RELEVANT_LABEL = "Relevant:"
-
-# A string as json.dumps escapes it.
-_encode_ascii = json.JSONEncoder().encode
 
 # The escaped end of a sequence after its document: its last segment and
 # the closing quote.
@@ -193,9 +193,8 @@ class ScorerEndpoint:
 
 class RerankInput(Record):
     """One candidate for the scorer, kept as its template segments.
-    `_escaped` caches the JSON-escaped pieces of its sequence, which
-    `_escape` fills: head and document for inputs.jsonl, then head and
-    document for the remote payload."""
+    `_escaped` caches the JSON-escaped head and document of its sequence,
+    which `_escape` fills; inputs.jsonl and the remote payload join them."""
 
     __slots__ = ("query_id", "passage_id", "query", "description", "document", "_escaped")
 
@@ -207,7 +206,7 @@ class RerankInput(Record):
         self.query = query
         self.description = description
         self.document = document
-        self._escaped: tuple[str, str, str, str] | None = None
+        self._escaped: tuple[str, str] | None = None
 
     @property
     def sequence(self) -> str:
@@ -225,36 +224,34 @@ def template_head(query: str, description: str | None) -> str:
     return f"{QUERY_LABEL} {query} {DESCRIPTION_LABEL} {description} {DOCUMENT_LABEL} "
 
 
-def _escaped_forms(text: str, start: int, stop: int) -> tuple[str, str]:
-    """`text` JSON-escaped and cut to [start:stop], as json.dumps escapes it
-    with ensure_ascii=False and as it escapes it by default. The two agree
-    on ASCII text without DEL ("\\x7f"), which then gives one string for both."""
-    escaped = encode_json_string(text)[start:stop]
-    if text.isascii() and "\x7f" not in text:
-        return escaped, escaped
-    return escaped, _encode_ascii(text)[start:stop]
+def _json_string(text: str, query_id: str) -> str:
+    """`text` as a JSON string; a lone surrogate (not UTF-8) is a ValidationError."""
+    if _holds_lone_surrogate(text):
+        raise ValidationError(f"query {query_id!r}: re-ranker input holds a lone surrogate")
+    return encode_json_string(text)
 
 
 def _escape(inputs: Iterable[RerankInput]) -> None:
     """Fill the `_escaped` of each input that lacks it with its sequence's
     pieces: the template head with its opening quote and the document
-    without quotes, each in both of `_escaped_forms`' forms. Each distinct
-    head (query and description) and each distinct document among `inputs`
-    is escaped once, and inputs that share one share its strings."""
-    heads: dict[tuple[str, str | None], tuple[str, str]] = {}
-    documents: dict[str, tuple[str, str]] = {}
+    without quotes. Each distinct head (query and description) and each
+    distinct document among `inputs` is escaped once, and inputs that
+    share one share its string."""
+    heads: dict[tuple[str, str | None], str] = {}
+    documents: dict[str, str] = {}
     for item in inputs:
         if item._escaped is not None:
             continue
         head_key = (item.query, item.description)
         head = heads.get(head_key)
         if head is None:
-            head = _escaped_forms(template_head(item.query, item.description), 0, -1)
+            head = _json_string(template_head(item.query, item.description), item.query_id)[:-1]
             heads[head_key] = head
         document = documents.get(item.document)
         if document is None:
-            document = documents[item.document] = _escaped_forms(item.document, 1, -1)
-        item._escaped = (head[0], document[0], head[1], document[1])
+            document = _json_string(item.document, item.query_id)[1:-1]
+            documents[item.document] = document
+        item._escaped = (head, document)
 
 
 def input_records(inputs: Sequence[RerankInput]) -> list[str]:
@@ -270,7 +267,7 @@ def input_records(inputs: Sequence[RerankInput]) -> list[str]:
         if item.query_id != query_id:
             query_id = item.query_id
             prefix = f'{{"query_id": {encode_json_string(query_id)}, "passage_id": '
-        head, document, _, _ = item._escaped
+        head, document = item._escaped
         lines.append(
             f'{prefix}{encode_json_string(item.passage_id)}, "sequence": '
             f"{head}{document}{_SEQUENCE_END}}}\n"
@@ -357,10 +354,10 @@ def _failed(message: str, batch: Sequence[RerankInput], start: int) -> Transport
 
 
 def _request_body(batch: Sequence[RerankInput]) -> bytes:
-    """json.dumps({"inputs": [item.sequence for item in batch]}).encode(),
-    joined from the inputs' pieces in json.dumps' default (ASCII) form."""
+    """json.dumps({"inputs": [item.sequence for item in batch]},
+    ensure_ascii=False).encode(), joined from the inputs' pieces."""
     sequences = ", ".join(
-        f"{item._escaped[2]}{item._escaped[3]}{_SEQUENCE_END}" for item in batch
+        f"{head}{document}{_SEQUENCE_END}" for head, document in (item._escaped for item in batch)
     )
     return f'{{"inputs": [{sequences}]}}'.encode()
 

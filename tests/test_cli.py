@@ -571,7 +571,10 @@ class TestRerankInputsFile:
             for pid, _ in initial[q.id].entries[:k]
         ]
         assert scorer_server.bodies == [
-            json.dumps({"inputs": [item.sequence for item in inputs[i : i + batch_size]]}).encode()
+            json.dumps(
+                {"inputs": [item.sequence for item in inputs[i : i + batch_size]]},
+                ensure_ascii=False,
+            ).encode()
             for i in range(0, len(inputs), batch_size)
         ]
         assert inputs_out.getvalue() == self.json_lines(inputs)
@@ -732,6 +735,16 @@ class TestPipeline:
         assert f"baseline_run {str(baseline)!r} is one of the run's artifacts" in err
         assert baseline.read_bytes() == before
         assert os.listdir(workspace / "o3") == ["reranked.run"]
+
+    @pytest.mark.parametrize("output_dir", ["", "out\0x"], ids=["empty", "nul"])
+    def test_output_dir_that_names_no_directory_is_refused(self, workspace, capsys, output_dir):
+        config = make_config(workspace, "out_nul", output_dir=output_dir)
+        before = sorted(os.listdir(workspace))
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config {config}: output_dir must name a directory, got {output_dir!r}" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(workspace)) == before
 
     def test_input_reaching_an_artifact_by_a_symlink_is_refused_in_any_mode(
         self, workspace, capsys

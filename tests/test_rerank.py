@@ -1268,8 +1268,9 @@ def json_line(item):
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-# Each escapes differently with ensure_ascii and without: non-ASCII and
-# astral characters, and DEL, which only the ASCII form escapes.
+# Text JSON escapes in each of its ways, and characters that only
+# json.dumps' default ASCII form would escape: non-ASCII and astral ones,
+# DEL, NEL and the line separator U+2028.
 _WIDE_TEXT = 'é "x" \\ \x00 \x1f \x7f \x85 \u2028 \U0001f600 Document:'
 
 
@@ -1306,12 +1307,32 @@ class TestRendering:
         inputs = self.wide_inputs()
         endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=3)
         score_batch(inputs, endpoint)
+        batches = (inputs[:3], inputs[3:])
         assert scorer_server.bodies == [
-            json.dumps({"inputs": [item.sequence for item in batch]}).encode()
-            for batch in (inputs[:3], inputs[3:])
+            json.dumps({"inputs": [item.sequence for item in batch]}, ensure_ascii=False).encode()
+            for batch in batches
+        ]
+        assert [json.loads(body) for body in scorer_server.bodies] == [
+            {"inputs": [item.sequence for item in batch]} for batch in batches
         ]
         # The pieces escaped for the bodies render the lines too.
         assert input_records(inputs) == [json_line(item) for item in inputs]
+
+    @pytest.mark.parametrize("segment", ["query", "description", "document"])
+    def test_lone_surrogate_is_refused_before_any_request_or_line(self, scorer_server, segment):
+        def inputs():
+            segments = {"query": "apple", "description": "tart", "document": "pie"}
+            segments[segment] += "\ud800"
+            return [RerankInput("q1", "p1", "apple", None, "pie"),
+                    RerankInput("q2", "p2", **segments)]
+
+        message = "query 'q2': re-ranker input holds a lone surrogate"
+        endpoint = ScorerEndpoint(ScorerKind.REMOTE, scorer_server.address, batch_size=1)
+        with pytest.raises(ValidationError, match=message):
+            score_batch(inputs(), endpoint)
+        assert scorer_server.bodies == [] and scorer_server.connection_count == 0
+        with pytest.raises(ValidationError, match=message):
+            input_records(inputs())
 
     def test_one_passage_id_with_two_documents_renders_each(self, scorer_server):
         inputs = [RerankInput("q1", "p1", "apple", None, "first document"),

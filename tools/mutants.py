@@ -269,30 +269,33 @@ MUTANTS = (
         'keep = True or b"keep-alive" in connection',
         (f"{_RERANK}::TestWireFormat::test_connection_stays_open_only_when_the_reply_allows",),
     ),
-    # Re-ranker inputs are escaped once per call into shared pieces: each
-    # memo key and the ASCII form of the request body.
+    # Re-ranker inputs are escaped once per call into pieces that the
+    # request bodies and inputs.jsonl share: each memo key, the one (UTF-8)
+    # form of a piece and the refusal of text UTF-8 cannot hold.
     Mutant(
-        "body-without-ascii-form",
+        "document-ascii-form",
         "src/augrank/rerank.py",
-        "return escaped, _encode_ascii(text)[start:stop]",
-        "return escaped, escaped",
+        "document = _json_string(item.document, item.query_id)[1:-1]",
+        "document = json.dumps(item.document)[1:-1]",
         (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",
          f"{_CLI}::TestRerankInputsFile::test_remote_bodies_and_lines_are_json_dumps"),
     ),
     Mutant(
-        "body-ascii-form-keeps-del",
+        "lone-surrogate-unchecked",
         "src/augrank/rerank.py",
-        'if text.isascii() and "\\x7f" not in text:',
-        "if text.isascii():",
-        (f"{_RERANK}::TestRendering::test_request_bodies_are_json_dumps_of_the_sequences",),
+        "if _holds_lone_surrogate(text):",
+        "if False:",
+        (f"{_RERANK}::TestRendering::test_lone_surrogate_is_refused_before_any_request_or_line",),
     ),
     Mutant(
         "document-memo-by-passage-id",
         "src/augrank/rerank.py",
         "documents.get(item.document)\n        if document is None:\n"
-        "            document = documents[item.document]",
+        "            document = _json_string(item.document, item.query_id)[1:-1]\n"
+        "            documents[item.document]",
         "documents.get(item.passage_id)\n        if document is None:\n"
-        "            document = documents[item.passage_id]",
+        "            document = _json_string(item.document, item.query_id)[1:-1]\n"
+        "            documents[item.passage_id]",
         (f"{_RERANK}::TestRendering::test_one_passage_id_with_two_documents_renders_each",),
     ),
     Mutant(
