@@ -329,7 +329,8 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
     `metrics` also takes a comma-separated string. Every input path must
     exist and must not be one of the artifacts the run writes into its
     output directory, which would be overwritten while it is read (or
-    before). Each fault is named after `config <path>: `."""
+    before), and the nearest existing path at or above `output_dir` must
+    be a directory. Each fault is named after `config <path>: `."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -356,6 +357,11 @@ def load_experiment_config(path: str, overrides: Mapping[str, object] | None = N
         cfg = ExperimentConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"config {path}: {exc}") from None
+    existing = cfg.output_dir
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing or "."):
+        raise ValidationError(f"config {path}: output_dir {cfg.output_dir!r} is not a directory")
     artifacts = {os.path.realpath(os.path.join(cfg.output_dir, name)) for name in _ARTIFACTS}
     for name in _INPUT_PATHS:
         value = getattr(cfg, name)

@@ -4,12 +4,13 @@ sparse/dense run fusion.
 BM25 uses k1=0.9, b=0.4 with idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)),
 the common passage-ranking defaults. `bm25_scores` scores every passage
 holding a query term; `bm25_search` finds the same top k from fewer
-postings by exact MaxScore pruning and rescores its survivors, so their
-scores are the ones `bm25_scores` gives, bit for bit. The corpus language
-model applies add-one smoothing over the observed vocabulary so that any
-term, including unseen ones, has strictly positive probability. Ties
-everywhere break by ascending passage id so results are reproducible
-across platforms.
+postings by exact MaxScore pruning and rescores its survivors. Both read
+each term's impacts from one cached table, {passage id: impact}, so a
+survivor's score is the one `bm25_scores` gives, bit for bit. The corpus
+language model applies add-one smoothing over the observed vocabulary so
+that any term, including unseen ones, has strictly positive probability.
+Ties everywhere break by ascending passage id so results are
+reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class InvertedIndex(Record):
     derived: the totals once at construction, `collection_frequency` on
     demand, each passage's BM25 length norm at the first impact computed,
     and each term's BM25 impacts the first time `bm25_scores` or
-    `bm25_search` meets the term, as floats aligned with the term's
-    postings, together with the largest of them (the term's MaxScore
-    bound). The norms and impacts are a cache: never saved, not compared,
-    and not shown."""
+    `bm25_search` meets the term, as {passage id: impact} in postings
+    order, together with the largest of them (the term's MaxScore bound).
+    The norms and impacts are a cache: never saved, not compared, and not
+    shown."""
 
     __slots__ = (
         "postings", "doc_lengths", "doc_count", "total_tokens", "avg_doc_length",
@@ -88,7 +89,7 @@ class InvertedIndex(Record):
         self.doc_count = len(doc_lengths)
         self.total_tokens = sum(doc_lengths.values())
         self.avg_doc_length = self.total_tokens / self.doc_count if self.doc_count else 0.0
-        self._impacts: dict[str, tuple[list[float], float]] = {}
+        self._impacts: dict[str, tuple[dict[str, float], float]] = {}
         self._norms: dict[str, float] | None = None
 
     @property
@@ -152,26 +153,21 @@ def _length_norms(index: InvertedIndex) -> dict[str, float]:
     return index._norms
 
 
-def _impact(idf: float, tf: int, norm: float) -> float:
-    """`idf` times BM25's tf weight `tf * (k1 + 1) / (tf + k1 * (1 - b + b *
-    dl / avgdl))` for a passage whose `_length_norms` entry is `norm`; the
-    operations run in the formula's order, so the impact is the float the
-    formula gives."""
-    return idf * (tf * (BM25_K1 + 1.0) / (tf + norm))
-
-
-def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[float], float]:
-    """The BM25 contribution of each posting of `term`, aligned with
-    `index.postings[term]`, and the largest of them; computed on first use
-    and cached on the index."""
+def _term_impacts(index: InvertedIndex, term: str) -> tuple[dict[str, float], float]:
+    """{passage id: BM25 contribution of `term`} in the order of
+    `index.postings[term]`, and the largest contribution; computed on first
+    use and cached on the index. The contribution is `idf` times BM25's tf
+    weight `tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))`, with the
+    operations in the formula's order and the length-only part read from
+    `_length_norms`."""
     cached = index._impacts.get(term)
     if cached is None:
         idf, norms = _idf(index, term), _length_norms(index)
-        impacts = [
-            _impact(idf, tf, norms[pid])
+        impacts = {
+            pid: idf * (tf * (BM25_K1 + 1.0) / (tf + norms[pid]))
             for pid, tf in index.postings[term].items()
-        ]
-        cached = index._impacts[term] = (impacts, max(impacts))
+        }
+        cached = index._impacts[term] = (impacts, max(impacts.values()))
     return cached
 
 
@@ -185,21 +181,18 @@ def bm25_scores(index: InvertedIndex, terms: Iterable[str]) -> dict[str, float]:
     scores: dict[str, float] = {}
     get = scores.get
     for term in terms:
-        postings = index.postings.get(term)
-        if postings is None:
+        if term not in index.postings:
             continue
-        for pid, impact in zip(postings, _term_impacts(index, term)[0]):
+        for pid, impact in _term_impacts(index, term)[0].items():
             scores[pid] = get(pid, 0.0) + impact
     return scores
 
 
-def _add_impacts(index: InvertedIndex, term: str, times: int, scores: dict[str, float]) -> None:
-    """Add `times` times the impact of `term` to the score of each passage
-    in `scores` that holds it. The impact is the one `_term_impacts`
-    caches, so it is the same float."""
-    tfs, idf, norms = index.postings[term], _idf(index, term), _length_norms(index)
-    for pid in [pid for pid in scores if pid in tfs]:
-        scores[pid] += times * _impact(idf, tfs[pid], norms[pid])
+def _add_impacts(impacts: dict[str, float], times: int, scores: dict[str, float]) -> None:
+    """Add `times` times its entry in `impacts`, one term's table from
+    `_term_impacts`, to the score of each passage in `scores` that has one."""
+    for pid in [pid for pid in scores if pid in impacts]:
+        scores[pid] += times * impacts[pid]
 
 
 # Pruning compares partial scores, added in another order than the exact
@@ -245,16 +238,14 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
     get = partial.get
     admitting = True
     for (_, term, m), rest in zip(terms, rests):
+        impacts = _term_impacts(index, term)[0]
         if admitting:
-            impacts = _term_impacts(index, term)[0]
-            if m > 1:
-                impacts = [m * impact for impact in impacts]
-            for pid, impact in zip(postings[term], impacts):
-                partial[pid] = get(pid, 0.0) + impact
+            for pid, impact in impacts.items():
+                partial[pid] = get(pid, 0.0) + m * impact
             if len(partial) < k:
                 continue
         else:
-            _add_impacts(index, term, m, partial)
+            _add_impacts(impacts, m, partial)
         # The k passages with the largest partial scores are never dropped,
         # so the threshold only rises.
         threshold = heapq.nlargest(k, partial.values())[-1] * _PRUNE_MARGIN
@@ -264,7 +255,7 @@ def bm25_search(index: InvertedIndex, query: Query, k: int) -> RankedList:
 
     exact = dict.fromkeys(partial, 0.0)
     for term in tokens:
-        _add_impacts(index, term, 1, exact)
+        _add_impacts(_term_impacts(index, term)[0], 1, exact)
     scores = sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedList(query.id, tuple(scores[:k]))
 

@@ -12,8 +12,8 @@ pin a faster rewrite:
   index over each query's inputs and called `bm25_score` per candidate.
   All three share the per-posting arithmetic, `_tf_weight`, which lives
   here: the library writes BM25's tf weight once, in
-  `augrank.index._impact`, with each passage's length norm read from a
-  table, and must give the same floats.
+  `augrank.index._term_impacts`, with each passage's length norm read
+  from a table, and must give the same floats.
 - Record for record and error for error: `parse_run_oracle`,
   `parse_record_oracle` and `ranked_list_oracle`, the record layer's
   readers and `RankedList`'s check as they checked every line and every

@@ -118,6 +118,8 @@ class TestMetricTokens:
 
     def test_tokens_canonicalized(self):
         assert metric_tokens(("S@01", "MRR@5", " Map", "")) == ("s@1", "mrr@5", "map")
+        with pytest.raises(ValidationError, match="^no metrics requested$"):
+            metric_tokens(("", " ", ""))
 
     @pytest.mark.parametrize("token", ["s@1_0", "ndcg@\uff15", "mrr@\u0661\u0660"])
     def test_cutoff_must_be_plain_ascii(self, token):
@@ -744,6 +746,16 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"config {config}: output_dir must name a directory, got {output_dir!r}" in err
         assert "Traceback" not in err
+        assert sorted(os.listdir(workspace)) == before
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    def test_output_dir_at_or_under_an_existing_file_is_refused(self, workspace, capsys, under):
+        output_dir = str(workspace / "qrels.txt" / under)
+        config = make_config(workspace, "out_file", output_dir=output_dir)
+        before = sorted(os.listdir(workspace))
+        assert main(["pipeline", "run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {config}: output_dir {output_dir!r} is not a directory\n"
         assert sorted(os.listdir(workspace)) == before
 
     def test_input_reaching_an_artifact_by_a_symlink_is_refused_in_any_mode(

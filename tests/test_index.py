@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augrank.index as index_module
 from augrank.corpus_io import Passage, Query, RankedList
 from augrank.errors import ConflictError, ParseError, ValidationError
 from augrank.index import (
@@ -350,6 +351,29 @@ class TestBm25SearchPruning:
             assert [s.hex() for _, s in got.entries] == [s.hex() for _, s in full[:k]]
         assert [pid for pid, _ in bm25_search(index, query, 1).entries] == ["d1"]
 
+    def test_each_term_impacts_computed_once_per_index(self, monkeypatch):
+        # Every search below prunes (k < the passages holding "b1") and
+        # repeats a term; the admitting phase, the held phase, the exact
+        # rescoring and `bm25_scores` must all read one cached table per
+        # term, so `_idf` runs once for each distinct term with postings.
+        passages = [
+            Passage("d1", None, "a2 b1 f g"),
+            Passage("d2", None, "a1 b1 f g"),
+            Passage("x", None, "b1 b1 b1 b1"),
+        ] + [Passage(f"z{i:02d}", None, "f g h i") for i in range(17)]
+        index = build_index(passages)
+        idf, met = index_module._idf, []
+
+        def counting_idf(index, term):
+            met.append(term)
+            return idf(index, term)
+
+        monkeypatch.setattr(index_module, "_idf", counting_idf)
+        for text, k in [("a1 a2 b1 b1", 1), ("b1 a1 b1 zebra", 2), ("a2 f f b1", 1)]:
+            bm25_search(index, Query("q", text), k)
+        index_module.bm25_scores(index, ["h", "b1", "h", "zebra", "a1"])
+        assert sorted(met) == ["a1", "a2", "b1", "f", "h"]
+
     def test_partial_score_one_ulp_low_is_not_dropped(self):
         # The partial scores add the terms in bound order (e, d twice, b, c,
         # a) and the exact ones in query order. p04's exact score is one ulp
@@ -398,9 +422,9 @@ class TestLengthNorms:
         index = build_index(passages)
         for term, tfs in index.postings.items():
             idf = _idf(index, term)
-            expected = [idf * _tf_weight(index, tf, index.doc_lengths[pid])
+            expected = [(pid, (idf * _tf_weight(index, tf, index.doc_lengths[pid])).hex())
                         for pid, tf in tfs.items()]
-            assert [x.hex() for x in _term_impacts(index, term)[0]] == [x.hex() for x in expected]
+            assert [(pid, x.hex()) for pid, x in _term_impacts(index, term)[0].items()] == expected
         for i, text in enumerate(query_texts):
             query = Query(f"q{i}", text)
             got = bm25_search(index, query, k)

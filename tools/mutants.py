@@ -60,6 +60,21 @@ MUTANTS = (
         "_PRUNE_MARGIN = 1.0",
         ("tests/test_index.py",),
     ),
+    # A repeated query term counted once, in each phase that adds it.
+    Mutant(
+        "impact-multiplicity-dropped-admitting",
+        "src/augrank/index.py",
+        "get(pid, 0.0) + m * impact",
+        "get(pid, 0.0) + impact",
+        ("tests/test_index.py",),
+    ),
+    Mutant(
+        "impact-multiplicity-dropped-held",
+        "src/augrank/index.py",
+        "scores[pid] += times * impacts[pid]",
+        "scores[pid] += impacts[pid]",
+        ("tests/test_index.py",),
+    ),
     Mutant(
         "nl-expansion-strict-bound",
         "src/augrank/augment.py",
